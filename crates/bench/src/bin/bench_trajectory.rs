@@ -7,8 +7,8 @@
 //! the metrics registry, the scheduler's observed EWMA task costs, and
 //! the measured telemetry overhead (asserted under 2%). Committing the
 //! file gives the repository its first perf baseline; regenerate it with
-//! `cargo run --release --bin cleanml-bench-trajectory` after changes
-//! that should move the needle.
+//! `cargo run --release -p cleanml-bench --bin cleanml-bench-trajectory`
+//! after changes that should move the needle.
 //!
 //! Flags: `--out FILE` (default `BENCH_quick.json`), `--splits N`
 //! (default 2), `--workers N`, `--errors LIST`, `--trace-out FILE`
@@ -128,9 +128,10 @@ fn main() {
     let mut first_slow: Vec<cleanml_engine::SlowTask> = Vec::new();
     // Fold-plane counters for the first cold instrumented leg: how many
     // candidate×fold fits its Train tasks executed and how many fold
-    // materializations the shared FoldPlans answered from cache. With the
-    // paper()/quick() budgets every Train runs > 1 candidate, so
-    // fold_reuse = 0 would mean candidates are re-materializing folds.
+    // materializations the shared FoldPlans answered from cache. The
+    // quick budget runs a single candidate (`n_candidates: 1`), so
+    // fold_reuse = 0 is expected here; reuse can only fire on
+    // multi-candidate budgets such as paper().
     let mut train_cv_fits = 0u64;
     let mut train_fold_reuse = 0u64;
     let mut overhead_pct = f64::INFINITY;

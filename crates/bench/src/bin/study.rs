@@ -5,9 +5,9 @@
 //!
 //! ```sh
 //! cargo run --release -p cleanml-bench --bin study -- \
-//!     [--quick|--paper] [--workers N] [--cache-dir DIR] \
-//!     [--cache-max-bytes N[k|m|g]] [--cache-stats] \
-//!     [--listen ADDR] [--lease-timeout SECS] [out_dir]
+//!     [--quick|--paper] [--splits N] [--seed N] [--workers N] \
+//!     [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--cache-stats] \
+//!     [--listen ADDR] [--lease-timeout SECS] [--trace-out FILE] [out_dir]
 //! ```
 //!
 //! With `--cache-dir`, a repeated or resumed invocation — including one
@@ -37,26 +37,28 @@ fn dump(db: &CleanMlDb, dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Positional `out_dir`: the first non-flag argument that is not a value of
-/// a preceding flag.
-fn out_dir_from_args() -> PathBuf {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let value_flags = [
-        "--splits",
-        "--seed",
-        "--workers",
-        "--cache-dir",
-        "--cache-max-bytes",
-        "--listen",
-        "--lease-timeout",
-    ];
+/// Flags whose next argument is their value, never the `out_dir`.
+const VALUE_FLAGS: [&str; 8] = [
+    "--splits",
+    "--seed",
+    "--workers",
+    "--cache-dir",
+    "--cache-max-bytes",
+    "--listen",
+    "--lease-timeout",
+    "--trace-out",
+];
+
+/// Positional `out_dir` among `args` (program name excluded): the first
+/// non-flag argument that is not a value of a preceding flag.
+fn out_dir(args: &[String]) -> PathBuf {
     let mut skip_next = false;
-    for a in &args {
+    for a in args {
         if skip_next {
             skip_next = false;
             continue;
         }
-        if value_flags.contains(&a.as_str()) {
+        if VALUE_FLAGS.contains(&a.as_str()) {
             skip_next = true;
             continue;
         }
@@ -70,7 +72,7 @@ fn out_dir_from_args() -> PathBuf {
 fn main() {
     let cfg = config_from_args();
     banner("Full CleanML study", &cfg);
-    let dir = out_dir_from_args();
+    let dir = out_dir(&std::env::args().skip(1).collect::<Vec<_>>());
     std::fs::create_dir_all(&dir).expect("create output directory");
 
     let all = [
@@ -101,5 +103,28 @@ fn main() {
             q1.render(cleanml_core::Flag::Insignificant),
             q1.render(cleanml_core::Flag::Negative),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scan(args: &[&str]) -> PathBuf {
+        out_dir(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flag_values_are_not_the_out_dir() {
+        // the README's tracing invocation
+        assert_eq!(
+            scan(&["--quick", "--splits", "2", "--trace-out", "trace.json", "out/"]),
+            PathBuf::from("out/")
+        );
+        for flag in VALUE_FLAGS {
+            assert_eq!(scan(&[flag, "value", "out"]), PathBuf::from("out"), "{flag}");
+        }
+        assert_eq!(scan(&["--quick", "--cache-stats"]), PathBuf::from("cleanml_db"));
+        assert_eq!(scan(&["out", "--workers", "2"]), PathBuf::from("out"));
     }
 }

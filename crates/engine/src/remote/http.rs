@@ -258,6 +258,9 @@ pub(crate) fn serve_http<A>(
         }
     }
     t.http_route_seconds[ri].observe(started.elapsed());
+    // Close only once the request is counted: the close is what tells the
+    // client its request completed, so a scrape it sends next includes it.
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn serve_metrics<A>(inner: &PoolInner<A>, stream: &mut TcpStream) {
@@ -1017,7 +1020,6 @@ fn respond_with_headers(
     let _ = stream.write_all(head.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn json_error(stream: &mut TcpStream, status: &str, message: &str) {

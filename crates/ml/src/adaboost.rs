@@ -53,6 +53,17 @@ pub struct AdaBoost {
 impl AdaBoost {
     /// Runs SAMME boosting.
     pub fn fit(params: &AdaBoostParams, data: &FeatureMatrix, seed: u64) -> Result<AdaBoost> {
+        Self::fit_with(params, data, seed, DecisionTree::fit_weighted)
+    }
+
+    /// SAMME over weak learners grown by `fit_tree` (a weighted CART fit;
+    /// the kernel oracle passes its reference builder here).
+    pub(crate) fn fit_with(
+        params: &AdaBoostParams,
+        data: &FeatureMatrix,
+        seed: u64,
+        fit_tree: impl Fn(&TreeParams, &FeatureMatrix, &[f64], u64) -> Result<DecisionTree>,
+    ) -> Result<AdaBoost> {
         if params.n_rounds == 0 {
             return Err(MlError::InvalidParam { param: "n_rounds", message: "0".into() });
         }
@@ -79,7 +90,7 @@ impl AdaBoost {
 
         for round in 0..params.n_rounds {
             let tree_seed = seed.wrapping_add(round as u64);
-            let tree = DecisionTree::fit_weighted(&tree_params, data, &weights, tree_seed)?;
+            let tree = fit_tree(&tree_params, data, &weights, tree_seed)?;
             let preds = tree.predict(data)?;
 
             let err: f64 = preds

@@ -43,9 +43,9 @@ impl ForestParams {
 /// A fitted random forest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
-    trees: Vec<DecisionTree>,
-    n_features: usize,
-    n_classes: usize,
+    pub(crate) trees: Vec<DecisionTree>,
+    pub(crate) n_features: usize,
+    pub(crate) n_classes: usize,
 }
 
 impl RandomForest {
@@ -69,20 +69,28 @@ impl RandomForest {
             max_features: Some(max_features),
         };
 
-        // Bootstrap index draws stay on the single shared RNG stream (the
-        // draw sequence is part of the model's content address), so they
-        // are materialized up front; the tree fits themselves are pure
-        // functions of (bootstrap, per-tree seed) and fan out onto idle
-        // pool workers via the subwork bridge. Slot-ordered collection
-        // keeps the forest byte-identical to the serial loop at any
-        // worker count.
+        // Bootstrap draws stay on the single shared RNG stream (the draw
+        // sequence is part of the model's content address), so they are
+        // drawn up front, each tree's as per-row counts. Every tree then
+        // grows on this matrix with the counts as weights, reading the
+        // shared sidecar: no tree copies the matrix or sorts it. The fits
+        // are pure functions of (counts, per-tree seed) and fan out onto
+        // idle pool workers via the subwork bridge; slot-ordered
+        // collection keeps the forest byte-identical to the serial loop at
+        // any worker count.
         let mut rng = StdRng::seed_from_u64(seed);
-        let boots: Vec<Vec<usize>> =
-            (0..params.n_trees).map(|_| (0..n).map(|_| rng.random_range(0..n)).collect()).collect();
+        let draws: Vec<Vec<u32>> = (0..params.n_trees)
+            .map(|_| {
+                let mut counts = vec![0u32; n];
+                for _ in 0..n {
+                    counts[rng.random_range(0..n)] += 1;
+                }
+                counts
+            })
+            .collect();
         let trees = cleanml_parallel::run_indexed(params.n_trees, |t| {
-            let sample = data.select_rows(&boots[t]);
             let tree_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t as u64);
-            DecisionTree::fit(&tree_params, &sample, tree_seed)
+            DecisionTree::fit_bootstrap(&tree_params, data, &draws[t], tree_seed)
         })
         .into_iter()
         .collect::<Result<Vec<_>>>()?;

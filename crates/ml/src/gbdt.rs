@@ -14,6 +14,7 @@ use rand::seq::IndexedRandom;
 use rand::Rng;
 
 use crate::error::MlError;
+use crate::splitter::Arena;
 use crate::Result;
 
 /// Hyper-parameters for [`Gbdt`].
@@ -77,15 +78,15 @@ impl GbdtParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum RNode {
+pub(crate) enum RNode {
     Leaf(f64),
     Split { feature: usize, threshold: f64, left: usize, right: usize },
 }
 
 /// One regression tree over gradient statistics.
 #[derive(Debug, Clone, PartialEq)]
-struct RegTree {
-    nodes: Vec<RNode>,
+pub(crate) struct RegTree {
+    pub(crate) nodes: Vec<RNode>,
 }
 
 impl RegTree {
@@ -113,16 +114,28 @@ pub struct Gbdt {
     n_classes: usize,
 }
 
-struct GradCtx<'a> {
-    data: &'a FeatureMatrix,
-    grad: &'a [f64],
-    hess: &'a [f64],
-    params: &'a GbdtParams,
+/// What one regression tree is fit to: the matrix and the current
+/// per-row gradient statistics.
+pub(crate) struct GradCtx<'a> {
+    pub(crate) data: &'a FeatureMatrix,
+    pub(crate) grad: &'a [f64],
+    pub(crate) hess: &'a [f64],
+    pub(crate) params: &'a GbdtParams,
 }
 
 impl Gbdt {
     /// Trains the boosted ensemble on softmax cross-entropy.
     pub fn fit(params: &GbdtParams, data: &FeatureMatrix, _seed: u64) -> Result<Gbdt> {
+        Self::fit_with(params, data, grow_reg_tree)
+    }
+
+    /// The boosting loop over regression trees grown by `grow_tree` (the
+    /// kernel oracle passes its reference builder here).
+    pub(crate) fn fit_with(
+        params: &GbdtParams,
+        data: &FeatureMatrix,
+        grow_tree: impl Fn(&GradCtx<'_>) -> RegTree,
+    ) -> Result<Gbdt> {
         params.validate()?;
         let n = data.n_rows();
         if n == 0 {
@@ -152,15 +165,7 @@ impl Gbdt {
                     grad[i] = p - y;
                     hess[i] = (p * (1.0 - p)).max(1e-6);
                 }
-                let ctx = GradCtx { data, grad: &grad, hess: &hess, params };
-                let mut nodes = Vec::new();
-                let rows: Vec<u32> = (0..n as u32).collect();
-                // The chained sidecar is built once per matrix and reused by
-                // every tree of every round; each node inherits
-                // order-preserving partitions instead of re-sorting.
-                let lists: Vec<Vec<u32>> = data.sorted_cols_chained().iter().cloned().collect();
-                build_reg_node(&ctx, &mut nodes, rows, lists, 0);
-                let tree = RegTree { nodes };
+                let tree = grow_tree(&GradCtx { data, grad: &grad, hess: &hess, params });
                 for i in 0..n {
                     scores[i * k + c] += params.eta * tree.predict_row(data, i);
                 }
@@ -207,34 +212,48 @@ impl Gbdt {
 }
 
 /// Structure score `G²/(H+λ)` of a candidate node.
-fn score(g: f64, h: f64, lambda: f64) -> f64 {
+pub(crate) fn score(g: f64, h: f64, lambda: f64) -> f64 {
     g * g / (h + lambda)
 }
 
-/// Recursively builds the regression subtree for `rows` (ascending-index
-/// membership); `lists[f]` is the same membership in the chained sort order
-/// of [`FeatureMatrix::sorted_cols_chained`], which reproduces the
-/// pre-columnar kernel's per-node cascading stable sorts bit-for-bit.
+/// Grows one regression tree in a splitter arena over all rows. The
+/// chained sidecar is built once per matrix and read by every tree of
+/// every round; each node inherits stable partitions instead of re-sorting.
+fn grow_reg_tree(ctx: &GradCtx<'_>) -> RegTree {
+    let n = ctx.data.n_rows();
+    let mut arena = Arena::all_rows(ctx.data.sorted_cols_chained(), n);
+    let mut nodes = Vec::new();
+    build_reg_node(ctx, &mut arena, &mut nodes, 0, n, 0);
+    RegTree { nodes }
+}
+
+/// Recursively builds the regression subtree of arena range `[lo, hi)`.
+/// The arena keeps the node's rows in ascending order and each feature
+/// list in the chained sort order of [`FeatureMatrix::sorted_cols_chained`],
+/// which reproduces the pre-columnar kernel's per-node cascading stable
+/// sorts bit-for-bit.
 fn build_reg_node(
     ctx: &GradCtx<'_>,
+    arena: &mut Arena,
     nodes: &mut Vec<RNode>,
-    rows: Vec<u32>,
-    lists: Vec<Vec<u32>>,
+    lo: usize,
+    hi: usize,
     depth: usize,
 ) -> usize {
+    let rows = arena.rows(lo, hi);
     let g_total: f64 = rows.iter().map(|&r| ctx.grad[r as usize]).sum();
     let h_total: f64 = rows.iter().map(|&r| ctx.hess[r as usize]).sum();
     let lambda = ctx.params.lambda;
 
     let leaf_weight = -g_total / (h_total + lambda);
-    if depth >= ctx.params.max_depth || rows.len() < 2 {
-        let idx = nodes.len();
+    let stops = |depth: usize, n: usize| depth >= ctx.params.max_depth || n < 2;
+    if stops(depth, hi - lo) {
         nodes.push(RNode::Leaf(leaf_weight));
-        return idx;
+        return nodes.len() - 1;
     }
 
     // Best split by structure gain: one contiguous sweep per feature over
-    // the pre-sorted candidate list. Each feature's sweep is a pure
+    // the node's sorted arena list. Each feature's sweep is a pure
     // function of (order, grad, hess), so wide nodes fan the per-feature
     // sweeps onto idle pool workers; the reduction walks features in
     // ascending order with the same strictly-greater comparison as the
@@ -244,7 +263,7 @@ fn build_reg_node(
     let parent_score = score(g_total, h_total, lambda);
     let gain_floor = ctx.params.gamma.max(1e-12);
     let sweep_feature = |f: usize| -> Option<(f64, f64)> {
-        let order = &lists[f];
+        let order = arena.list(f, lo, hi);
         let col = ctx.data.col(f);
         let mut fbest: Option<(f64, f64)> = None;
         let mut fbest_gain = gain_floor;
@@ -276,7 +295,7 @@ fn build_reg_node(
     // Fanning out only pays above a work floor; below it the serial sweep
     // wins (and both produce identical results by construction).
     const PAR_MIN_CELLS: usize = 1 << 14;
-    let candidates: Vec<Option<(f64, f64)>> = if rows.len().saturating_mul(d) >= PAR_MIN_CELLS {
+    let candidates: Vec<Option<(f64, f64)>> = if (hi - lo).saturating_mul(d) >= PAR_MIN_CELLS {
         cleanml_parallel::run_indexed(d, sweep_feature)
     } else {
         (0..d).map(sweep_feature).collect()
@@ -293,27 +312,21 @@ fn build_reg_node(
     }
 
     let Some((feature, threshold)) = best else {
-        let idx = nodes.len();
         nodes.push(RNode::Leaf(leaf_weight));
-        return idx;
+        return nodes.len() - 1;
     };
 
-    // Order-stable partitions keep both membership orders in the children.
-    let goes_left = |r: u32| ctx.data.at(r as usize, feature) <= threshold;
-    let (left_rows, right_rows): (Vec<u32>, Vec<u32>) =
-        rows.into_iter().partition(|&r| goes_left(r));
-    let mut left_lists = Vec::with_capacity(lists.len());
-    let mut right_lists = Vec::with_capacity(lists.len());
-    for list in lists {
-        let (l, r): (Vec<u32>, Vec<u32>) = list.into_iter().partition(|&r| goes_left(r));
-        left_lists.push(l);
-        right_lists.push(r);
+    let col = ctx.data.col(feature);
+    let mid = arena.partition_rows(lo, hi, |r| col[r] <= threshold);
+    // Leaves never sweep, so their lists need not be split.
+    if !(stops(depth + 1, mid - lo) && stops(depth + 1, hi - mid)) {
+        arena.partition_lists(lo, hi);
     }
 
     let idx = nodes.len();
     nodes.push(RNode::Leaf(0.0)); // placeholder
-    let left = build_reg_node(ctx, nodes, left_rows, left_lists, depth + 1);
-    let right = build_reg_node(ctx, nodes, right_rows, right_lists, depth + 1);
+    let left = build_reg_node(ctx, arena, nodes, lo, mid, depth + 1);
+    let right = build_reg_node(ctx, arena, nodes, mid, hi, depth + 1);
     nodes[idx] = RNode::Split { feature, threshold, left, right };
     idx
 }

@@ -40,7 +40,10 @@ pub mod mlp;
 pub mod model;
 pub mod nacl;
 pub mod naive_bayes;
+#[cfg(test)]
+mod oracle;
 pub mod selection;
+mod splitter;
 pub mod tree;
 
 pub use codec::{decode_model, encode_model};

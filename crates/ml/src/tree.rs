@@ -5,6 +5,12 @@
 //! are axis-aligned thresholds at midpoints between consecutive distinct
 //! feature values, chosen to maximize the weighted Gini decrease — the
 //! classic CART construction the paper's scikit-learn models use.
+//!
+//! Trees grow in a [splitter arena](crate::splitter) seeded from the
+//! matrix's `sorted_cols()` sidecar, so no node sorts and no node allocates
+//! per-child lists. A random forest's bootstrap tree grows on the parent
+//! matrix with per-row draw counts as integer weights and sample counts
+//! ([`DecisionTree::fit_bootstrap`]).
 
 use cleanml_dataset::FeatureMatrix;
 use rand::rngs::StdRng;
@@ -12,6 +18,7 @@ use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
 
 use crate::error::MlError;
+use crate::splitter::Arena;
 use crate::Result;
 
 /// Hyper-parameters for [`DecisionTree`].
@@ -45,7 +52,7 @@ impl TreeParams {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.min_samples_leaf == 0 {
             return Err(MlError::InvalidParam { param: "min_samples_leaf", message: "0".into() });
         }
@@ -63,7 +70,7 @@ impl TreeParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         /// Class probability distribution at the leaf (weighted).
         dist: Vec<f64>,
@@ -80,13 +87,13 @@ enum Node {
 /// A fitted CART classifier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
-    n_features: usize,
-    n_classes: usize,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) n_features: usize,
+    pub(crate) n_classes: usize,
 }
 
 /// Weighted Gini impurity of a class-weight histogram with total `total`.
-fn gini(counts: &[f64], total: f64) -> f64 {
+pub(crate) fn gini(counts: &[f64], total: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
@@ -95,10 +102,26 @@ fn gini(counts: &[f64], total: f64) -> f64 {
 
 struct BuildCtx<'a> {
     data: &'a FeatureMatrix,
+    /// Sample weight per matrix row.
     weights: &'a [f64],
+    /// Sample count per matrix row: the bootstrap multiplicity, else 1.
+    samples: &'a [u32],
     params: &'a TreeParams,
     rng: StdRng,
     n_classes: usize,
+    arena: Arena,
+    /// Scratch reused by every split search.
+    features: Vec<usize>,
+    left_counts: Vec<f64>,
+    right_counts: Vec<f64>,
+}
+
+/// What a node knows about its members before it splits: the class-weight
+/// histogram, its total, and the sample count.
+struct NodeStats {
+    counts: Vec<f64>,
+    total: f64,
+    n: usize,
 }
 
 impl DecisionTree {
@@ -121,22 +144,32 @@ impl DecisionTree {
             return Err(MlError::EmptyTrainingSet);
         }
         assert_eq!(weights.len(), data.n_rows(), "weight count mismatch");
+        let samples = vec![1; data.n_rows()];
+        let arena = Arena::all_rows(data.sorted_cols(), data.n_rows());
+        Ok(grow(params, data, weights, &samples, arena, seed))
+    }
 
-        let mut ctx = BuildCtx {
-            data,
-            weights,
-            params,
-            rng: StdRng::seed_from_u64(seed),
-            n_classes: data.n_classes(),
-        };
-        let mut nodes = Vec::new();
-        let all_rows: Vec<u32> = (0..data.n_rows() as u32).collect();
-        // Root split candidates come straight from the matrix's sorted-index
-        // sidecar; every descendant inherits order-preserving partitions of
-        // these lists, so no node ever sorts.
-        let lists: Vec<Vec<u32>> = data.sorted_cols().iter().cloned().collect();
-        build_node(&mut ctx, &mut nodes, all_rows, lists, 0);
-        Ok(DecisionTree { nodes, n_features: data.n_cols(), n_classes: data.n_classes() })
+    /// Trains on a bootstrap resample given as per-row draw counts, without
+    /// copying the matrix: a row drawn `c` times weighs `c` and counts as
+    /// `c` samples, and the split lists are the parent's `sorted_cols()`
+    /// filtered to the drawn rows.
+    ///
+    /// The tree is byte-identical to a unit-weight fit of the resampled
+    /// copy (`select_rows(draws)`). The copy's own argsort would order tied
+    /// rows differently, but every Gini, weight and count sum here adds
+    /// integer-valued `f64`s, which is exact in any order, and thresholds
+    /// are only taken between distinct values.
+    pub(crate) fn fit_bootstrap(
+        params: &TreeParams,
+        data: &FeatureMatrix,
+        counts: &[u32],
+        seed: u64,
+    ) -> Result<DecisionTree> {
+        params.validate()?;
+        assert_eq!(counts.len(), data.n_rows(), "count mismatch");
+        let weights: Vec<f64> = counts.iter().map(|&c| f64::from(c)).collect();
+        let arena = Arena::drawn(data.sorted_cols(), counts);
+        Ok(grow(params, data, &weights, counts, arena, seed))
     }
 
     /// Per-class probabilities (flat `n × k`).
@@ -196,135 +229,171 @@ impl DecisionTree {
     }
 }
 
-/// Recursively builds the subtree for `rows`, returning its node index.
+/// Grows a whole tree in `arena`, whose rows are the training set.
+fn grow<'a>(
+    params: &'a TreeParams,
+    data: &'a FeatureMatrix,
+    weights: &'a [f64],
+    samples: &'a [u32],
+    arena: Arena,
+    seed: u64,
+) -> DecisionTree {
+    let k = data.n_classes();
+    let mut ctx = BuildCtx {
+        data,
+        weights,
+        samples,
+        params,
+        rng: StdRng::seed_from_u64(seed),
+        n_classes: k,
+        arena,
+        features: Vec::with_capacity(data.n_cols()),
+        left_counts: vec![0.0; k],
+        right_counts: vec![0.0; k],
+    };
+    let m = ctx.arena.n_rows();
+    let root = node_stats(&ctx, ctx.arena.rows(0, m));
+    let mut nodes = Vec::new();
+    build_node(&mut ctx, &mut nodes, 0, m, 0, root);
+    DecisionTree { nodes, n_features: data.n_cols(), n_classes: k }
+}
+
+/// Sums a node's class weights, total weight and samples over `rows`, in
+/// the given (ascending) order.
+fn node_stats(ctx: &BuildCtx<'_>, rows: &[u32]) -> NodeStats {
+    let labels = ctx.data.labels();
+    let mut counts = vec![0.0; ctx.n_classes];
+    let mut total = 0.0;
+    let mut n = 0;
+    for &r in rows {
+        let r = r as usize;
+        counts[labels[r]] += ctx.weights[r];
+        total += ctx.weights[r];
+        n += ctx.samples[r] as usize;
+    }
+    NodeStats { counts, total, n }
+}
+
+/// Whether a node at `depth` with these members becomes a leaf without a
+/// split search.
+fn stops(ctx: &BuildCtx<'_>, depth: usize, stats: &NodeStats) -> bool {
+    depth >= ctx.params.max_depth
+        || stats.n < ctx.params.min_samples_split
+        || gini(&stats.counts, stats.total) <= 1e-12
+}
+
+/// Recursively builds the subtree of arena range `[lo, hi)`, returning its
+/// node index.
 ///
-/// `rows` is the node's membership in ascending-index order; `lists[f]`
-/// holds the same membership in ascending `(value, row)` order for feature
-/// `f`. Both invariants hold at the root (identity order / the matrix
-/// sidecar) and are preserved by the order-stable partitions below, so the
-/// threshold sweep visits candidates in exactly the order the pre-columnar
-/// per-node stable sort produced — bit-identical splits.
+/// The arena keeps the node's rows in ascending order and each feature
+/// list in ascending `(value, row)` order. Both hold at the root (identity
+/// order, the matrix sidecar) and survive the stable partitions below, so
+/// every sum and sweep runs in the order the pre-columnar per-node stable
+/// sort produced: bit-identical splits.
 fn build_node(
     ctx: &mut BuildCtx<'_>,
     nodes: &mut Vec<Node>,
-    rows: Vec<u32>,
-    lists: Vec<Vec<u32>>,
+    lo: usize,
+    hi: usize,
     depth: usize,
+    stats: NodeStats,
 ) -> usize {
-    let k = ctx.n_classes;
-    let mut counts = vec![0.0; k];
-    let mut total = 0.0;
-    for &r in &rows {
-        counts[ctx.data.labels()[r as usize]] += ctx.weights[r as usize];
-        total += ctx.weights[r as usize];
-    }
-
-    let make_leaf = |counts: &[f64], total: f64| {
-        let dist: Vec<f64> = if total > 0.0 {
-            counts.iter().map(|&c| c / total).collect()
+    let split = if stops(ctx, depth, &stats) { None } else { find_best_split(ctx, lo, hi, &stats) };
+    let Some((feature, threshold)) = split else {
+        let k = ctx.n_classes;
+        let dist: Vec<f64> = if stats.total > 0.0 {
+            stats.counts.iter().map(|&c| c / stats.total).collect()
         } else {
             vec![1.0 / k as f64; k]
         };
-        Node::Leaf { dist }
+        nodes.push(Node::Leaf { dist });
+        return nodes.len() - 1;
     };
 
-    let node_gini = gini(&counts, total);
-    let stop = depth >= ctx.params.max_depth
-        || rows.len() < ctx.params.min_samples_split
-        || node_gini <= 1e-12;
-    if stop {
-        let idx = nodes.len();
-        nodes.push(make_leaf(&counts, total));
-        return idx;
-    }
-
-    let best = find_best_split(ctx, &lists, &counts, total, node_gini);
-    let Some((feature, threshold)) = best else {
-        let idx = nodes.len();
-        nodes.push(make_leaf(&counts, total));
-        return idx;
-    };
-
-    // Order-stable partitions: membership order is preserved in both
-    // children, for the ascending row list and every per-feature list.
-    let goes_left = |r: u32| ctx.data.at(r as usize, feature) <= threshold;
-    let (left_rows, right_rows): (Vec<u32>, Vec<u32>) =
-        rows.into_iter().partition(|&r| goes_left(r));
-    let mut left_lists = Vec::with_capacity(lists.len());
-    let mut right_lists = Vec::with_capacity(lists.len());
-    for list in lists {
-        let (l, r): (Vec<u32>, Vec<u32>) = list.into_iter().partition(|&r| goes_left(r));
-        left_lists.push(l);
-        right_lists.push(r);
+    let col = ctx.data.col(feature);
+    let mid = ctx.arena.partition_rows(lo, hi, |r| col[r] <= threshold);
+    let left_stats = node_stats(ctx, ctx.arena.rows(lo, mid));
+    let right_stats = node_stats(ctx, ctx.arena.rows(mid, hi));
+    // Leaves never sweep, so their lists need not be split.
+    if !(stops(ctx, depth + 1, &left_stats) && stops(ctx, depth + 1, &right_stats)) {
+        ctx.arena.partition_lists(lo, hi);
     }
 
     // Reserve this node's slot before children so indices stay stable.
     let idx = nodes.len();
     nodes.push(Node::Leaf { dist: Vec::new() }); // placeholder
-    let left = build_node(ctx, nodes, left_rows, left_lists, depth + 1);
-    let right = build_node(ctx, nodes, right_rows, right_lists, depth + 1);
+    let left = build_node(ctx, nodes, lo, mid, depth + 1, left_stats);
+    let right = build_node(ctx, nodes, mid, hi, depth + 1, right_stats);
     nodes[idx] = Node::Split { feature, threshold, left, right };
     idx
 }
 
-/// Finds the `(feature, threshold)` with the largest weighted Gini decrease,
-/// or `None` if no valid split exists. `lists[f]` is the node's membership
-/// in ascending `(value, row)` order, so each feature is one contiguous
-/// sweep — no per-node sorting.
+/// Finds the `(feature, threshold)` with the largest weighted Gini decrease
+/// for node `[lo, hi)`, or `None` if no valid split exists. Each feature is
+/// one contiguous sweep of its arena list; thresholds sit between
+/// consecutive distinct values.
 fn find_best_split(
     ctx: &mut BuildCtx<'_>,
-    lists: &[Vec<u32>],
-    counts: &[f64],
-    total: f64,
-    node_gini: f64,
+    lo: usize,
+    hi: usize,
+    node: &NodeStats,
 ) -> Option<(usize, f64)> {
     let d = ctx.data.n_cols();
-    let k = ctx.n_classes;
+    let node_gini = gini(&node.counts, node.total);
+    let BuildCtx {
+        data,
+        weights,
+        samples,
+        params,
+        rng,
+        arena,
+        features,
+        left_counts,
+        right_counts,
+        ..
+    } = ctx;
+    let labels = data.labels();
 
-    let feature_pool: Vec<usize> = match ctx.params.max_features {
-        Some(m) if m < d => {
-            let mut all: Vec<usize> = (0..d).collect();
-            all.shuffle(&mut ctx.rng);
-            all.truncate(m);
-            all
-        }
-        _ => (0..d).collect(),
-    };
+    features.clear();
+    features.extend(0..d);
+    if let Some(m) = params.max_features.filter(|&m| m < d) {
+        features.shuffle(rng);
+        features.truncate(m);
+    }
 
     let mut best: Option<(usize, f64)> = None;
     let mut best_gain = 1e-12; // require a strictly positive gain
 
-    let mut left_counts = vec![0.0; k];
+    for &f in features.iter() {
+        let order = arena.list(f, lo, hi);
+        let col = data.col(f);
 
-    for &f in &feature_pool {
-        let order = &lists[f];
-        let col = ctx.data.col(f);
-
-        left_counts.iter_mut().for_each(|c| *c = 0.0);
+        left_counts.fill(0.0);
         let mut left_total = 0.0;
         let mut left_n = 0usize;
 
         for w in 0..order.len() - 1 {
             let r = order[w] as usize;
-            left_counts[ctx.data.labels()[r]] += ctx.weights[r];
-            left_total += ctx.weights[r];
-            left_n += 1;
+            left_counts[labels[r]] += weights[r];
+            left_total += weights[r];
+            left_n += samples[r] as usize;
 
             let v_here = col[r];
             let v_next = col[order[w + 1] as usize];
             if v_next <= v_here {
                 continue; // can't split between equal values
             }
-            let right_n = order.len() - left_n;
-            if left_n < ctx.params.min_samples_leaf || right_n < ctx.params.min_samples_leaf {
+            let right_n = node.n - left_n;
+            if left_n < params.min_samples_leaf || right_n < params.min_samples_leaf {
                 continue;
             }
-            let right_total = total - left_total;
-            let right_counts: Vec<f64> =
-                counts.iter().zip(&left_counts).map(|(c, l)| c - l).collect();
-            let weighted = (left_total * gini(&left_counts, left_total)
-                + right_total * gini(&right_counts, right_total))
-                / total;
+            let right_total = node.total - left_total;
+            for ((rc, c), l) in right_counts.iter_mut().zip(&node.counts).zip(left_counts.iter()) {
+                *rc = c - l;
+            }
+            let weighted = (left_total * gini(left_counts, left_total)
+                + right_total * gini(right_counts, right_total))
+                / node.total;
             let gain = node_gini - weighted;
             if gain > best_gain {
                 best_gain = gain;
