@@ -1,6 +1,7 @@
-//! Criterion benchmarks for design-choice ablations called out in
-//! `DESIGN.md` §8: isolation-forest size, ZeroER matching cost vs. key
-//! collision, and the relative cost of the FDR procedures.
+//! Criterion benchmarks for design-choice ablations around the substituted
+//! methods (README, *Substitutions*): isolation-forest size, ZeroER
+//! matching cost vs. key collision, and the relative cost of the FDR
+//! procedures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

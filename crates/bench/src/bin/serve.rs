@@ -4,21 +4,21 @@
 //! warm in-memory memo and the persistent artifact store; the `--listen`
 //! socket serves *both* peer kinds on one port:
 //!
-//! * `cleanml-query` clients submit studies or single cells and stream
-//!   results back — concurrent submissions dedupe into the same in-flight
-//!   tasks, and repeat queries answer from the warm cache in milliseconds;
+//! * HTTP clients (`cleanml-query`, curl) scrape `GET /metrics` and use
+//!   the results gateway: `POST /studies` to submit a study or one cell,
+//!   `GET /studies/:id` to poll, `GET /studies/:id/r1|r2|r3[.csv|.json]`
+//!   to filter/order/page rows — concurrent submissions dedupe into the
+//!   same in-flight tasks, and repeat queries answer from the warm cache
+//!   in milliseconds;
 //! * `cleanml-worker` processes lease ready tasks and ship artifacts
-//!   back, exactly as against a `--listen` study run;
-//! * plain HTTP clients scrape `GET /metrics` and use the results
-//!   gateway: `POST /studies` to submit, `GET /studies/:id` to poll,
-//!   `GET /studies/:id/r1|r2|r3[.csv|.json]` to filter/order/page rows.
+//!   back, exactly as against a `--listen` study run.
 //!
 //! ```sh
 //! cargo run --release -p cleanml-bench --bin cleanml-serve -- \
 //!     --listen 127.0.0.1:7401 --workers 8 \
 //!     --cache-dir serve_cache --cache-max-bytes 2g --http-token s3cret
 //! cargo run --release -p cleanml-bench --bin cleanml-query -- \
-//!     --connect 127.0.0.1:7401 --quick --errors outliers
+//!     --connect 127.0.0.1:7401 --http-token s3cret --quick --errors outliers
 //! curl -H 'Authorization: Bearer s3cret' \
 //!     'http://127.0.0.1:7401/studies/1/r1.json?model=logistic_regression&limit=10'
 //! ```
@@ -38,8 +38,8 @@ fn main() {
         eprintln!(
             "usage: cleanml-serve --listen HOST:PORT [--workers N] [--cache-dir DIR]\n\
              \u{20}      [--cache-max-bytes N[k|m|g]] [--lease-timeout SECS] [--http-token TOK]\n\
-             a resident engine serving cleanml-query clients, cleanml-worker leases\n\
-             and the HTTP results gateway (/metrics, /studies)"
+             a resident engine serving the HTTP results gateway (/metrics, /studies)\n\
+             to clients such as cleanml-query, and cleanml-worker leases"
         );
         std::process::exit(2);
     }
@@ -55,7 +55,10 @@ fn main() {
         ),
         None => println!("[cleanml-serve] no --cache-dir: memo is in-memory only"),
     }
-    println!("[cleanml-serve] query:  cleanml-query --connect {addr} [--quick] [--errors LIST]");
+    println!(
+        "[cleanml-serve] query:  cleanml-query --connect {addr} [--http-token TOK] [--quick] \
+         [--errors LIST]"
+    );
     println!("[cleanml-serve] worker: cleanml-worker --connect {addr}");
     println!(
         "[cleanml-serve] http:   http://{addr}/metrics | /studies ({})",

@@ -7,9 +7,9 @@
 //! evaluation section from scratch — generate datasets, run the §IV protocol
 //! through the `cleanml-engine` scheduler, apply Benjamini–Yekutieli, issue
 //! the §V-A queries — and prints rows in the paper's `NN% (count)` format.
-//! Absolute counts depend on the synthetic stand-ins (see `DESIGN.md` §4);
-//! the *shape* — which flags dominate, which methods/models/datasets
-//! deviate — is the reproduction target, recorded in `EXPERIMENTS.md`.
+//! Absolute counts depend on the synthetic stand-ins (see the README's
+//! *Substitutions* section); the *shape* — which flags dominate, which
+//! methods/models/datasets deviate — is the reproduction target.
 //!
 //! All binaries accept a profile argument:
 //!
@@ -38,97 +38,106 @@ use std::sync::mpsc;
 use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
+use cleanml_engine::remote::http::MAX_SPLITS;
 use cleanml_engine::{
-    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, ServeReport, SlowTask,
-    StatsSnapshot,
+    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, SlowTask, StatsSnapshot,
 };
 use cleanml_stats::Flag;
 
-/// Parses the common CLI profile flags.
-pub fn config_from_args() -> ExperimentConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let mut cfg = if args.iter().any(|a| a == "--paper") {
-        ExperimentConfig::paper()
-    } else if args.iter().any(|a| a == "--quick") {
-        ExperimentConfig::quick()
-    } else {
-        ExperimentConfig::standard()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--splits") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse::<usize>().ok()) {
-            cfg.n_splits = n.max(2);
-        }
-    }
-    if let Some(pos) = args.iter().position(|a| a == "--seed") {
-        if let Some(s) = args.get(pos + 1).and_then(|s| s.parse::<u64>().ok()) {
-            cfg.base_seed = s;
-        }
-    }
-    cfg
+/// The command line without the program name.
+fn cli_args() -> Vec<String> {
+    std::env::args().skip(1).collect()
 }
 
-/// Parses the engine CLI flags (`--workers`, `--cache-dir`,
+/// Prints a flag error and exits with code 2, the CLI-misuse status.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// The value after `flag` in `args`, through `parse`: `Ok(None)` when the
+/// flag is absent, an error naming the flag and `what` it expects when
+/// the value is missing or does not parse. An explicitly given value is
+/// never silently replaced by a default.
+pub fn flag_value<T>(
+    args: &[String],
+    flag: &str,
+    what: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(pos) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let value = args.get(pos + 1).map_or("", String::as_str);
+    match parse(value) {
+        Some(v) => Ok(Some(v)),
+        None => Err(format!("{flag} expects {what}, got `{value}`")),
+    }
+}
+
+/// A text flag value ([`flag_value`]'s `parse`): non-empty, and not the
+/// next flag — a value like `--quick` was never meant as one.
+pub fn text_value(v: &str) -> Option<String> {
+    Some(v.to_string()).filter(|v| !v.is_empty() && !v.starts_with("--"))
+}
+
+/// The profile `args` select, as the gateway spells it: `--paper` wins
+/// over `--quick`; the default is `standard`.
+pub fn profile_name(args: &[String]) -> &'static str {
+    if args.iter().any(|a| a == "--paper") {
+        "paper"
+    } else if args.iter().any(|a| a == "--quick") {
+        "quick"
+    } else {
+        "standard"
+    }
+}
+
+/// The experiment configuration `args` select: the profile plus
+/// `--splits` (within the gateway's `2..=1000`) and `--seed`.
+pub fn parse_config(args: &[String]) -> Result<ExperimentConfig, String> {
+    let mut cfg = match profile_name(args) {
+        "paper" => ExperimentConfig::paper(),
+        "quick" => ExperimentConfig::quick(),
+        _ => ExperimentConfig::standard(),
+    };
+    let splits = format!("a split count in 2..={MAX_SPLITS}");
+    if let Some(n) = flag_value(args, "--splits", &splits, |v| {
+        v.parse().ok().filter(|n| (2..=MAX_SPLITS).contains(n))
+    })? {
+        cfg.n_splits = n;
+    }
+    if let Some(seed) = flag_value(args, "--seed", "an unsigned integer", |v| v.parse().ok())? {
+        cfg.base_seed = seed;
+    }
+    Ok(cfg)
+}
+
+/// Parses the common CLI profile flags; exits with code 2 on a bad value.
+pub fn config_from_args() -> ExperimentConfig {
+    or_exit(parse_config(&cli_args()))
+}
+
+/// The engine configuration `args` select (`--workers`, `--cache-dir`,
 /// `--cache-max-bytes`, `--listen`, `--lease-timeout`, `--http-token`).
+pub fn parse_engine_config(args: &[String]) -> Result<EngineConfig, String> {
+    Ok(EngineConfig {
+        workers: flag_value(args, "--workers", "a worker count", |v| v.parse().ok())?.unwrap_or(0),
+        cache_dir: flag_value(args, "--cache-dir", "DIR", text_value)?
+            .map(std::path::PathBuf::from),
+        cache_max_bytes: flag_value(args, "--cache-max-bytes", "N[k|m|g]", parse_byte_size)?,
+        listen: flag_value(args, "--listen", "HOST:PORT", text_value)?,
+        lease_timeout: flag_value(args, "--lease-timeout", "whole seconds > 0", |v| {
+            v.parse().ok().filter(|&s| s > 0).map(std::time::Duration::from_secs)
+        })?
+        .unwrap_or(cleanml_engine::DEFAULT_LEASE_TIMEOUT),
+        http_token: flag_value(args, "--http-token", "a non-empty token", text_value)?,
+    })
+}
+
+/// Parses the engine CLI flags; exits with code 2 on a bad value.
 pub fn engine_from_args() -> EngineConfig {
-    let args: Vec<String> = std::env::args().collect();
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(0);
-    let cache_dir = args
-        .iter()
-        .position(|a| a == "--cache-dir")
-        .and_then(|p| args.get(p + 1))
-        .map(std::path::PathBuf::from);
-    let cache_max_bytes = args.iter().position(|a| a == "--cache-max-bytes").map(|p| {
-        let value = args.get(p + 1).map(String::as_str).unwrap_or("");
-        // An explicitly requested byte budget must never be silently
-        // dropped — an unbounded run the user believes is capped is worse
-        // than no flag at all.
-        parse_byte_size(value).unwrap_or_else(|| {
-            eprintln!("error: --cache-max-bytes expects N[k|m|g], got `{value}`");
-            std::process::exit(2);
-        })
-    });
-    let listen = args.iter().position(|a| a == "--listen").map(|p| {
-        // An explicitly requested coordinator must never silently run
-        // local-only (workers elsewhere would retry against nothing).
-        args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: --listen expects HOST:PORT");
-            std::process::exit(2);
-        })
-    });
-    let lease_timeout = args
-        .iter()
-        .position(|a| a == "--lease-timeout")
-        .map(|p| {
-            let value = args.get(p + 1).map(String::as_str).unwrap_or("");
-            // Same contract as the byte budget: an explicit deadline is
-            // never silently replaced by the default.
-            match value.parse::<u64>() {
-                Ok(secs) if secs > 0 => std::time::Duration::from_secs(secs),
-                _ => {
-                    eprintln!("error: --lease-timeout expects whole seconds > 0, got `{value}`");
-                    std::process::exit(2);
-                }
-            }
-        })
-        .unwrap_or(cleanml_engine::DEFAULT_LEASE_TIMEOUT);
-    let http_token = args.iter().position(|a| a == "--http-token").map(|p| {
-        // An explicitly requested token must never be silently dropped —
-        // an open gateway the operator believes is authenticated is a
-        // security hole, not a default.
-        match args.get(p + 1) {
-            Some(tok) if !tok.is_empty() && !tok.starts_with("--") => tok.clone(),
-            _ => {
-                eprintln!("error: --http-token expects a non-empty token");
-                std::process::exit(2);
-            }
-        }
-    });
-    EngineConfig { workers, cache_dir, cache_max_bytes, listen, lease_timeout, http_token }
+    or_exit(parse_engine_config(&cli_args()))
 }
 
 /// Parses a byte size: a plain integer, optionally suffixed `k`/`m`/`g`
@@ -165,35 +174,11 @@ pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
     list.split(',').map(|tok| parse_error_type(tok.trim())).collect()
 }
 
-/// Rebuilds the [`cache_stats_line`] inputs from a wire [`ServeReport`] —
-/// how `cleanml-query` prints the server's accounting.
-pub fn stats_from_serve_report(r: &ServeReport) -> (CacheStats, Option<(u64, usize)>, RunReport) {
-    let stats = CacheStats {
-        memory_hits: r.memory_hits as usize,
-        disk_hits: r.disk_hits as usize,
-        misses: r.misses as usize,
-        disk_writes: r.disk_writes as usize,
-        disk_evictions: r.disk_evictions as usize,
-    };
-    let totals = Some((r.store_bytes, r.store_entries as usize));
-    let report = RunReport {
-        executed: r.executed.iter().map(|&(k, n)| (k, n as usize)).collect(),
-        remote_executed: r.remote_executed.iter().map(|&(k, n)| (k, n as usize)).collect(),
-        cache_hits: r.cache_hits as usize,
-        pruned: r.pruned as usize,
-        total: r.total as usize,
-        workers: 0,
-        remote_workers: r.remote_workers as usize,
-        releases: r.releases as usize,
-    };
-    (stats, totals, report)
-}
-
 /// Rebuilds the [`cache_stats_line`] inputs from a telemetry
 /// [`StatsSnapshot`] delta — the run's figures as the metrics registry
-/// observed them, rather than as the `RunReport` tallied them. The two
-/// agree for a single CLI run; deriving the line from the registry makes
-/// the `--cache-stats` output a cross-check of the telemetry plane.
+/// observed them. Every `--cache-stats` line comes from here: the CLI
+/// takes the delta in process, `cleanml-query` from two `/metrics`
+/// scrapes.
 pub fn stats_from_registry_delta(d: &StatsSnapshot) -> (CacheStats, RunReport) {
     use cleanml_engine::TaskKind;
     let kinds = |counts: &[u64]| -> Vec<(TaskKind, usize)> {
@@ -229,17 +214,8 @@ pub fn stats_from_registry_delta(d: &StatsSnapshot) -> (CacheStats, RunReport) {
 pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> CleanMlDb {
     let engine_cfg = engine_from_args();
     let telemetry = cleanml_engine::telemetry::global();
-    let trace_out = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter().position(|a| a == "--trace-out").map(|p| {
-            // An explicitly requested trace must never be silently
-            // skipped — same contract as the other engine flags.
-            args.get(p + 1).map(std::path::PathBuf::from).unwrap_or_else(|| {
-                eprintln!("error: --trace-out expects FILE");
-                std::process::exit(2);
-            })
-        })
-    };
+    let trace_out = or_exit(flag_value(&cli_args(), "--trace-out", "FILE", text_value))
+        .map(std::path::PathBuf::from);
     if trace_out.is_some() {
         telemetry.start_tracing();
     }
@@ -328,19 +304,12 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
     );
     if std::env::args().any(|a| a == "--cache-stats") {
         // The line is derived from the metrics registry (snapshot delta
-        // over the run), not the RunReport — byte-identical figures for a
-        // single run, and a standing cross-check that the telemetry plane
-        // counts what the scheduler does. With telemetry disabled the
-        // registry saw nothing, so fall back to the report.
+        // over the run), the same source `cleanml-query` reads over
+        // `/metrics`.
         let slow = telemetry.slowest_tasks();
+        let (stats, run) = stats_from_registry_delta(&delta);
         let cv = (delta.cv_fits, delta.fold_reuse);
-        let line = if telemetry.enabled() {
-            let (stats, run) = stats_from_registry_delta(&delta);
-            cache_stats_line(&stats, store_totals, &run, cv, &slow)
-        } else {
-            cache_stats_line(&stats, store_totals, &report, cv, &slow)
-        };
-        println!("{line}");
+        println!("{}", cache_stats_line(&stats, store_totals, &run, cv, &slow));
         for (i, s) in slow.iter().enumerate() {
             eprintln!(
                 "[engine] slowest {}: {} {} ({}) {:.1} ms",
@@ -585,28 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_report_reconstructs_the_stats_line() {
-        use cleanml_engine::TaskKind;
-        let report = ServeReport {
-            memory_hits: 5,
-            disk_hits: 1,
-            misses: 2,
-            store_entries: 3,
-            store_bytes: 4096,
-            executed: vec![(TaskKind::Reduce, 2)],
-            cache_hits: 9,
-            ..Default::default()
-        };
-        let (stats, totals, run) = stats_from_serve_report(&report);
-        let line = cache_stats_line(&stats, totals, &run, (0, 0), &[]);
-        assert!(line.contains("memory_hits=5"), "{line}");
-        assert!(line.contains("store_bytes=4096"), "{line}");
-        assert!(line.contains("executed_local=2"), "{line}");
-        assert!(line.contains("executed_train=0"), "{line}");
-        assert!(line.contains("cv_fits=0 fold_reuse=0"), "{line}");
-    }
-
-    #[test]
     fn byte_sizes_parse_with_suffixes() {
         assert_eq!(parse_byte_size("12345"), Some(12345));
         assert_eq!(parse_byte_size("64k"), Some(64 << 10));
@@ -616,5 +563,61 @@ mod tests {
         assert_eq!(parse_byte_size("x"), None);
         assert_eq!(parse_byte_size(""), None);
         assert_eq!(parse_byte_size("18446744073709551615g"), None, "overflow rejected");
+    }
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn config_flags_parse_strictly() {
+        let cfg = parse_config(&args("--quick --splits 3 --seed 7")).unwrap();
+        assert_eq!((cfg.n_splits, cfg.base_seed), (3, 7));
+        assert_eq!(cfg.search, ExperimentConfig::quick().search);
+        assert_eq!(
+            parse_config(&args("--paper")).unwrap().search,
+            ExperimentConfig::paper().search
+        );
+        assert_eq!(parse_config(&[]).unwrap().n_splits, ExperimentConfig::standard().n_splits);
+        assert_eq!(parse_config(&args("--splits 1000")).unwrap().n_splits, 1000);
+        for bad in ["--splits abc", "--splits 1", "--splits 1001", "--splits", "--seed -1"] {
+            let err = parse_config(&args(bad)).unwrap_err();
+            assert!(err.starts_with(bad.split(' ').next().unwrap()), "{bad}: {err}");
+        }
+        assert_eq!(profile_name(&args("--quick --paper")), "paper");
+        assert_eq!(profile_name(&args("--quick")), "quick");
+        assert_eq!(profile_name(&[]), "standard");
+    }
+
+    #[test]
+    fn engine_flags_parse_strictly() {
+        let cfg = parse_engine_config(&args(
+            "--workers 3 --cache-dir runs --cache-max-bytes 2m --listen 127.0.0.1:0 \
+             --lease-timeout 9 --http-token s3cret",
+        ))
+        .unwrap();
+        assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.cache_dir, Some(std::path::PathBuf::from("runs")));
+        assert_eq!(cfg.cache_max_bytes, Some(2 << 20));
+        assert_eq!(cfg.listen.as_deref(), Some("127.0.0.1:0"));
+        assert_eq!(cfg.lease_timeout, std::time::Duration::from_secs(9));
+        assert_eq!(cfg.http_token.as_deref(), Some("s3cret"));
+        let defaults = parse_engine_config(&[]).unwrap();
+        assert_eq!((defaults.workers, defaults.listen), (0, None));
+        assert_eq!(defaults.lease_timeout, cleanml_engine::DEFAULT_LEASE_TIMEOUT);
+        for bad in [
+            "--workers x",
+            "--workers -2",
+            "--workers",
+            "--cache-dir",
+            "--cache-max-bytes 2q",
+            "--listen --quick",
+            "--lease-timeout 0",
+            "--http-token",
+            "--http-token --quick",
+        ] {
+            let err = parse_engine_config(&args(bad)).unwrap_err();
+            assert!(err.starts_with(bad.split(' ').next().unwrap()), "{bad}: {err}");
+        }
     }
 }

@@ -20,10 +20,10 @@
 //! the label column is never used as a signal, so cleaning the test set
 //! cannot leak labels.
 //!
-//! The substitution (full HoloClean → this engine) is recorded in
-//! `DESIGN.md` §4: the paper's finding under test is that HoloClean is *not
-//! noticeably better* than simple imputation for downstream ML, which this
-//! same-signal engine evaluates fairly.
+//! The substitution (full HoloClean → this engine) is recorded in the
+//! README's *Substitutions* section: the paper's finding under test is that
+//! HoloClean is *not noticeably better* than simple imputation for
+//! downstream ML, which this same-signal engine evaluates fairly.
 
 use std::collections::{BTreeMap, HashMap};
 

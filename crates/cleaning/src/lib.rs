@@ -20,8 +20,8 @@
 //! Substitutions relative to the paper's exact tools (HoloClean → a
 //! correlation-based probabilistic imputer, ZeroER → similarity-vector GMM
 //! fit by EM, OpenRefine → fingerprint keying, cleanlab → confident
-//! learning) are documented in `DESIGN.md` §4; each keeps the algorithmic
-//! core of the original system.
+//! learning) are documented in the README's *Substitutions* section; each
+//! keeps the algorithmic core of the original system.
 
 pub mod duplicates;
 pub mod error;

@@ -77,7 +77,7 @@ pub enum Detection {
     /// Outliers: per-column isolation forest, contamination 0.01.
     IsolationForest,
     /// Outliers: the HoloClean holistic engine (detection half approximated
-    /// by the SD rule; see `DESIGN.md` §4).
+    /// by the SD rule; see the README's *Substitutions* section).
     HoloClean,
     /// Duplicates: key-attribute collision.
     KeyCollision,

@@ -8,7 +8,7 @@
 //! class. This module implements exactly that core (diagonal covariance,
 //! deterministic initialization from the similarity ranking); ZeroER's
 //! blocking refinements and transitivity post-processing are omitted — see
-//! `DESIGN.md` §4.
+//! the README's *Substitutions* section.
 
 /// A flat column-major matrix of pair-similarity vectors: dimension `d` of
 /// all `n` pairs occupies the contiguous slice `data[d*n..(d+1)*n]`, mirroring

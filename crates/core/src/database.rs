@@ -361,8 +361,8 @@ fn csv_header(columns: &[&str]) -> String {
 }
 
 /// CSV rendering of the relations — the canonical on-disk / on-wire form
-/// shared by the `study` binary's dump, the serving layer's `ResultCsv`
-/// and the HTTP gateway's row pages. Floats render p-values in `{:e}` and
+/// shared by the `study` binary's dump and the HTTP gateway's row pages
+/// (which `cleanml-query` reassembles). Floats render p-values in `{:e}` and
 /// means in `{}` so a byte-compare across runs is a real determinism
 /// check; the whole-relation strings are built row by row from
 /// [`r1_values`]/[`r2_values`]/[`r3_values`], so a paged slice of rows is

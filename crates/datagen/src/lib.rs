@@ -6,8 +6,8 @@
 //!
 //! The study's object of measurement is the relationship between an *error
 //! mechanism*, a *cleaning algorithm*, and a *downstream model*, not any one
-//! dataset's idiosyncrasies (see `DESIGN.md` §4 for the substitution
-//! rationale). Each generator therefore reproduces:
+//! dataset's idiosyncrasies (see the README's *Substitutions* section for
+//! the rationale). Each generator therefore reproduces:
 //!
 //! * a learnable base task — numeric and categorical features driving a
 //!   binary label through a noisy latent score ([`model`]);

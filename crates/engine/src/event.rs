@@ -102,8 +102,7 @@ pub type EventSink = Sender<EngineEvent>;
 
 /// Best-effort send. A failed send (receiver dropped or never drained)
 /// is counted in the telemetry registry instead of vanishing, and the
-/// count is surfaced in `Status`/`ServeReport` frames so clients can see
-/// their progress view was lossy.
+/// count is surfaced as `cleanml_events_dropped_total` on `/metrics`.
 pub fn emit(sink: &Option<EventSink>, event: EngineEvent) {
     if let Some(s) = sink {
         if s.send(event).is_err() {

@@ -26,9 +26,9 @@
 //!    memo and the store live as long as the engine, concurrent
 //!    submissions ([`Engine::submit_study`], [`Engine::submit_query`])
 //!    dedupe into the same in-flight tasks, and the same listener answers
-//!    `cleanml-query` clients with rendered CSVs ([`serve`]) *and* plain
-//!    HTTP clients through a bounded results gateway — `POST /studies`
-//!    to submit, `GET /studies/:id/r1|r2|r3` to filter/order/page rows
+//!    HTTP clients (`cleanml-query`, curl) through a bounded results
+//!    gateway — `POST /studies` to submit a study or one cell,
+//!    `GET /studies/:id/r1|r2|r3` to filter/order/page rows
 //!    ([`remote::http`]);
 //! 7. **measures** — every plane feeds a zero-dependency telemetry
 //!    registry (counters, gauges, fixed-bucket latency histograms) that
@@ -58,7 +58,6 @@ pub mod graph;
 pub mod jobs;
 pub mod pool;
 pub mod remote;
-pub mod serve;
 pub mod study;
 pub(crate) mod subwork;
 pub mod telemetry;
@@ -67,11 +66,10 @@ pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore, Retention};
 pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
 pub use jobs::parallel_map;
-pub use pool::{ClassCosts, CostModel, ExecStats, PersistSink, Pool, RunReport, SubmissionHandle};
+pub use pool::{ClassCosts, CostModel, ExecStats, Pool, RunReport, SubmissionHandle};
 pub use remote::{
     parse_query, percent_decode, FaultPlan, GatewayBackend, GatewayError, Profile, RemoteHub,
-    Request, Select, ServeReport, StudySpec, StudyState, StudyStatus, SubmitSpec, WorkerSummary,
-    DEFAULT_LEASE_TIMEOUT,
+    Select, StudySpec, StudyState, StudyStatus, SubmitSpec, WorkerSummary, DEFAULT_LEASE_TIMEOUT,
 };
 pub use study::{
     build_query_graph, build_study_graph, Artifact, CellQuery, Engine, EngineConfig,

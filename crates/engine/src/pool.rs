@@ -1,12 +1,9 @@
 //! The resident execution core: a long-lived worker pool serving many
 //! concurrent, content-address-deduplicated submissions.
 //!
-//! Earlier revisions executed one resolved graph per [`execute`] call: a
-//! thread scope owned the dependency counters, the artifact slots and the
-//! deques, and everything warm died with the run. This module replaces
-//! that lifecycle with a [`Pool`] that owns its worker threads, its ready
-//! frontier and its retention layer for its whole lifetime, and accepts
-//! any number of overlapping [`Pool::submit`] calls:
+//! A [`Pool`] owns its worker threads, its ready frontier and its
+//! retention layer for its whole lifetime, and accepts any number of
+//! overlapping [`Pool::submit`] calls:
 //!
 //! * every submission's graph is **merged** into one resident task table
 //!   keyed by content address — two concurrent submissions demanding the
@@ -35,10 +32,6 @@
 //! `(kind, class)` — class being the dataset a task belongs to — that
 //! re-weights the frontier mid-run and stretches remote lease deadlines
 //! for known-slow datasets.
-//!
-//! [`execute`] survives as a thin compatibility wrapper — one pool, one
-//! submission, wait, shut down — so the single-run call sites and their
-//! byte-identity guarantees are unchanged.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -53,7 +46,7 @@ use crate::cache::{CacheKey, DiskCodec, DiskStore, Retention, DEFAULT_WARM_ENTRI
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskFn, TaskGraph};
 use crate::remote::coordinator::spawn_hub_service;
-use crate::remote::RemoteHub;
+use crate::remote::{HttpGateway, RemoteHub};
 
 /// Number of task kinds (indexes the per-kind counter arrays).
 pub(crate) const NKINDS: usize = TaskKind::ALL.len();
@@ -68,23 +61,6 @@ pub(crate) type Gid = usize;
 
 /// Submission identifier, unique per pool.
 pub type SubId = u64;
-
-/// Disk persistence wiring for a run: the shared store plus each node's
-/// content address. Retained for [`execute`] compatibility; the resident
-/// pool persists by the task entry's own key.
-pub struct PersistSink {
-    pub store: Arc<DiskStore>,
-    pub keys: Vec<CacheKey>,
-}
-
-/// Remote-execution wiring for an [`execute`] call: the hub accepting
-/// worker connections, every node's content address, and the encoded
-/// [`crate::remote::proto::StudySpec`] workers rebuild the graph from.
-pub struct RemoteLink {
-    pub hub: Arc<RemoteHub>,
-    pub keys: Vec<CacheKey>,
-    pub spec: Vec<u8>,
-}
 
 /// Per-run execution report: what actually ran, where, and what the cache
 /// absorbed.
@@ -976,17 +952,11 @@ where
     }
 
     /// Starts serving `hub`'s connections for the pool's lifetime:
-    /// workers (`Hello`) lease tasks from the merged frontier; serving
-    /// clients (`Submit`) are handed to `clients` (rejected if `None`);
-    /// HTTP connections hit the results gateway (`/studies` routes
-    /// answer 503 if `gateway` is `None`, `/metrics` always serves).
-    pub fn serve_hub(
-        &mut self,
-        hub: Arc<RemoteHub>,
-        clients: Option<crate::remote::coordinator::ClientHandler>,
-        gateway: Option<crate::remote::coordinator::HttpGateway>,
-    ) {
-        let handle = spawn_hub_service(Arc::clone(&self.inner), hub, clients, gateway);
+    /// workers (`Hello`) lease tasks from the merged frontier; HTTP
+    /// connections hit the results gateway (`/studies` routes answer 503
+    /// if `gateway` is `None`, `/metrics` always serves).
+    pub fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: Option<HttpGateway>) {
+        let handle = spawn_hub_service(Arc::clone(&self.inner), hub, gateway);
         self.services.push(handle);
     }
 
@@ -1475,51 +1445,13 @@ where
                 inner.complete_ok(&mut st, gid, Arc::new(artifact), me, false, None);
             }
             Err(err) => {
-                // Unlike the one-shot pool, a failure does not stop the
-                // worker: only the submissions demanding this task fail.
+                // A failure does not stop the worker: only the
+                // submissions demanding this task fail.
                 let mut st = inner.state.lock().expect("state lock");
                 inner.complete_err(&mut st, gid, err, None);
             }
         }
     }
-}
-
-/// Executes every `Run` node of a resolved graph on `workers` local
-/// threads, plus any remote workers that connect through `remote` — the
-/// one-shot compatibility path: spawn a resident [`Pool`], submit the
-/// graph as a single submission, wait, shut down.
-///
-/// `retain` marks nodes whose artifact must survive the run (sinks, nodes
-/// worth caching); everything else is dropped as soon as its last consumer
-/// finishes. With a `persist` sink, every finished artifact with a serial
-/// form is additionally written to the disk store as it is produced —
-/// including artifacts shipped back by remote workers.
-pub fn execute<A>(
-    graph: TaskGraph<A>,
-    workers: usize,
-    retain: Vec<bool>,
-    persist: Option<PersistSink>,
-    remote: Option<RemoteLink>,
-    events: &Option<EventSink>,
-) -> Result<ExecutionOutcome<A>, CoreError>
-where
-    A: Clone + Send + Sync + DiskCodec + 'static,
-{
-    let n = graph.nodes.len();
-    assert_eq!(retain.len(), n, "retain mask must cover every node");
-    if let Some(sink) = &persist {
-        assert_eq!(sink.keys.len(), n, "persist keys must cover every node");
-    }
-    if let Some(link) = &remote {
-        assert_eq!(link.keys.len(), n, "remote keys must cover every node");
-    }
-    let mut pool: Pool<A> = Pool::new(workers, persist.map(|sink| sink.store));
-    let spec = remote.as_ref().map(|link| link.spec.clone());
-    if let Some(link) = remote {
-        pool.serve_hub(link.hub, None, None);
-    }
-    let handle = pool.submit(graph, retain, events.clone(), spec);
-    handle.wait()
 }
 
 #[cfg(test)]
@@ -1565,7 +1497,8 @@ mod tests {
             let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
             g.resolve(&mut cache, &[sink]);
             let retain = retain_only(g.len(), &[sink]);
-            let (arts, stats) = execute(g, workers, retain, None, None, &None).unwrap();
+            let (arts, stats) =
+                Pool::new(workers, None).submit(g, retain, None, None).wait().unwrap();
             assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
             let total: usize = stats.executed.iter().map(|(_, n)| n).sum();
             assert_eq!(total, 4, "workers={workers}");
@@ -1581,7 +1514,7 @@ mod tests {
         let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[sink]);
         let retain = retain_only(g.len(), &[sink]);
-        let (arts, _) = execute(g, 2, retain, None, None, &None).unwrap();
+        let (arts, _) = Pool::new(2, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
         // a, b, c each fed only the now-finished downstream tasks
         assert_eq!(arts[0], None);
@@ -1597,7 +1530,7 @@ mod tests {
         let (hits, pruned, to_run) = g.resolve(&mut cache, &[sink]);
         assert_eq!((hits, pruned, to_run), (1, 3, 0));
         let retain = retain_only(g.len(), &[sink]);
-        let (arts, stats) = execute(g, 4, retain, None, None, &None).unwrap();
+        let (arts, stats) = Pool::new(4, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
         assert!(stats.executed.is_empty());
     }
@@ -1612,7 +1545,7 @@ mod tests {
         let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[b]);
         let retain = retain_only(g.len(), &[b]);
-        assert!(execute(g, 2, retain, None, None, &None).is_err());
+        assert!(Pool::new(2, None).submit(g, retain, None, None).wait().is_err());
     }
 
     #[test]
@@ -1622,7 +1555,7 @@ mod tests {
         let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[sink]);
         let retain = retain_only(g.len(), &[sink]);
-        let err = execute(g, 2, retain, None, None, &None).unwrap_err();
+        let err = Pool::new(2, None).submit(g, retain, None, None).wait().unwrap_err();
         assert!(err.to_string().contains("kaboom"), "{err}");
     }
 
@@ -1650,10 +1583,9 @@ mod tests {
         let b = g.task(TaskKind::Evaluate, "b", CacheKey::of("b"), vec![a], |d| Ok(P(d[0].0 + 1)));
         let mut cache: ArtifactCache<P> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[b]);
-        let keys = vec![CacheKey::of("a"), CacheKey::of("b")];
         let retain = retain_only(g.len(), &[b]);
-        let persist = Some(PersistSink { store: store.clone(), keys });
-        let (arts, _) = execute(g, 2, retain, persist, None, &None).unwrap();
+        let (arts, _) =
+            Pool::new(2, Some(store.clone())).submit(g, retain, None, None).wait().unwrap();
 
         // `a` was retired from memory after its last consumer…
         assert_eq!(arts[0], None);
@@ -1693,7 +1625,7 @@ mod tests {
         g.resolve(&mut cache, &ids);
         let retain = vec![true; g.len()];
         let (tx, rx) = std::sync::mpsc::channel();
-        let (arts, _) = execute(g, 1, retain, None, None, &Some(tx)).unwrap();
+        let (arts, _) = Pool::new(1, None).submit(g, retain, Some(tx), None).wait().unwrap();
         assert!(arts.iter().all(Option::is_some));
         let started: Vec<TaskKind> = rx
             .try_iter()
@@ -1752,7 +1684,7 @@ mod tests {
         g.resolve(&mut cache, &sinks);
         let retain = retain_only(g.len(), &sinks);
         let (tx, rx) = std::sync::mpsc::channel();
-        let (arts, _) = execute(g, 1, retain, None, None, &Some(tx)).unwrap();
+        let (arts, _) = Pool::new(1, None).submit(g, retain, Some(tx), None).wait().unwrap();
         assert_eq!(arts[late_split].as_deref(), Some(V(1)).as_ref());
         assert_eq!(arts[late_eval].as_deref(), Some(V(2)).as_ref());
         let started: Vec<String> = rx
@@ -1838,7 +1770,7 @@ mod tests {
         let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[sum]);
         let retain = retain_only(g.len(), &[sum]);
-        let (arts, _) = execute(g, 8, retain, None, None, &None).unwrap();
+        let (arts, _) = Pool::new(8, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sum].as_deref(), Some(V(4950)).as_ref());
     }
 

@@ -2,26 +2,25 @@
 //! per-connection service loops that plug remote peers into the resident
 //! engine.
 //!
-//! A [`RemoteHub`] owns the TCP listener for the engine's whole lifetime
-//! and queues accepted sockets. A hub service thread
-//! ([`spawn_hub_service`], running as long as the pool) drains that queue
-//! and classifies each connection by its first message:
+//! A [`RemoteHub`] owns the TCP listener for the engine's whole lifetime.
+//! The hub service thread ([`spawn_hub_service`], running as long as the
+//! pool) accepts connections in arrival order and classifies each, on a
+//! thread of its own, by its first bytes:
 //!
-//! * **`Hello`** — a `cleanml-worker`. The connection gets a lease-service
-//!   thread that waits for a live study spec (workers may connect before
-//!   any submission exists), completes the `Hello`/`Welcome` handshake,
-//!   and then behaves like a worker thread whose "execution" is the wire:
-//!   it claims a ready task from the merged frontier (heaviest leasable
-//!   first, guided by the per-deque kind-count summaries), sends a
-//!   `Lease`, serves `Fetch` requests from the resident artifacts, the
-//!   warm LRU or the disk store, and on `Done` applies the exact
-//!   completion bookkeeping a local worker would — the shipped payload
-//!   lands in the [`crate::cache::DiskStore`] *before* any dependent can
-//!   observe the artifact.
-//! * **`Submit`** — a serving client (`cleanml-query`). The connection is
-//!   handed to the engine's [`ClientHandler`], which creates a submission
-//!   on the resident core, streams `Status`, and ships the rendered CSV
-//!   back as a `ResultCsv`. One listener therefore serves both planes.
+//! * **a CMAF `Hello`** — a `cleanml-worker`. The connection gets a
+//!   lease-service loop that waits for a live study spec (workers may
+//!   connect before any submission exists), completes the
+//!   `Hello`/`Welcome` handshake, and then behaves like a worker thread
+//!   whose "execution" is the wire: it claims a ready task from the merged
+//!   frontier (heaviest leasable first, guided by the per-deque kind-count
+//!   summaries), sends a `Lease`, serves `Fetch` requests from the
+//!   resident artifacts, the warm LRU or the disk store, and on `Done`
+//!   applies the exact completion bookkeeping a local worker would — the
+//!   shipped payload lands in the [`crate::cache::DiskStore`] *before* any
+//!   dependent can observe the artifact.
+//! * **an HTTP `GET `/`POST` preamble** — a client of the results gateway
+//!   ([`http`]), the only client protocol. Every other first message,
+//!   CMAF or not, closes the connection unanswered.
 //!
 //! Fault containment is the point of the lease: a worker that misses its
 //! deadline (no `Done`, no `Heartbeat`, no `Fetch`) or whose connection
@@ -32,8 +31,8 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,35 +56,24 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 pub const DEFAULT_LEASE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The accept side of the coordinator. Lives as long as the engine;
-/// connections accepted between submissions wait in the queue until the
-/// hub service picks them up.
+/// connections that arrive between submissions wait in the listener's
+/// backlog until the hub service accepts them.
 pub struct RemoteHub {
+    listener: TcpListener,
     addr: SocketAddr,
     lease_timeout: Duration,
-    pending: Arc<Mutex<Vec<TcpStream>>>,
-    shutdown: Arc<AtomicBool>,
 }
 
 impl RemoteHub {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// the accept thread.
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port). Nothing
+    /// is accepted until a pool serves the hub ([`crate::Pool::serve_hub`]).
     pub fn bind(addr: &str, lease_timeout: Duration) -> io::Result<Arc<RemoteHub>> {
         let listener = TcpListener::bind(addr)?;
+        // Non-blocking, so the hub service can notice pool shutdown
+        // between connections.
         listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let pending: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let (q, stop) = (Arc::clone(&pending), Arc::clone(&shutdown));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => q.lock().expect("pending lock").push(stream),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                    Err(_) => std::thread::sleep(POLL),
-                }
-            }
-        });
-        Ok(Arc::new(RemoteHub { addr: local, lease_timeout, pending, shutdown }))
+        let addr = listener.local_addr()?;
+        Ok(Arc::new(RemoteHub { listener, addr, lease_timeout }))
     }
 
     /// The bound address (resolves the ephemeral port of `:0` binds).
@@ -96,37 +84,18 @@ impl RemoteHub {
     pub fn lease_timeout(&self) -> Duration {
         self.lease_timeout
     }
-
-    fn try_take(&self) -> Option<TcpStream> {
-        self.pending.lock().expect("pending lock").pop()
-    }
 }
-
-impl Drop for RemoteHub {
-    fn drop(&mut self) {
-        // The accept thread exits on its next poll; queued sockets close,
-        // which unblocks any worker still waiting for a `Welcome`.
-        self.shutdown.store(true, Ordering::Release);
-    }
-}
-
-/// Handler for serving-client connections (first message `Submit`); runs
-/// on a dedicated thread per connection. The engine supplies one that
-/// creates a submission on the resident core; without one, clients are
-/// rejected.
-pub type ClientHandler = Arc<dyn Fn(TcpStream, Message) + Send + Sync>;
 
 /// The engine's HTTP results-gateway backend, shared by every classified
 /// HTTP connection. `None` (pool-only deployments, tests) serves
 /// `/metrics` but answers `/studies` routes with 503.
 pub type HttpGateway = Arc<dyn http::GatewayBackend>;
 
-/// Spawns the hub service: accept-queue draining plus per-connection
-/// classification, for as long as the pool lives.
+/// Spawns the hub service: accepts `hub`'s connections in arrival order
+/// and classifies each on its own thread, for as long as the pool lives.
 pub(crate) fn spawn_hub_service<A>(
     inner: Arc<PoolInner<A>>,
     hub: Arc<RemoteHub>,
-    clients: Option<ClientHandler>,
     gateway: Option<HttpGateway>,
 ) -> JoinHandle<()>
 where
@@ -134,29 +103,27 @@ where
 {
     std::thread::spawn(move || {
         while !inner.shutdown.load(Ordering::Acquire) {
-            match hub.try_take() {
-                Some(stream) => {
+            match hub.listener.accept() {
+                Ok((stream, _peer)) => {
                     let inner = Arc::clone(&inner);
                     let hub = Arc::clone(&hub);
-                    let clients = clients.clone();
                     let gateway = gateway.clone();
-                    std::thread::spawn(move || classify(&inner, &hub, stream, clients, gateway));
+                    std::thread::spawn(move || classify(&inner, &hub, stream, gateway));
                 }
-                None => std::thread::sleep(POLL),
+                Err(_) => std::thread::sleep(POLL),
             }
         }
     })
 }
 
-/// Reads a connection's first bytes and routes it: CMAF frames to the
-/// worker lease loop or the serving-client handler (by first message),
-/// an HTTP `GET `/`POST` preamble to the bounded results gateway, and
-/// everything else dropped before it can touch the pool.
+/// Reads a connection's first bytes and routes it: a CMAF `Hello` to the
+/// worker lease loop, an HTTP `GET `/`POST` preamble to the bounded
+/// results gateway, and everything else dropped before it can touch the
+/// pool.
 fn classify<A>(
     inner: &Arc<PoolInner<A>>,
     hub: &RemoteHub,
     stream: TcpStream,
-    clients: Option<ClientHandler>,
     gateway: Option<HttpGateway>,
 ) where
     A: Clone + Send + Sync + DiskCodec + 'static,
@@ -229,17 +196,9 @@ fn classify<A>(
             Polled::Closed => return,
         }
     };
-    match first {
-        hello @ Message::Hello { .. } => serve_worker(inner, hub, stream, hello),
-        submit @ Message::Submit { .. } => match clients {
-            Some(handler) => handler(stream, submit),
-            None => {
-                let reason = "this coordinator does not accept serving clients".to_string();
-                let _ = proto::send(&mut &stream, &Message::Reject { reason });
-            }
-        },
-        _ => {} // protocol violation: drop the connection
-    }
+    if let hello @ Message::Hello { .. } = first {
+        serve_worker(inner, hub, stream, hello);
+    } // anything else is a protocol violation: drop the connection
 }
 
 /// Serves one `Fetch`: the resident entry's artifact or the warm LRU

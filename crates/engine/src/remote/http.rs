@@ -1,16 +1,17 @@
 //! A bounded HTTP/1.1 results gateway mounted on the hub listener.
 //!
 //! The hub classifies connections by their first bytes: CMAF frames go
-//! to the worker/serving planes, and an HTTP `GET `/`POST` preamble
-//! lands here. What started as a single-endpoint `/metrics` responder is
-//! now the daemon's typed query surface — a PostgREST-flavoured, strictly
-//! bounded subset:
+//! to the worker plane, and an HTTP `GET `/`POST` preamble lands here —
+//! the only client protocol. What started as a single-endpoint `/metrics`
+//! responder is now the daemon's typed query surface — a
+//! PostgREST-flavoured, strictly bounded subset:
 //!
 //! * `GET  /metrics` — Prometheus scrape (open, no auth);
 //! * `GET  /studies[.json]` — list gateway submissions and their status;
 //! * `POST /studies` — submit a study spec (form-encoded body:
-//!   `errors=outliers,mislabels&profile=quick&splits=6&seed=1`), returns
-//!   `{"id":N}` to poll;
+//!   `errors=outliers,mislabels&profile=quick&splits=6&seed=1`, plus an
+//!   optional `cell=DATASET/DETECTION/REPAIR/MODEL` for one cell of a
+//!   single error type's grid), returns `{"id":N}` to poll;
 //! * `GET  /studies/:id[.json]` — one submission's status/progress;
 //! * `GET  /studies/:id/r1|r2|r3[.csv|.json]` — page result rows with
 //!   `?model=…&dataset=…&error=…&order=…&limit=…&offset=…`.
@@ -42,6 +43,7 @@ use cleanml_core::database::{csv_line, relation_columns};
 use cleanml_core::{CleanMlDb, ExperimentConfig, Relation};
 
 use crate::pool::PoolInner;
+use crate::study::CellQuery;
 use crate::telemetry;
 
 /// Hard cap on one request head (request line + headers), enforced on
@@ -67,9 +69,10 @@ pub const MAX_QUERY_VALUE_BYTES: usize = 512;
 pub const DEFAULT_PAGE_LIMIT: usize = 1000;
 pub const MAX_PAGE_LIMIT: usize = 10_000;
 
-/// Study-spec bounds mirrored from the CLI: splits below 2 cannot form
-/// a paired test, and four digits of splits is a typo, not a study.
-const MAX_SPLITS: usize = 1000;
+/// Study-spec bound shared with the CLI's `--splits`: splits below 2
+/// cannot form a paired test, and four digits of splits is a typo, not a
+/// study.
+pub const MAX_SPLITS: usize = 1000;
 
 // ---- gateway backend ------------------------------------------------
 
@@ -107,6 +110,9 @@ pub struct SubmitSpec {
     pub profile: Profile,
     pub splits: Option<usize>,
     pub seed: Option<u64>,
+    /// `cell=`: one cell of the single error type's grid instead of the
+    /// whole study, through [`crate::Engine::submit_query`].
+    pub cell: Option<CellQuery>,
 }
 
 impl SubmitSpec {
@@ -136,6 +142,9 @@ pub enum GatewayError {
     NotReady,
     /// Too many submissions in flight; retry later.
     Busy,
+    /// The spec names something the study does not have (an unknown
+    /// cell dataset, method or model).
+    Invalid(String),
     /// The study itself failed.
     Failed(String),
     /// The engine behind the gateway is gone (shutdown race).
@@ -335,6 +344,7 @@ fn serve_submit(
         Err(GatewayError::Busy) => {
             json_error(stream, "429 Too Many Requests", "too many submissions in flight")
         }
+        Err(GatewayError::Invalid(e)) => json_error(stream, "400 Bad Request", &e),
         Err(GatewayError::Unavailable) => {
             json_error(stream, "503 Service Unavailable", "engine shutting down")
         }
@@ -831,14 +841,17 @@ fn numbers_equal(a: &str, b: &str) -> bool {
 
 /// Parses the form-encoded `POST /studies` body pairs into a spec:
 /// `errors` (comma-separated error types, required), `profile`
-/// (`quick`/`standard`/`paper`, default standard), `splits`, `seed`.
+/// (`quick`/`standard`/`paper`, default standard), `splits`, `seed`, and
+/// `cell` (`DATASET/DETECTION/REPAIR/MODEL`, exactly one error type).
 pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
     let mut spec = SubmitSpec {
         error_types: Vec::new(),
         profile: Profile::Standard,
         splits: None,
         seed: None,
+        cell: None,
     };
+    let mut cell = None;
     for (key, value) in pairs {
         match key.as_str() {
             "errors" => {
@@ -869,11 +882,26 @@ pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
                 spec.seed =
                     Some(value.parse().map_err(|_| format!("seed: not a number: {value:?}"))?);
             }
+            "cell" => {
+                let parts: Vec<String> = value.split('/').map(|p| p.trim().to_string()).collect();
+                let Ok(names) = <[String; 4]>::try_from(parts) else {
+                    return Err(format!(
+                        "cell: expected DATASET/DETECTION/REPAIR/MODEL, got {value:?}"
+                    ));
+                };
+                cell = Some(names);
+            }
             other => return Err(format!("unknown field {other:?}")),
         }
     }
     if spec.error_types.is_empty() {
         return Err("errors: at least one error type required".to_string());
+    }
+    if let Some([dataset, detection, repair, model]) = cell {
+        let [error_type] = spec.error_types[..] else {
+            return Err("cell: needs exactly one error type".to_string());
+        };
+        spec.cell = Some(CellQuery { error_type, dataset, detection, repair, model });
     }
     Ok(spec)
 }
@@ -1253,6 +1281,23 @@ mod tests {
         assert!(parse_submit(&parse_query("errors=outliers&splits=1").unwrap()).is_err());
         assert!(parse_submit(&parse_query("errors=outliers&profile=bogus").unwrap()).is_err());
         assert!(parse_submit(&parse_query("errors=outliers&extra=1").unwrap()).is_err());
+        assert_eq!(spec.cell, None);
+
+        // a cell names dataset/detection/repair/model of one error type
+        let pairs = parse_query(
+            "cell=University/OpenRefine/Merge/Logistic%20Regression&errors=inconsistencies",
+        )
+        .unwrap();
+        let cell = parse_submit(&pairs).unwrap().cell.expect("cell parsed");
+        assert_eq!(cell.error_type, ErrorType::Inconsistencies);
+        assert_eq!(
+            [cell.dataset, cell.detection, cell.repair, cell.model],
+            ["University", "OpenRefine", "Merge", "Logistic Regression"]
+        );
+        let bad = |body: &str| parse_submit(&parse_query(body).unwrap()).unwrap_err();
+        assert!(bad("errors=outliers,duplicates&cell=a/b/c/d").contains("exactly one error type"));
+        assert!(bad("errors=outliers&cell=a/b/c").contains("DATASET/DETECTION/REPAIR/MODEL"));
+        assert!(bad("errors=outliers&cell=a/b/c/d/e").contains("DATASET/DETECTION/REPAIR/MODEL"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The remote plane: lease-based workers *and* serving clients over the
-//! CMAF wire format, on one listener.
+//! The remote plane: lease-based workers over the CMAF wire format and
+//! HTTP clients of the results gateway, on one listener.
 //!
 //! The study DAG and the content-addressed artifact plane were built
 //! network-shape from the start — a task is a pure function of explicitly
@@ -7,17 +7,15 @@
 //! same framed, checksummed bytes whether it lands on disk or on a socket.
 //! This module cashes that in:
 //!
-//! * [`proto`] — the binary message codec. The worker conversation
-//!   (`Hello`/`Lease`/`Fetch`/`Artifact`/`Done`/`Heartbeat`/`Bye`) and the
-//!   serving conversation (`Submit`/`Status`/`ResultCsv`/`Cancel`) are
-//!   both CMAF frames over the same primitives;
+//! * [`proto`] — the binary message codec of the worker conversation
+//!   (`Hello`/`Lease`/`Fetch`/`Artifact`/`Done`/`Heartbeat`/`Bye`), CMAF
+//!   frames over the artifact codec's primitives;
 //! * [`coordinator`] — the [`RemoteHub`] listener plus the resident hub
-//!   service that classifies each connection by its first bytes: CMAF
-//!   frames open the worker plane (remote workers claim tasks from the
-//!   engine's merged ready frontier) or the serving plane (clients create
-//!   submissions on the resident core), while an HTTP `GET ` preamble is
-//!   routed to [`http`]'s bounded `/metrics` responder — telemetry rides
-//!   the same listener;
+//!   service that accepts connections and classifies each by its first
+//!   bytes: CMAF frames open the worker plane (remote workers claim tasks
+//!   from the engine's merged ready frontier), while an HTTP `GET `/`POST`
+//!   preamble is routed to [`http`]'s bounded gateway — `/metrics` and
+//!   the `/studies` routes, the only client protocol;
 //! * [`worker`] — the stateless worker session: rebuild the identical
 //!   graph from the wire spec, fetch inputs by content address, compute,
 //!   ship the artifact back.
@@ -35,13 +33,12 @@ pub mod http;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{ClientHandler, HttpGateway, RemoteHub, DEFAULT_LEASE_TIMEOUT};
+pub use coordinator::{HttpGateway, RemoteHub, DEFAULT_LEASE_TIMEOUT};
 pub use http::{
     parse_query, percent_decode, GatewayBackend, GatewayError, Profile, Select, StudyState,
     StudyStatus, SubmitSpec,
 };
 pub use proto::{
-    leasable, poll_recv, Message, Polled, Request, ServeReport, StudySpec, MAX_MESSAGE_BYTES,
-    PROTOCOL_VERSION,
+    leasable, poll_recv, Message, Polled, StudySpec, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
 pub use worker::{run_worker, FaultPlan, WorkerSummary};

@@ -12,8 +12,8 @@
 //! [`MAX_MESSAGE_BYTES`], so a corrupt header can never provoke a huge
 //! allocation).
 //!
-//! Two conversations share the listener; the first message classifies the
-//! peer. The worker plane:
+//! The listener carries one CMAF conversation, the worker plane (clients
+//! speak HTTP to the gateway instead, see [`crate::remote::http`]):
 //!
 //! ```text
 //! worker                         coordinator
@@ -25,18 +25,6 @@
 //!   Heartbeat              ──►                      (extends the lease)
 //!   Done {id, payload}     ──►                      (or Failed {id, error})
 //!                          ◄──  Bye                 (run complete)
-//! ```
-//!
-//! and the serving plane (a `cleanml-query` client against the resident
-//! engine):
-//!
-//! ```text
-//! client                         coordinator
-//!   Submit {request}       ──►                      (study or single cell)
-//!                          ◄──  Status {done, to_run, cache_hits, pruned}*
-//!   Cancel                 ──►                      (optional, withdraws)
-//!                          ◄──  ResultCsv {csv, report} | ServeError {error}
-//!                          ◄──  Bye
 //! ```
 //!
 //! Artifact payloads inside [`Message::Artifact`] and [`Message::Done`] are
@@ -61,8 +49,10 @@ use crate::event::TaskKind;
 /// Remote-protocol version, negotiated in `Hello`. Independent of the
 /// artifact [`FORMAT_VERSION`]: the frame wrapper already pins that.
 /// Version history: 1 — initial worker + serving planes; 2 — `Status`
-/// and [`ServeReport`] grew a trailing `dropped_events` count.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// and `ServeReport` grew a trailing `dropped_events` count; 3 — the
+/// serving messages (`Submit`/`Status`/`ResultCsv`/`Cancel`/`ServeError`)
+/// are gone, clients use the HTTP gateway.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a single message payload. The largest legitimate payload
 /// is one artifact (a split's tables for the biggest dataset — a few MiB);
@@ -171,158 +161,6 @@ impl StudySpec {
     }
 }
 
-/// One serving request: a whole study, or a single
-/// `(dataset, error type, cleaning method, model)` cell.
-///
-/// A cell request reuses the *full-study* method/model indices in its
-/// content addresses, so its `Split`/`Clean`/`Train`/`Evaluate` tasks
-/// dedupe against (and warm-hit) any study of the same configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Run the complete grid for the spec's error types.
-    Study(StudySpec),
-    /// Run one cell: `spec.error_types` must contain exactly the cell's
-    /// error type; names match the catalogue (`Detection::name`,
-    /// `Repair::name`, `ModelKind::name`) and the dataset plan.
-    Cell { spec: StudySpec, dataset: String, detection: String, repair: String, model: String },
-}
-
-impl Request {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Request::Study(spec) => {
-                push_tag(&mut out, b'W');
-                push_bytes(&mut out, &spec.encode());
-            }
-            Request::Cell { spec, dataset, detection, repair, model } => {
-                push_tag(&mut out, b'C');
-                push_bytes(&mut out, &spec.encode());
-                push_str(&mut out, dataset);
-                push_str(&mut out, detection);
-                push_str(&mut out, repair);
-                push_str(&mut out, model);
-            }
-        }
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Option<Request> {
-        let mut r = Reader::new(bytes);
-        let req = match take_tag(&mut r)? {
-            b'W' => Request::Study(StudySpec::decode(take_bytes(&mut r)?)?),
-            b'C' => Request::Cell {
-                spec: StudySpec::decode(take_bytes(&mut r)?)?,
-                dataset: take_str(&mut r)?,
-                detection: take_str(&mut r)?,
-                repair: take_str(&mut r)?,
-                model: take_str(&mut r)?,
-            },
-            _ => return None,
-        };
-        r.is_empty().then_some(req)
-    }
-}
-
-/// The run summary shipped with a [`Message::ResultCsv`]: enough to
-/// reconstruct the client-side `--cache-stats` line — the submission's
-/// resolve-time cache counters, the store footprint, and the execution
-/// report split by provenance.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeReport {
-    pub memory_hits: u64,
-    pub disk_hits: u64,
-    pub misses: u64,
-    pub disk_writes: u64,
-    pub disk_evictions: u64,
-    pub store_entries: u64,
-    pub store_bytes: u64,
-    pub executed: Vec<(TaskKind, u64)>,
-    pub remote_executed: Vec<(TaskKind, u64)>,
-    pub remote_workers: u64,
-    pub releases: u64,
-    pub cache_hits: u64,
-    pub pruned: u64,
-    pub total: u64,
-    /// Progress events the engine failed to deliver to any sink during
-    /// the server's lifetime (cumulative): a nonzero value tells the
-    /// client its progress view may have been lossy.
-    pub dropped_events: u64,
-}
-
-fn push_kind_counts(out: &mut Vec<u8>, counts: &[(TaskKind, u64)]) {
-    push_usize(out, counts.len());
-    for &(kind, n) in counts {
-        push_tag(out, kind_tag(kind));
-        push_u64(out, n);
-    }
-}
-
-fn take_kind_counts(r: &mut Reader<'_>) -> Option<Vec<(TaskKind, u64)>> {
-    let n = take_usize(r)?;
-    let mut counts = Vec::with_capacity(n.min(TaskKind::ALL.len()));
-    for _ in 0..n {
-        counts.push((kind_of(take_tag(r)?)?, take_u64(r)?));
-    }
-    Some(counts)
-}
-
-impl ServeReport {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_tag(&mut out, b'R');
-        for v in [
-            self.memory_hits,
-            self.disk_hits,
-            self.misses,
-            self.disk_writes,
-            self.disk_evictions,
-            self.store_entries,
-            self.store_bytes,
-        ] {
-            push_u64(&mut out, v);
-        }
-        push_kind_counts(&mut out, &self.executed);
-        push_kind_counts(&mut out, &self.remote_executed);
-        for v in [
-            self.remote_workers,
-            self.releases,
-            self.cache_hits,
-            self.pruned,
-            self.total,
-            self.dropped_events,
-        ] {
-            push_u64(&mut out, v);
-        }
-        out
-    }
-
-    pub fn decode(bytes: &[u8]) -> Option<ServeReport> {
-        let mut r = Reader::new(bytes);
-        if take_tag(&mut r)? != b'R' {
-            return None;
-        }
-        let report = ServeReport {
-            memory_hits: take_u64(&mut r)?,
-            disk_hits: take_u64(&mut r)?,
-            misses: take_u64(&mut r)?,
-            disk_writes: take_u64(&mut r)?,
-            disk_evictions: take_u64(&mut r)?,
-            store_entries: take_u64(&mut r)?,
-            store_bytes: take_u64(&mut r)?,
-            executed: take_kind_counts(&mut r)?,
-            remote_executed: take_kind_counts(&mut r)?,
-            remote_workers: take_u64(&mut r)?,
-            releases: take_u64(&mut r)?,
-            cache_hits: take_u64(&mut r)?,
-            pruned: take_u64(&mut r)?,
-            total: take_u64(&mut r)?,
-            dropped_events: take_u64(&mut r)?,
-        };
-        r.is_empty().then_some(report)
-    }
-}
-
 fn kind_tag(kind: TaskKind) -> u8 {
     TaskKind::ALL.iter().position(|&k| k == kind).expect("kind listed") as u8
 }
@@ -376,21 +214,6 @@ pub enum Message {
     Heartbeat,
     /// Orderly shutdown (either direction).
     Bye,
-    /// Serving client submits a study or single-cell [`Request`]
-    /// (encoded).
-    Submit { request: Vec<u8> },
-    /// Coordinator streams submission progress to a serving client (also
-    /// acts as a keep-alive while long tasks run). `dropped_events` is
-    /// the engine's cumulative count of undeliverable progress events —
-    /// nonzero means some progress was lost, not that nothing happened.
-    Status { done: u64, to_run: u64, cache_hits: u64, pruned: u64, dropped_events: u64 },
-    /// Final answer to a `Submit`: the rendered R1/R2/R3 CSV text plus an
-    /// encoded [`ServeReport`].
-    ResultCsv { csv: Vec<u8>, report: Vec<u8> },
-    /// Serving client withdraws its submission; its subgraph is released.
-    Cancel,
-    /// The submission failed (or was refused) server-side.
-    ServeError { error: String },
 }
 
 mod tag {
@@ -405,11 +228,6 @@ mod tag {
     pub const FAILED: u8 = b'X';
     pub const HEARTBEAT: u8 = b'P';
     pub const BYE: u8 = b'B';
-    pub const SUBMIT: u8 = b'S';
-    pub const STATUS: u8 = b'T';
-    pub const RESULT_CSV: u8 = b'G';
-    pub const CANCEL: u8 = b'C';
-    pub const SERVE_ERROR: u8 = b'E';
 }
 
 impl Message {
@@ -462,28 +280,6 @@ impl Message {
             }
             Message::Heartbeat => push_tag(&mut out, tag::HEARTBEAT),
             Message::Bye => push_tag(&mut out, tag::BYE),
-            Message::Submit { request } => {
-                push_tag(&mut out, tag::SUBMIT);
-                push_bytes(&mut out, request);
-            }
-            Message::Status { done, to_run, cache_hits, pruned, dropped_events } => {
-                push_tag(&mut out, tag::STATUS);
-                push_u64(&mut out, *done);
-                push_u64(&mut out, *to_run);
-                push_u64(&mut out, *cache_hits);
-                push_u64(&mut out, *pruned);
-                push_u64(&mut out, *dropped_events);
-            }
-            Message::ResultCsv { csv, report } => {
-                push_tag(&mut out, tag::RESULT_CSV);
-                push_bytes(&mut out, csv);
-                push_bytes(&mut out, report);
-            }
-            Message::Cancel => push_tag(&mut out, tag::CANCEL),
-            Message::ServeError { error } => {
-                push_tag(&mut out, tag::SERVE_ERROR);
-                push_str(&mut out, error);
-            }
         }
         out
     }
@@ -515,19 +311,6 @@ impl Message {
             tag::FAILED => Message::Failed { id: take_u64(&mut r)?, error: take_str(&mut r)? },
             tag::HEARTBEAT => Message::Heartbeat,
             tag::BYE => Message::Bye,
-            tag::SUBMIT => Message::Submit { request: take_payload(&mut r)? },
-            tag::STATUS => Message::Status {
-                done: take_u64(&mut r)?,
-                to_run: take_u64(&mut r)?,
-                cache_hits: take_u64(&mut r)?,
-                pruned: take_u64(&mut r)?,
-                dropped_events: take_u64(&mut r)?,
-            },
-            tag::RESULT_CSV => {
-                Message::ResultCsv { csv: take_payload(&mut r)?, report: take_payload(&mut r)? }
-            }
-            tag::CANCEL => Message::Cancel,
-            tag::SERVE_ERROR => Message::ServeError { error: take_str(&mut r)? },
             _ => return None,
         };
         r.is_empty().then_some(msg)
@@ -636,20 +419,6 @@ mod tests {
             Message::Failed { id: 3, error: "singular matrix".into() },
             Message::Heartbeat,
             Message::Bye,
-            Message::Submit {
-                request: Request::Study(StudySpec {
-                    error_types: vec![ErrorType::Duplicates],
-                    cfg: ExperimentConfig::quick(),
-                })
-                .encode(),
-            },
-            Message::Status { done: 12, to_run: 99, cache_hits: 3, pruned: 4, dropped_events: 5 },
-            Message::ResultCsv {
-                csv: b"dataset,error_type\nEEG,Outliers\n".to_vec(),
-                report: ServeReport { cache_hits: 7, ..Default::default() }.encode(),
-            },
-            Message::Cancel,
-            Message::ServeError { error: "unknown dataset 'EGG'".into() },
         ]
     }
 
@@ -734,58 +503,6 @@ mod tests {
         send(&mut short, &Message::Bye).unwrap();
         short.truncate(short.len() - 1);
         assert_eq!(recv(&mut short.as_slice()).unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
-    }
-
-    #[test]
-    fn requests_and_serve_reports_round_trip() {
-        let study = Request::Study(StudySpec {
-            error_types: ErrorType::all().to_vec(),
-            cfg: ExperimentConfig::quick(),
-        });
-        let cell = Request::Cell {
-            spec: StudySpec {
-                error_types: vec![ErrorType::Outliers],
-                cfg: ExperimentConfig::standard(),
-            },
-            dataset: "Sensor".into(),
-            detection: "IQR".into(),
-            repair: "Mean".into(),
-            model: "XGBoost".into(),
-        };
-        for req in [study, cell] {
-            let bytes = req.encode();
-            assert_eq!(Request::decode(&bytes).as_ref(), Some(&req));
-            for cut in 0..bytes.len() {
-                assert!(Request::decode(&bytes[..cut]).is_none(), "cut {cut}");
-            }
-        }
-        assert!(Request::decode(b"junk").is_none());
-
-        let report = ServeReport {
-            memory_hits: 1,
-            disk_hits: 2,
-            misses: 3,
-            disk_writes: 4,
-            disk_evictions: 5,
-            store_entries: 6,
-            store_bytes: 7,
-            executed: vec![(TaskKind::Train, 8), (TaskKind::Reduce, 1)],
-            remote_executed: vec![(TaskKind::Clean, 2)],
-            remote_workers: 2,
-            releases: 1,
-            cache_hits: 9,
-            pruned: 10,
-            total: 11,
-            dropped_events: 12,
-        };
-        let bytes = report.encode();
-        assert_eq!(ServeReport::decode(&bytes).as_ref(), Some(&report));
-        for cut in 0..bytes.len() {
-            assert!(ServeReport::decode(&bytes[..cut]).is_none(), "cut {cut}");
-        }
-        let mut long = bytes;
-        long.push(0);
-        assert!(ServeReport::decode(&long).is_none(), "trailing byte");
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
 use crate::pool::{Pool, RunReport, SubmissionHandle};
 use crate::remote::http::{GatewayBackend, GatewayError, StudyState, StudyStatus, SubmitSpec};
-use crate::remote::{ClientHandler, RemoteHub, StudySpec};
+use crate::remote::{RemoteHub, StudySpec};
 use crate::telemetry;
 
 /// One batched Evaluate result: every `(dirty model, clean model)` cell of a
@@ -371,13 +371,13 @@ impl EngineConfig {
 /// overlapping submissions dedupe into the same in-flight tasks by
 /// content address, a repeated submission answers from the warm memo
 /// without executing anything, and with `listen` configured the same
-/// listener serves lease-based remote workers *and* `cleanml-query`
-/// clients (see `cleanml-serve`).
+/// listener serves lease-based remote workers *and* HTTP clients of the
+/// results gateway, `cleanml-query` among them (see `cleanml-serve`).
 pub struct Engine {
     inner: Arc<EngineInner>,
 }
 
-/// Engine state shared with the serving plane (client-connection threads
+/// Engine state shared with the results gateway (HTTP connection threads
 /// hold a [`Weak`] to it, so a dropped engine refuses new clients instead
 /// of leaking).
 pub(crate) struct EngineInner {
@@ -394,8 +394,8 @@ impl Engine {
     /// until the engine drops. With `listen` set, the remote hub binds
     /// immediately (panicking on an unusable address — a misconfigured
     /// coordinator must fail loudly, not run silently local-only) and its
-    /// service loop classifies connections into workers and serving
-    /// clients for the engine's lifetime.
+    /// service loop classifies connections into workers and HTTP clients
+    /// for the engine's lifetime.
     pub fn new(cfg: EngineConfig) -> Self {
         let store = cfg.cache_dir.clone().map(|dir| DiskStore::open(dir, cfg.cache_max_bytes));
         let hub = cfg.listen.as_deref().map(|addr| {
@@ -406,13 +406,9 @@ impl Engine {
         let inner = Arc::new_cyclic(|weak: &Weak<EngineInner>| {
             let mut pool: Pool<Artifact> = Pool::new(workers, store.clone());
             if let Some(hub) = &hub {
-                let handler_weak = weak.clone();
-                let handler: ClientHandler = Arc::new(move |stream, first| {
-                    crate::serve::handle_client(&handler_weak, stream, first);
-                });
                 let gateway: crate::remote::HttpGateway =
                     Arc::new(EngineGateway { engine: weak.clone(), token: cfg.http_token.clone() });
-                pool.serve_hub(Arc::clone(hub), Some(handler), Some(gateway));
+                pool.serve_hub(Arc::clone(hub), Some(gateway));
             }
             EngineInner {
                 cache: Mutex::new(ArtifactCache::with_store(store.clone())),
@@ -442,7 +438,7 @@ impl Engine {
         self.inner.store.as_ref()
     }
 
-    /// The address remote workers and serving clients connect to, if
+    /// The address remote workers and HTTP clients connect to, if
     /// `listen` is configured.
     pub fn remote_addr(&self) -> Option<SocketAddr> {
         self.inner.hub.as_ref().map(|h| h.local_addr())
@@ -568,20 +564,8 @@ impl EngineInner {
         events: Option<EventSink>,
         alpha: f64,
     ) -> StudySubmission {
-        let (cache_hits, pruned, to_run, resolve_stats) = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            let before = cache.stats;
-            let (hits, pruned, to_run) = graph.resolve(&mut cache, &grids);
-            let after = cache.stats;
-            let delta = CacheStats {
-                memory_hits: after.memory_hits - before.memory_hits,
-                disk_hits: after.disk_hits - before.disk_hits,
-                misses: after.misses - before.misses,
-                disk_writes: 0,
-                disk_evictions: 0,
-            };
-            (hits, pruned, to_run, delta)
-        };
+        let (cache_hits, pruned, to_run) =
+            graph.resolve(&mut self.cache.lock().expect("cache lock"), &grids);
         let total = graph.len();
         emit(&events, EngineEvent::GraphReady { total, cache_hits, pruned, to_run });
 
@@ -612,18 +596,7 @@ impl EngineInner {
             pruned,
             total,
             alpha,
-            resolve_stats,
         }
-    }
-
-    /// `(entries, payload bytes)` of the persistent store, zero without
-    /// one.
-    pub(crate) fn store_totals(&self) -> (u64, usize) {
-        self.store.as_ref().map_or((0, 0), |s| (s.total_bytes(), s.len()))
-    }
-
-    pub(crate) fn store(&self) -> Option<&Arc<DiskStore>> {
-        self.store.as_ref()
     }
 }
 
@@ -644,8 +617,9 @@ enum GatewayResult {
     Failed(String),
 }
 
-/// One `POST /studies` submission: progress counters updated by its
-/// waiter thread, terminal state holding the finished relations.
+/// One `POST /studies` submission (a study or one cell): progress
+/// counters updated by its waiter thread, terminal state holding the
+/// finished relations.
 struct GatewayEntry {
     id: u64,
     errors: Vec<ErrorType>,
@@ -745,9 +719,30 @@ impl GatewayBackend for EngineGateway {
             table.entries.insert(entry.id, Arc::clone(&entry));
             entry
         };
-        telemetry::global().submissions_study.inc();
-        let submission = inner.submit_study(&spec.error_types, &cfg, None);
         let id = entry.id;
+        let submission = match &spec.cell {
+            None => inner.submit_study(&spec.error_types, &cfg, None),
+            Some(query) => match inner.submit_query(query, &cfg, None) {
+                Ok(submission) => submission,
+                Err(e) => {
+                    // The cell names something the study does not have:
+                    // refused, and no entry is left behind.
+                    inner.gateway.table.lock().expect("gateway lock").entries.remove(&id);
+                    return Err(GatewayError::Invalid(e.to_string()));
+                }
+            },
+        };
+        let t = telemetry::global();
+        if spec.cell.is_some() {
+            t.submissions_cell.inc()
+        } else {
+            t.submissions_study.inc()
+        }
+        // Nothing to run: answered entirely from the warm memo and store.
+        if submission.progress().1 == 0 {
+            t.warm_answers.inc();
+        }
+        t.submissions_active.inc();
         // The waiter owns the submission (and through it a strong engine
         // handle): it samples progress until completion, then parks the
         // BY-corrected relations in the entry for `/studies/:id/r*`.
@@ -769,6 +764,7 @@ impl GatewayBackend for EngineGateway {
                 Err(e) => GatewayResult::Failed(e.to_string()),
             };
             *entry.state.lock().expect("gateway entry lock") = result;
+            telemetry::global().submissions_active.dec();
         });
         Ok(id)
     }
@@ -801,7 +797,6 @@ pub struct StudySubmission {
     pruned: usize,
     total: usize,
     alpha: f64,
-    resolve_stats: CacheStats,
 }
 
 impl StudySubmission {
@@ -833,18 +828,11 @@ impl StudySubmission {
         self.total
     }
 
-    /// This submission's resolve-time cache counters (memory/disk hits
-    /// and misses attributable to it alone).
-    pub fn resolve_stats(&self) -> CacheStats {
-        self.resolve_stats
-    }
-
     /// Blocks until every task of the submission has finished, then
     /// assembles and BY-corrects the relational database.
     pub fn wait(self) -> Result<(CleanMlDb, RunReport)> {
-        let StudySubmission {
-            inner, handle, index, grids, cache_hits, pruned, total, alpha, ..
-        } = self;
+        let StudySubmission { inner, handle, index, grids, cache_hits, pruned, total, alpha } =
+            self;
         let workers = inner.pool.workers();
         let (artifacts, stats) = handle.wait()?;
 
@@ -878,7 +866,7 @@ impl StudySubmission {
             db.r3.extend(grid.r3_rows()?);
         }
         db.apply_benjamini_yekutieli(alpha);
-        if let Some(store) = inner.store() {
+        if let Some(store) = &inner.store {
             store.flush();
         }
 

@@ -12,7 +12,7 @@
 //!
 //! * [`Telemetry::render`] — Prometheus text exposition format
 //!   (version 0.0.4), served by the hub's bounded `GET /metrics`
-//!   responder;
+//!   responder and read back by [`StatsSnapshot::from_exposition`];
 //! * [`Telemetry::write_trace`] — Chrome trace-event JSON
 //!   (`chrome://tracing`-loadable), fed by per-task spans recorded in
 //!   the worker pool and the remote lease loop, enabled with
@@ -328,12 +328,11 @@ pub struct Telemetry {
     pub(crate) workers_joined: Counter,
     pub(crate) workers_connected: Gauge,
 
-    // Serving plane (serve.rs) and the /metrics responder itself.
+    // Serving plane: the results gateway (study.rs, remote/http.rs).
     pub(crate) submissions_study: Counter,
     pub(crate) submissions_cell: Counter,
     pub(crate) submissions_active: Gauge,
     pub(crate) warm_answers: Counter,
-    pub(crate) cancellations: Counter,
     pub(crate) events_dropped: Counter,
     pub(crate) http_requests: Counter,
     pub(crate) http_rejected: Counter,
@@ -405,7 +404,6 @@ impl Telemetry {
             submissions_cell: Counter::default(),
             submissions_active: Gauge::default(),
             warm_answers: Counter::default(),
-            cancellations: Counter::default(),
             events_dropped: Counter::default(),
             http_requests: Counter::default(),
             http_rejected: Counter::default(),
@@ -436,10 +434,6 @@ impl Telemetry {
 
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped.get()
     }
 
     /// Per-kind execute-latency summary (local executions only).
@@ -681,7 +675,6 @@ impl Telemetry {
         );
         gauge(&mut o, "cleanml_submissions_active", &self.submissions_active);
         counter(&mut o, "cleanml_warm_answers_total", &self.warm_answers);
-        counter(&mut o, "cleanml_cancellations_total", &self.cancellations);
         counter(&mut o, "cleanml_events_dropped_total", &self.events_dropped);
         counter(&mut o, "cleanml_http_requests_total", &self.http_requests);
         counter(&mut o, "cleanml_http_rejected_total", &self.http_rejected);
@@ -727,6 +720,46 @@ impl Telemetry {
 
         o
     }
+}
+
+impl StatsSnapshot {
+    /// Reads a snapshot back out of [`Telemetry::render`]'s exposition —
+    /// how an HTTP client (`cleanml-query --cache-stats`) takes the same
+    /// per-run deltas the in-process CLI does. `None` if a series the
+    /// snapshot needs is missing or malformed.
+    pub fn from_exposition(text: &str) -> Option<StatsSnapshot> {
+        let value = |series: &str| exposition_sample(text, series);
+        let mut s = StatsSnapshot {
+            memory_hits: value("cleanml_cache_hits_total{layer=\"memory\"}")?,
+            disk_hits: value("cleanml_cache_hits_total{layer=\"disk\"}")?,
+            misses: value("cleanml_cache_misses_total")?,
+            store_writes: value("cleanml_store_writes_total")?,
+            store_evictions: value("cleanml_store_evictions_total")?,
+            workers_joined: value("cleanml_remote_workers_joined_total")?,
+            releases: value("cleanml_leases_reinjected_total")?,
+            cv_fits: value("cleanml_cv_fits_total")?,
+            fold_reuse: value("cleanml_fold_reuse_total")?,
+            ..StatsSnapshot::default()
+        };
+        for (i, kind) in TaskKind::ALL.iter().enumerate() {
+            let executed = |site: &str| {
+                value(&format!(
+                    "cleanml_tasks_executed_total{{kind=\"{}\",site=\"{site}\"}}",
+                    kind.name()
+                ))
+            };
+            s.executed_local[i] = executed("local")?;
+            s.executed_remote[i] = executed("remote")?;
+        }
+        Some(s)
+    }
+}
+
+/// The value of one integer sample in exposition `text`; `series` is the
+/// metric name with its label set exactly as [`Telemetry::render`] writes
+/// it (`cleanml_store_bytes`, `cleanml_cache_hits_total{layer="disk"}`).
+pub fn exposition_sample(text: &str, series: &str) -> Option<u64> {
+    text.lines().find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
 }
 
 /// The process-wide registry.
@@ -1019,6 +1052,34 @@ mod tests {
         assert_eq!(d.executed_local[kind_index(TaskKind::Train)], 1);
         assert_eq!(d.releases, 1);
         assert_eq!(d.memory_hits, 0);
+    }
+
+    #[test]
+    fn snapshots_round_trip_through_the_exposition() {
+        let t = Telemetry::new();
+        t.cache_memory_hits.add(11);
+        t.cache_disk_hits.add(2);
+        t.cache_misses.add(3);
+        t.store_writes.add(4);
+        t.store_evictions.add(5);
+        t.workers_joined.add(6);
+        t.leases_reinjected.add(7);
+        for (i, kind) in TaskKind::ALL.iter().enumerate() {
+            t.tasks_local[kind_index(*kind)].add(100 + i as u64);
+            t.tasks_remote[kind_index(*kind)].add(200 + i as u64);
+        }
+        let snap = t.stats_snapshot();
+        let parsed = StatsSnapshot::from_exposition(&t.render()).expect("every series present");
+        // the fold-plane counters are process-wide and only grow
+        assert!(parsed.cv_fits >= snap.cv_fits && parsed.fold_reuse >= snap.fold_reuse);
+        assert_eq!(
+            StatsSnapshot { cv_fits: snap.cv_fits, fold_reuse: snap.fold_reuse, ..parsed },
+            snap
+        );
+
+        assert_eq!(exposition_sample("a_total 1\nab_total 2\n", "ab_total"), Some(2));
+        assert_eq!(exposition_sample("a_total{x=\"1\"} 3\n", "a_total"), None, "labels must match");
+        assert_eq!(StatsSnapshot::from_exposition("cleanml_cache_misses_total 1\n"), None);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //!   panic and without touching the task pool, while well-formed
 //!   requests for unknown routes earn an explicit 404;
 //! * after every such rejection the same engine still computes a study
-//!   with byte-identical results.
+//!   with byte-identical results;
+//! * with a bearer token configured, HTTP is the only way in: a CMAF
+//!   frame carrying the retired `Submit` message closes unanswered, and a
+//!   token-less cell submission is refused — no submission is created.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +19,8 @@ use std::time::Duration;
 
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{run_study, ExperimentConfig};
-use cleanml_engine::{Engine, EngineConfig};
+use cleanml_dataset::codec::{push_bytes, push_tag, seal_frame};
+use cleanml_engine::{Engine, EngineConfig, StudySpec};
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
@@ -191,4 +195,52 @@ fn hostile_first_contact_fails_closed_and_the_pool_still_serves() {
         rejected + not_found + unauthorized + routed,
         "accounting invariant broken:\n{scrape}"
     );
+}
+
+#[test]
+fn token_guards_every_client_path() {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        listen: Some("127.0.0.1:0".into()),
+        http_token: Some("guard-s3cret".into()),
+        ..Default::default()
+    });
+    let addr = engine.remote_addr().expect("hub bound");
+    // Only the gateway creates submissions, and nothing in this binary
+    // submits through it: the counter must not move.
+    let submissions = || -> u64 {
+        http_get(addr, "/metrics")
+            .lines()
+            .filter(|l| l.starts_with("cleanml_submissions_total{"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    let before = submissions();
+
+    // The exact bytes a protocol-2 `cleanml-query` sent: a well-formed,
+    // checksummed CMAF frame holding `Submit { Request::Study(spec) }`.
+    // The tag is retired, so the frame no longer decodes: the connection
+    // closes without a reply and no study starts.
+    let spec = StudySpec { error_types: vec![ErrorType::Inconsistencies], cfg: tiny_cfg() };
+    let mut request = Vec::new();
+    push_tag(&mut request, b'W');
+    push_bytes(&mut request, &spec.encode());
+    let mut submit = Vec::new();
+    push_tag(&mut submit, b'S');
+    push_bytes(&mut submit, &request);
+    let reply = raw_exchange(addr, &seal_frame(&submit));
+    assert!(reply.is_empty(), "a retired Submit frame must close unanswered: {reply:?}");
+
+    // A cell submission without the token is refused before the registry
+    // or the pool sees it.
+    let body = "errors=inconsistencies&profile=quick&splits=2\
+                &cell=University/OpenRefine/Merge/Logistic+Regression";
+    let post = format!(
+        "POST /studies HTTP/1.1\r\nHost: cleanml\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let reply = String::from_utf8_lossy(&raw_exchange(addr, post.as_bytes())).into_owned();
+    assert!(reply.starts_with("HTTP/1.1 401"), "token-less cell submission: {reply}");
+
+    assert_eq!(submissions(), before, "a refused client created a submission");
 }

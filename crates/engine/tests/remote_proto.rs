@@ -168,5 +168,5 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
 #[test]
 fn hello_version_is_current() {
     // a reminder to bump PROTOCOL_VERSION on any wire-visible change
-    assert_eq!(PROTOCOL_VERSION, 2);
+    assert_eq!(PROTOCOL_VERSION, 3);
 }

@@ -8,17 +8,17 @@
 //!   reuse, not just a disk hit);
 //! * cancelling one submission mid-run releases its subgraph without
 //!   disturbing another submission's byte-identical output;
-//! * the serving protocol end to end over real loopback TCP: `Submit` a
-//!   study (cold, then warm) and a single cell, stream `Status`, receive
-//!   `ResultCsv` — the wire CSV byte-matches the canonical rendering and
-//!   the warm report shows zero training.
+//! * serving end to end over the HTTP gateway on real loopback TCP:
+//!   `POST /studies` a study (cold, then warm) and a single cell, poll it
+//!   to done, page the CSVs out — they byte-match the canonical rendering,
+//!   and the warm answers execute nothing but a cell's own reduction.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{run_study, CleanMlDb, ExperimentConfig};
-use cleanml_engine::remote::{proto, Message, Request, ServeReport, StudySpec};
 use cleanml_engine::{Engine, EngineConfig, RunReport, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -99,37 +99,59 @@ fn cancel_mid_run_leaves_the_other_submission_byte_identical() {
     assert!(trains(&report) > 0);
 }
 
-// -- the serving protocol over real loopback TCP ---------------------------
+// -- serving over the HTTP gateway on real loopback TCP -------------------
 
-/// Drives one `Submit` conversation to completion; returns the CSV text
-/// and decoded report, or the server's error string.
-fn client_request(addr: SocketAddr, request: &Request) -> Result<(String, ServeReport), String> {
-    let stream = TcpStream::connect(addr).expect("connect to resident engine");
-    let _ = stream.set_nodelay(true);
-    proto::send(&mut &stream, &Message::Submit { request: request.encode() })
-        .expect("submit request");
-    let mut saw_status = false;
-    loop {
-        match proto::recv(&mut &stream).expect("server reply") {
-            Message::Status { .. } => saw_status = true,
-            Message::Heartbeat => {}
-            Message::ResultCsv { csv, report } => {
-                assert!(saw_status, "the server must stream progress before the result");
-                let csv = String::from_utf8(csv).expect("CSV is UTF-8");
-                let report = ServeReport::decode(&report).expect("report decodes");
-                return Ok((csv, report));
-            }
-            Message::ServeError { error } => return Err(error),
-            other => panic!("unexpected serving message: {other:?}"),
-        }
-    }
+/// One `Connection: close` exchange; returns (status code, body).
+fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect to resident engine");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).expect("read timeout");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: cleanml\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("head/body split");
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
+    (status, body.to_string())
 }
 
-fn report_trains(report: &ServeReport) -> u64 {
-    let count = |v: &[(TaskKind, u64)]| {
-        v.iter().find(|(k, _)| *k == TaskKind::Train).map_or(0, |&(_, n)| n)
+fn json_u64(body: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = body.find(&pat).unwrap_or_else(|| panic!("{key} missing in {body}"));
+    let digits: String = body[at + pat.len()..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} not a number in {body}"))
+}
+
+/// Submits a form-encoded spec, polls it to done and pages out its
+/// relations; returns the concatenated CSVs and the submission's task
+/// count to run (zero when the warm memo answered everything).
+fn serve(addr: SocketAddr, form: &str) -> Result<(String, u64), String> {
+    let (status, created) = http(addr, "POST", "/studies", form);
+    if status != 201 {
+        return Err(format!("{status}: {created}"));
+    }
+    let id = json_u64(&created, "id");
+    let deadline = Instant::now() + Duration::from_secs(300);
+    let to_run = loop {
+        let (status, body) = http(addr, "GET", &format!("/studies/{id}"), "");
+        assert_eq!(status, 200, "status poll: {body}");
+        if body.contains("\"state\":\"done\"") {
+            break json_u64(&body, "to_run");
+        }
+        assert!(!body.contains("\"state\":\"failed\""), "study failed: {body}");
+        assert!(Instant::now() < deadline, "study did not finish in time");
+        std::thread::sleep(Duration::from_millis(20));
     };
-    count(&report.executed) + count(&report.remote_executed)
+    let mut csv = String::new();
+    for table in ["r1", "r2", "r3"] {
+        let (status, page) =
+            http(addr, "GET", &format!("/studies/{id}/{table}.csv?limit=10000"), "");
+        assert_eq!(status, 200, "{table}: {page}");
+        csv.push_str(&page);
+    }
+    Ok((csv, to_run))
 }
 
 #[test]
@@ -146,46 +168,34 @@ fn serving_clients_get_byte_identical_csvs_and_warm_cell_answers() {
         ..Default::default()
     });
     let addr = engine.remote_addr().expect("hub bound");
-    let study = Request::Study(StudySpec { error_types: ets.to_vec(), cfg });
+    // tiny_cfg: the quick profile pinned to 2 splits
+    let study = "errors=inconsistencies&profile=quick&splits=2";
 
-    // Cold: the engine computes; the wire CSV is the canonical rendering.
-    let (cold_csv, cold_report) = client_request(addr, &study).expect("cold study request");
-    assert_eq!(cold_csv, serial_csv, "wire CSV vs serial rendering");
-    assert!(report_trains(&cold_report) > 0, "cold serve must train: {cold_report:?}");
+    // Cold: the engine computes; the paged CSVs are the canonical rendering.
+    let (cold_csv, cold_to_run) = serve(addr, study).expect("cold study request");
+    assert_eq!(cold_csv, serial_csv, "gateway CSVs vs serial rendering");
+    assert!(cold_to_run > 0, "a cold study must run tasks");
 
-    // Warm: byte-identical bytes, zero training, zero executed tasks —
-    // the in-memory memo answered, not a re-run against the disk store.
-    let (warm_csv, warm_report) = client_request(addr, &study).expect("warm study request");
+    // Warm: byte-identical bytes and zero tasks to run — the in-memory
+    // memo answered, not a re-run against the disk store.
+    let (warm_csv, warm_to_run) = serve(addr, study).expect("warm study request");
     assert_eq!(warm_csv, cold_csv, "warm response must be byte-identical");
-    assert_eq!(report_trains(&warm_report), 0, "warm serve retrained: {warm_report:?}");
-    assert!(warm_report.executed.is_empty(), "warm serve executed tasks: {warm_report:?}");
-    assert!(warm_report.memory_hits > 0, "warm serve must hit the memo");
+    assert_eq!(warm_to_run, 0, "warm serve executed tasks");
 
     // A single-cell query shares content addresses with the study just
-    // served, so it too answers without training; only its 1×1 grid
-    // reduction runs.
-    let cell = Request::Cell {
-        spec: StudySpec { error_types: ets.to_vec(), cfg },
-        dataset: "University".into(),
-        detection: "OpenRefine".into(),
-        repair: "Merge".into(),
-        model: "Logistic Regression".into(),
-    };
-    let (cell_csv, cell_report) = client_request(addr, &cell).expect("cell request");
+    // served, so it too answers without training: its one task to run is
+    // its own 1×1 grid reduction (a retrained model would add a Train).
+    let cell = format!("{study}&cell=University/OpenRefine/Merge/Logistic+Regression");
+    let (cell_csv, cell_to_run) = serve(addr, &cell).expect("cell request");
     assert!(
         cell_csv.contains("University,Inconsistencies,OpenRefine,Merge,Logistic Regression"),
         "cell CSV must contain the requested cell's R1 rows:\n{cell_csv}"
     );
-    assert_eq!(report_trains(&cell_report), 0, "warm cell query retrained: {cell_report:?}");
+    assert_eq!(cell_to_run, 1, "warm cell query ran more than its reduction");
 
-    // Unknown requests fail with a protocol-level error, not a hang.
-    let bad = Request::Cell {
-        spec: StudySpec { error_types: ets.to_vec(), cfg },
-        dataset: "Atlantis".into(),
-        detection: "OpenRefine".into(),
-        repair: "Merge".into(),
-        model: "Logistic Regression".into(),
-    };
-    let err = client_request(addr, &bad).expect_err("unknown dataset must be refused");
-    assert!(err.contains("unknown dataset"), "{err}");
+    // Unknown names are refused up front with the graph builder's reason.
+    let bad = format!("{study}&cell=Atlantis/OpenRefine/Merge/Logistic+Regression");
+    let err = serve(addr, &bad).expect_err("unknown dataset must be refused");
+    assert!(err.starts_with("400"), "{err}");
+    assert!(err.contains("unknown dataset 'Atlantis'"), "{err}");
 }

@@ -10,8 +10,7 @@
 //! A [`FoldPlan`] is the CV grid's shared substrate: built once per
 //! `(n_rows, k, seed)` key, it owns the fold index sets and materializes
 //! each fold's train/val [`FeatureMatrix`] pair lazily, exactly once, behind
-//! an `OnceLock`. Every candidate of a [`random_search`] — and every model
-//! family of a `select_best_model` run sharing the key — scores against the
+//! an `OnceLock`. Every candidate of a [`random_search`] scores against the
 //! *same* `Arc`'d fold matrices, so their argsort sidecars
 //! ([`FeatureMatrix::sorted_cols`] / `sorted_cols_chained`) are built once
 //! per fold rather than once per candidate. The `(candidate, fold)` grid
@@ -65,9 +64,8 @@ struct FoldSlot {
 ///
 /// Construction computes only the fold *index* sets ([`kfold_indices`]);
 /// the per-fold train/val matrices are gathered on first use and cached,
-/// so all candidates (and, via `select_best_model`, all model families
-/// sharing the key) score against one set of fold matrices whose argsort
-/// sidecars are built once per fold.
+/// so all candidates of a search score against one set of fold matrices
+/// whose argsort sidecars are built once per fold.
 pub struct FoldPlan<'a> {
     data: &'a FeatureMatrix,
     /// Folds actually used (requested `k` clamped to `[2, n_rows]`).
@@ -499,7 +497,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t0a, t0b));
         assert!(Arc::ptr_eq(&t0v, v0b));
         assert_eq!(plan.reuses(), 1);
-        // the nine sibling families of a selection run share those Arcs
+        // nine more searches against the same plan share those Arcs
         let nine = [
             ModelKind::LogisticRegression,
             ModelKind::Knn,

@@ -24,8 +24,8 @@
 //! The unifying interface is [`ModelSpec`] (hyper-parameters) →
 //! [`ModelSpec::fit`] → [`FittedModel`] (predictions). [`cv`] provides
 //! k-fold cross-validation and the random hyper-parameter search the paper
-//! uses; [`selection`] implements validation-based model selection (the
-//! paper's R2 relation).
+//! uses. Model selection (the paper's R2 relation) compares the trained
+//! models' validation scores in `cleanml-core` (`EvalGrid::r2_rows`).
 
 pub mod adaboost;
 pub mod codec;
@@ -42,7 +42,6 @@ pub mod nacl;
 pub mod naive_bayes;
 #[cfg(test)]
 mod oracle;
-pub mod selection;
 mod splitter;
 pub mod tree;
 

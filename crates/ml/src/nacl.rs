@@ -15,7 +15,7 @@
 //!    in standardized feature space — i.e. the model marginalizes them out
 //!    under an independence assumption, NaCL's expected-prediction view.
 //!
-//! The substitution is documented in `DESIGN.md` §4.
+//! The substitution is documented in the README's *Substitutions* section.
 
 use cleanml_dataset::FeatureMatrix;
 use rand::rngs::StdRng;

@@ -16,7 +16,7 @@ use cleanml::ml::ModelKind;
 
 fn main() {
     // 1. Generate the EEG stand-in dataset (outliers injected; ground truth
-    //    retained — see DESIGN.md §4 for the substitution rationale).
+    //    retained — see the README's Substitutions section for why).
     let spec = spec_by_name("EEG").expect("EEG is one of the 14 datasets");
     let data = generate(spec, 42);
     println!(

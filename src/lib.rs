@@ -10,7 +10,7 @@
 //!   encoding, CSV).
 //! * [`stats`] — paired t-tests, Student-t distribution, FDR control.
 //! * [`ml`] — seven from-scratch classifiers plus MLP/NaCL, CV and model
-//!   selection.
+//!   tuning (hyper-parameter search).
 //! * [`cleaning`] — detection & repair for the five CleanML error types.
 //! * [`datagen`] — synthetic stand-ins for the study's 14 datasets, with
 //!   ground truth.
