@@ -13,12 +13,12 @@
 //! Flags: `--out FILE` (default `BENCH_quick.json`), `--splits N`
 //! (default 2), `--workers N`, `--errors LIST`, `--trace-out FILE`
 //! (records an extra traced cold run so tracing cost never pollutes the
-//! overhead measurement).
+//! overhead measurement). A bad flag value exits with code 2.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cleanml_bench::parse_error_types;
+use cleanml_bench::{flag_value, or_exit, parse_error_types, splits_flag, text_value};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::ExperimentConfig;
 use cleanml_engine::{telemetry, Engine, EngineConfig, HistogramSummary, RunReport, TaskKind};
@@ -33,12 +33,27 @@ const OVERHEAD_BUDGET_PCT: f64 = 2.0;
 /// drift never lands on the same leg twice in a row.
 const MAX_ATTEMPTS: usize = 5;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|p| {
-        args.get(p + 1).cloned().unwrap_or_else(|| {
-            eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
-        })
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    out: PathBuf,
+    trace_out: Option<PathBuf>,
+    /// Worker threads (`0` = all available cores).
+    workers: usize,
+    splits: usize,
+    error_types: Vec<ErrorType>,
+}
+
+/// Parses the command line (program name excluded).
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    Ok(Args {
+        out: flag_value(args, "--out", "FILE", text_value)?
+            .map_or_else(|| "BENCH_quick.json".into(), PathBuf::from),
+        trace_out: flag_value(args, "--trace-out", "FILE", text_value)?.map(PathBuf::from),
+        workers: flag_value(args, "--workers", "a worker count", |v| v.parse().ok())?.unwrap_or(0),
+        splits: splits_flag(args)?.unwrap_or(2),
+        error_types: flag_value(args, "--errors", "error types", parse_error_types)?
+            .unwrap_or_else(|| ErrorType::all().to_vec()),
     })
 }
 
@@ -90,21 +105,11 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let out_path =
-        PathBuf::from(flag_value(&args, "--out").unwrap_or_else(|| "BENCH_quick.json".into()));
-    let trace_out = flag_value(&args, "--trace-out").map(PathBuf::from);
-    let workers = flag_value(&args, "--workers").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let splits: usize = flag_value(&args, "--splits").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let error_types: Vec<ErrorType> = match flag_value(&args, "--errors") {
-        Some(list) => parse_error_types(&list).unwrap_or_else(|| {
-            eprintln!("error: --errors names unknown error types: `{list}`");
-            std::process::exit(2);
-        }),
-        None => ErrorType::all().to_vec(),
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Args { out: out_path, trace_out, workers, splits, error_types } =
+        or_exit(parse_args(&args));
     let mut cfg = ExperimentConfig::quick();
-    cfg.n_splits = splits.max(2);
+    cfg.n_splits = splits;
 
     let t = telemetry::global();
     let scratch = std::env::temp_dir().join(format!("cleanml-trajectory-{}", std::process::id()));
@@ -364,5 +369,58 @@ fn main() {
              budget after {MAX_ATTEMPTS} attempts",
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_with_defaults() {
+        let defaults = Args {
+            out: "BENCH_quick.json".into(),
+            trace_out: None,
+            workers: 0,
+            splits: 2,
+            error_types: ErrorType::all().to_vec(),
+        };
+        assert_eq!(parse("").unwrap(), defaults);
+        let args = parse(
+            "--out b.json --trace-out t.json --workers 3 --splits 4 --errors outliers,duplicates",
+        )
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                out: "b.json".into(),
+                trace_out: Some("t.json".into()),
+                workers: 3,
+                splits: 4,
+                error_types: vec![ErrorType::Outliers, ErrorType::Duplicates],
+            }
+        );
+    }
+
+    #[test]
+    fn bad_values_are_errors_not_defaults() {
+        for bad in [
+            "--splits 1",
+            "--splits 1001",
+            "--splits x",
+            "--workers x",
+            "--workers -1",
+            "--errors bogus",
+            "--out",
+            "--out --splits",
+            "--trace-out",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with(bad.split(' ').next().unwrap()), "{bad}: {err}");
+        }
     }
 }

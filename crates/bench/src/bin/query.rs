@@ -28,8 +28,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use cleanml_bench::{
-    cache_stats_line, flag_value, parse_config, parse_error_types, profile_name,
-    stats_from_registry_delta, text_value,
+    cache_stats_line, flag_value, or_exit, parse_config, parse_error_types, profile_name,
+    text_value,
 };
 use cleanml_core::schema::ErrorType;
 use cleanml_engine::telemetry::exposition_sample;
@@ -246,14 +246,7 @@ fn run(gw: &Gateway, form: &str) -> Result<String, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&args) {
-        Ok(Some(args)) => args,
-        Ok(None) => usage(),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
+    let Some(args) = or_exit(parse_args(&args)) else { usage() };
     let gw = Gateway { addr: args.addr.clone(), token: args.token.clone() };
     let outcome = await_server(&args.addr, args.retry).and_then(|()| {
         let before = if args.cache_stats { Some(gw.scrape()?) } else { None };
@@ -265,15 +258,13 @@ fn main() {
                 StatsSnapshot::from_exposition(text).ok_or("unreadable /metrics exposition")
             };
             let delta = snapshot(&after)?.since(&snapshot(&before)?);
-            let (stats, run) = stats_from_registry_delta(&delta);
             let totals = (
                 exposition_sample(&after, "cleanml_store_bytes").unwrap_or(0),
                 exposition_sample(&after, "cleanml_store_entries").unwrap_or(0) as usize,
             );
             // the slowest-tasks table lives in the server's registry and
             // has no exposition series
-            let cv = (delta.cv_fits, delta.fold_reuse);
-            println!("{}", cache_stats_line(&stats, Some(totals), &run, cv, &[]));
+            println!("{}", cache_stats_line(&delta, Some(totals), &[]));
         }
         Ok(())
     });

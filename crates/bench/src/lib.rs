@@ -40,7 +40,7 @@ use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::http::MAX_SPLITS;
 use cleanml_engine::{
-    parallel_map, CacheStats, Engine, EngineConfig, EngineEvent, RunReport, SlowTask, StatsSnapshot,
+    parallel_map, Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot, TaskKind,
 };
 use cleanml_stats::Flag;
 
@@ -50,7 +50,7 @@ fn cli_args() -> Vec<String> {
 }
 
 /// Prints a flag error and exits with code 2, the CLI-misuse status.
-fn or_exit<T>(parsed: Result<T, String>) -> T {
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
@@ -101,16 +101,20 @@ pub fn parse_config(args: &[String]) -> Result<ExperimentConfig, String> {
         "quick" => ExperimentConfig::quick(),
         _ => ExperimentConfig::standard(),
     };
-    let splits = format!("a split count in 2..={MAX_SPLITS}");
-    if let Some(n) = flag_value(args, "--splits", &splits, |v| {
-        v.parse().ok().filter(|n| (2..=MAX_SPLITS).contains(n))
-    })? {
+    if let Some(n) = splits_flag(args)? {
         cfg.n_splits = n;
     }
     if let Some(seed) = flag_value(args, "--seed", "an unsigned integer", |v| v.parse().ok())? {
         cfg.base_seed = seed;
     }
     Ok(cfg)
+}
+
+/// `--splits`: a split count within the gateway's `2..=MAX_SPLITS`.
+pub fn splits_flag(args: &[String]) -> Result<Option<usize>, String> {
+    flag_value(args, "--splits", &format!("a split count in 2..={MAX_SPLITS}"), |v| {
+        v.parse().ok().filter(|n| (2..=MAX_SPLITS).contains(n))
+    })
 }
 
 /// Parses the common CLI profile flags; exits with code 2 on a bad value.
@@ -174,41 +178,6 @@ pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
     list.split(',').map(|tok| parse_error_type(tok.trim())).collect()
 }
 
-/// Rebuilds the [`cache_stats_line`] inputs from a telemetry
-/// [`StatsSnapshot`] delta — the run's figures as the metrics registry
-/// observed them. Every `--cache-stats` line comes from here: the CLI
-/// takes the delta in process, `cleanml-query` from two `/metrics`
-/// scrapes.
-pub fn stats_from_registry_delta(d: &StatsSnapshot) -> (CacheStats, RunReport) {
-    use cleanml_engine::TaskKind;
-    let kinds = |counts: &[u64]| -> Vec<(TaskKind, usize)> {
-        TaskKind::ALL
-            .iter()
-            .zip(counts)
-            .filter(|&(_, &n)| n > 0)
-            .map(|(&k, &n)| (k, n as usize))
-            .collect()
-    };
-    let stats = CacheStats {
-        memory_hits: d.memory_hits as usize,
-        disk_hits: d.disk_hits as usize,
-        misses: d.misses as usize,
-        disk_writes: d.store_writes as usize,
-        disk_evictions: d.store_evictions as usize,
-    };
-    let report = RunReport {
-        executed: kinds(&d.executed_local),
-        remote_executed: kinds(&d.executed_remote),
-        cache_hits: 0,
-        pruned: 0,
-        total: 0,
-        workers: 0,
-        remote_workers: d.workers_joined as usize,
-        releases: d.releases as usize,
-    };
-    (stats, report)
-}
-
 /// Runs a study through the engine with live progress on stderr — the
 /// shared entry point of every `tableNN` binary.
 pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> CleanMlDb {
@@ -270,12 +239,11 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
     telemetry.reset_slow_tasks(); // run boundary: the table is per-run
     let (db, report) = engine.run_study_with_report(error_types, cfg).expect("engine study run");
     let delta = telemetry.stats_snapshot().since(&before);
-    let stats = engine.cache_stats();
     let store_totals = engine.disk_store().map(|s| (s.total_bytes(), s.len()));
     let store_line = store_totals.map(|(bytes, _)| {
         format!(
             "; store: {} writes, {} evicted, {} B",
-            stats.disk_writes, stats.disk_evictions, bytes
+            delta.store_writes, delta.store_evictions, bytes
         )
     });
     drop(engine); // closes the event channel
@@ -307,9 +275,7 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
         // over the run), the same source `cleanml-query` reads over
         // `/metrics`.
         let slow = telemetry.slowest_tasks();
-        let (stats, run) = stats_from_registry_delta(&delta);
-        let cv = (delta.cv_fits, delta.fold_reuse);
-        println!("{}", cache_stats_line(&stats, store_totals, &run, cv, &slow));
+        println!("{}", cache_stats_line(&delta, store_totals, &slow));
         for (i, s) in slow.iter().enumerate() {
             eprintln!(
                 "[engine] slowest {}: {} {} ({}) {:.1} ms",
@@ -330,46 +296,44 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
     db
 }
 
-/// Renders the end-of-run `--cache-stats` summary: layer-by-layer counters,
-/// the persistent store's size, and the run's execution provenance (local
-/// vs remote, plus re-leased orphans), in a stable greppable format.
-/// `executed_train` counts `Train` tasks across both provenances — the
-/// warm-memo acceptance signal (a warm serve answers with
-/// `executed_train=0`). `cv` is the run's `(cv_fits, fold_reuse)` delta
-/// from the fold plane: how many candidate×fold model fits the search
-/// grid executed and how many fold materializations were answered by an
-/// already-built `FoldPlan` view (a warm serve, having trained nothing,
-/// reports `cv_fits=0`). `slow` is the registry's top-8 slowest-tasks
-/// table; each entry renders as `kind:class:duration` (`-` when empty).
+/// Renders the end-of-run `--cache-stats` summary of a run's registry
+/// `delta`: layer-by-layer cache counters, the persistent store's size,
+/// and the run's execution provenance (local vs remote, plus re-leased
+/// orphans), in a stable greppable format. `executed_train` counts
+/// `Train` tasks across both provenances — the warm-memo acceptance
+/// signal (a warm serve answers with `executed_train=0`). `cv_fits` and
+/// `fold_reuse` come from the fold plane: how many candidate×fold model
+/// fits the search grid executed and how many fold materializations were
+/// answered by an already-built `FoldPlan` view (a warm serve, having
+/// trained nothing, reports `cv_fits=0`). `slow` is the registry's top-8
+/// slowest-tasks table; each entry renders as `kind:class:duration` (`-`
+/// when empty).
 pub fn cache_stats_line(
-    stats: &CacheStats,
+    delta: &StatsSnapshot,
     store_totals: Option<(u64, usize)>,
-    report: &RunReport,
-    cv: (u64, u64),
     slow: &[SlowTask],
 ) -> String {
-    use cleanml_engine::TaskKind;
     let (store_bytes, store_entries) = store_totals.unwrap_or((0, 0));
-    let (cv_fits, fold_reuse) = cv;
+    let train = TaskKind::ALL.iter().position(|&k| k == TaskKind::Train).expect("a task kind");
     format!(
         "[cache-stats] memory_hits={} disk_hits={} misses={} disk_writes={} \
          disk_evictions={} store_entries={} store_bytes={} executed_local={} \
          executed_remote={} executed_train={} remote_workers={} releases={} \
          cv_fits={} fold_reuse={} slowest={}",
-        stats.memory_hits,
-        stats.disk_hits,
-        stats.misses,
-        stats.disk_writes,
-        stats.disk_evictions,
+        delta.memory_hits,
+        delta.disk_hits,
+        delta.misses,
+        delta.store_writes,
+        delta.store_evictions,
         store_entries,
         store_bytes,
-        report.local_total(),
-        report.remote_total(),
-        report.executed(TaskKind::Train) + report.remote(TaskKind::Train),
-        report.remote_workers,
-        report.releases,
-        cv_fits,
-        fold_reuse,
+        delta.executed_local.iter().sum::<u64>(),
+        delta.executed_remote.iter().sum::<u64>(),
+        delta.executed_local[train] + delta.executed_remote[train],
+        delta.workers_joined,
+        delta.releases,
+        delta.cv_fits,
+        delta.fold_reuse,
         slowest_tasks_field(slow),
     )
 }
@@ -494,21 +458,25 @@ mod tests {
 
     #[test]
     fn cache_stats_line_is_stable_and_greppable() {
-        use cleanml_engine::TaskKind;
-        let stats = CacheStats {
+        let counters = StatsSnapshot {
             memory_hits: 1,
             disk_hits: 2,
             misses: 3,
-            disk_writes: 4,
-            disk_evictions: 5,
-        };
-        let report = RunReport {
-            executed: vec![(TaskKind::Train, 6), (TaskKind::Reduce, 2)],
-            remote_executed: vec![(TaskKind::Train, 9)],
-            remote_workers: 2,
-            releases: 1,
+            store_writes: 4,
+            store_evictions: 5,
             ..Default::default()
         };
+        let at = |kind| TaskKind::ALL.iter().position(|&k| k == kind).unwrap();
+        let mut delta = StatsSnapshot {
+            workers_joined: 2,
+            releases: 1,
+            cv_fits: 45,
+            fold_reuse: 30,
+            ..counters
+        };
+        delta.executed_local[at(TaskKind::Train)] = 6;
+        delta.executed_local[at(TaskKind::Reduce)] = 2;
+        delta.executed_remote[at(TaskKind::Train)] = 9;
         let slow = vec![
             SlowTask {
                 label: "train eeg lr".into(),
@@ -524,7 +492,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            cache_stats_line(&stats, Some((1024, 7)), &report, (45, 30), &slow),
+            cache_stats_line(&delta, Some((1024, 7)), &slow),
             "[cache-stats] memory_hits=1 disk_hits=2 misses=3 disk_writes=4 \
              disk_evictions=5 store_entries=7 store_bytes=1024 executed_local=8 \
              executed_remote=9 executed_train=15 remote_workers=2 releases=1 \
@@ -532,7 +500,7 @@ mod tests {
         );
         // no persistent layer / purely local run: fields read as zero,
         // line shape stable
-        let local = cache_stats_line(&stats, None, &RunReport::default(), (0, 0), &[]);
+        let local = cache_stats_line(&counters, None, &[]);
         assert!(local.contains("store_entries=0 store_bytes=0"));
         assert!(local.ends_with(
             "executed_local=0 executed_remote=0 executed_train=0 remote_workers=0 releases=0 \

@@ -4,9 +4,11 @@
 //! folded into a canonical string; its 128-bit FNV-1a digest is the task's
 //! **content address**. Two layers sit behind one interface:
 //!
-//! * an in-memory map — deduplicates shared work inside a run (e.g. a base
-//!   dataset used by three mislabel variants) and makes in-process re-runs
-//!   free;
+//! * the memo — an entry-capped LRU map of the small artifacts a
+//!   submission retains (contexts, cells, cell batches, datasets, grids),
+//!   so an in-process repeat is answered without running a task; heavy
+//!   artifacts (splits, cleaned matrices, trained models) live only as
+//!   long as a live submission needs them;
 //! * an optional on-disk layer ([`DiskStore`]) under a run directory —
 //!   persists every artifact with a stable serial form (grid cells, dataset
 //!   contexts, splits, cleaned matrices and trained models), so a *resumed
@@ -98,21 +100,13 @@ pub trait DiskCodec: Sized {
     fn encode(&self) -> Option<Vec<u8>>;
     fn decode(bytes: &[u8]) -> Option<Self>;
 
-    /// Whether a disk hit should also be inserted into the unbounded
-    /// in-memory map. Heavy artifacts (tables, matrices, models) return
-    /// `false`: they land in the bounded *resident* layer instead — one
-    /// decoded allocation shared by every demanding handle — rather than
-    /// accumulating in the memo for the engine's lifetime.
+    /// Whether a disk hit should also be inserted into the memo. Heavy
+    /// artifacts (tables, matrices, models) return `false`: the decoded
+    /// handle goes back to the resolver, which prefills it into the
+    /// demanding node, and the pool drops it after the node's last
+    /// consumer, so the memo never accumulates them.
     fn promote_to_memory(&self) -> bool {
         true
-    }
-
-    /// Rough in-memory footprint of the decoded artifact, charged to the
-    /// `resident_bytes` gauge while a disk-decoded heavy artifact stays
-    /// parked in the resident layer. Charged once per decode — handles
-    /// share the allocation, so shares add nothing.
-    fn approx_bytes(&self) -> u64 {
-        0
     }
 }
 
@@ -480,129 +474,15 @@ impl Drop for DiskStore {
     }
 }
 
-/// Default number of *unpinned* warm artifacts [`Retention`] keeps
-/// resident before LRU eviction kicks in.
-pub const DEFAULT_WARM_ENTRIES: usize = 256;
-
-/// Cross-submission in-memory retention for finished artifacts.
-///
-/// The single-run engine retired an artifact the moment its last consumer
-/// finished — correct when one graph owns the process, wasteful for a
-/// resident engine where the next submission may demand the same content
-/// address seconds later. `Retention` generalizes that policy:
-///
-/// * **pins** — refcounts aggregated over *live submissions*: every active
-///   submission pins the keys it needs to survive until collection (its
-///   sinks). A pinned entry is never evicted, no matter the cap.
-/// * **warm LRU** — retired artifacts (consumers done, nobody retaining)
-///   are parked here instead of dropped. Unpinned entries are bounded by
-///   an entry cap with least-recently-used eviction, so a long-lived
-///   serving process holds a working set, not an unbounded history.
-///
-/// A later submission that dedupes onto an already-retired task recovers
-/// the artifact from here without touching the disk store or re-running
-/// the task body.
-pub struct Retention<T> {
-    pins: HashMap<CacheKey, usize>,
-    warm: HashMap<CacheKey, (T, u64)>,
-    clock: u64,
-    cap: usize,
-}
-
-impl<T: Clone> Retention<T> {
-    /// Creates a retention set keeping at most `cap` unpinned warm entries.
-    pub fn new(cap: usize) -> Self {
-        Retention { pins: HashMap::new(), warm: HashMap::new(), clock: 0, cap }
-    }
-
-    /// Registers one live submission's interest in `key`.
-    pub fn pin(&mut self, key: CacheKey) {
-        *self.pins.entry(key).or_insert(0) += 1;
-    }
-
-    /// Releases one submission's interest; the entry becomes evictable
-    /// when the last pin drops.
-    pub fn unpin(&mut self, key: CacheKey) {
-        if let Some(n) = self.pins.get_mut(&key) {
-            *n -= 1;
-            if *n == 0 {
-                self.pins.remove(&key);
-                self.enforce_cap();
-            }
-        }
-    }
-
-    /// Parks a retired artifact. Unpinned entries beyond the cap evict
-    /// least-recently-used first; pinned entries always fit.
-    pub fn insert(&mut self, key: CacheKey, artifact: T) {
-        self.clock += 1;
-        let clock = self.clock;
-        self.warm.insert(key, (artifact, clock));
-        self.enforce_cap();
-    }
-
-    /// Recovers a warm artifact, touching its LRU slot.
-    pub fn get(&mut self, key: CacheKey) -> Option<T> {
-        self.clock += 1;
-        let clock = self.clock;
-        let (artifact, access) = self.warm.get_mut(&key)?;
-        *access = clock;
-        Some(artifact.clone())
-    }
-
-    /// Warm entries currently resident (pinned and unpinned).
-    pub fn len(&self) -> usize {
-        self.warm.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.warm.is_empty()
-    }
-
-    /// Live pin count for `key` (refcount over live submissions).
-    pub fn pins(&self, key: CacheKey) -> usize {
-        self.pins.get(&key).copied().unwrap_or(0)
-    }
-
-    fn enforce_cap(&mut self) {
-        loop {
-            let unpinned = self.warm.keys().filter(|k| !self.pins.contains_key(k)).count();
-            if unpinned <= self.cap {
-                return;
-            }
-            // oldest unpinned entry; key breaks ties deterministically
-            let victim = self
-                .warm
-                .iter()
-                .filter(|(k, _)| !self.pins.contains_key(*k))
-                .min_by_key(|(k, (_, access))| (*access, k.0, k.1))
-                .map(|(k, _)| *k)
-                .expect("unpinned > cap >= 0 implies a victim");
-            self.warm.remove(&victim);
-            let t = crate::telemetry::global();
-            if t.enabled() {
-                t.warm_evictions.inc();
-            }
-        }
-    }
-}
-
-/// The two-layer cache. Both in-memory layers hand out `Arc` handles:
-/// a hit is a refcount bump, never a deep copy of the artifact.
+/// The memo in front of the optional disk store. In-memory hits hand out
+/// `Arc` handles: a hit is a refcount bump, never a deep copy of the
+/// artifact.
 pub struct ArtifactCache<A> {
     memory: HashMap<CacheKey, (Arc<A>, u64)>,
-    /// Heavy disk-decoded artifacts (`promote_to_memory() == false`):
-    /// decoded **once per process**, then shared by handle with every
-    /// consumer. Bounded by an entry cap, but an entry with outstanding
-    /// handles (`Arc::strong_count > 1`) is pinned and never evicted —
-    /// its bytes are live anyway, so dropping our handle would only force
-    /// the next consumer to decode a second copy.
-    resident: HashMap<CacheKey, (Arc<A>, u64)>,
     clock: u64,
-    /// Entry cap for the memory layer; least-recently-used entries evict
-    /// beyond it, so a resident engine's memo cannot grow without bound.
+    /// Entry cap for the memo; least-recently-used entries evict beyond
+    /// it, so a resident engine's memo cannot grow without bound.
     memo_cap: usize,
-    resident_cap: usize,
     disk: Option<Arc<DiskStore>>,
     pub stats: CacheStats,
 }
@@ -614,11 +494,6 @@ pub struct ArtifactCache<A> {
 /// least-recently-used memo entries instead of accreting them forever.
 /// Evicting only ever costs a disk hit or a recompute, never correctness.
 pub const DEFAULT_MEMO_ENTRIES: usize = 65_536;
-
-/// Default entry cap for the resident layer of heavy decoded artifacts.
-/// Entries with outstanding handles are pinned and do not count against
-/// evictability; the cap bounds the *idle* decoded working set.
-pub const DEFAULT_RESIDENT_ENTRIES: usize = 64;
 
 impl<A: DiskCodec> ArtifactCache<A> {
     /// Creates a cache; `disk` enables an uncapped persistent layer under
@@ -632,25 +507,18 @@ impl<A: DiskCodec> ArtifactCache<A> {
     pub fn with_store(disk: Option<Arc<DiskStore>>) -> Self {
         ArtifactCache {
             memory: HashMap::new(),
-            resident: HashMap::new(),
             clock: 0,
             memo_cap: DEFAULT_MEMO_ENTRIES,
-            resident_cap: DEFAULT_RESIDENT_ENTRIES,
             disk,
             stats: CacheStats::default(),
         }
     }
 
-    /// Overrides the memory-layer entry cap.
+    /// Overrides the memo's entry cap.
+    #[cfg(test)]
     pub fn with_memo_cap(mut self, cap: usize) -> Self {
         self.memo_cap = cap.max(1);
         self.enforce_memo_cap();
-        self
-    }
-
-    /// Overrides the resident-layer entry cap.
-    pub fn with_resident_cap(mut self, cap: usize) -> Self {
-        self.resident_cap = cap.max(1);
         self
     }
 
@@ -659,39 +527,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
         let clock = self.clock;
         self.memory.insert(key, (artifact, clock));
         self.enforce_memo_cap();
-    }
-
-    /// Parks a freshly decoded heavy artifact in the resident layer and
-    /// charges its bytes to the `resident_bytes` gauge. Evicts the
-    /// least-recently-used entry *without outstanding handles* when the
-    /// cap is exceeded; pinned entries (handles alive) always fit.
-    fn park_resident(&mut self, key: CacheKey, artifact: Arc<A>) {
-        self.clock += 1;
-        let clock = self.clock;
-        let t = crate::telemetry::global();
-        if t.enabled() {
-            t.resident_bytes.add(artifact.approx_bytes() as i64);
-        }
-        self.resident.insert(key, (artifact, clock));
-        loop {
-            let evictable =
-                self.resident.iter().filter(|(_, (a, _))| Arc::strong_count(a) == 1).count();
-            if self.resident.len() <= self.resident_cap || evictable == 0 {
-                return;
-            }
-            let victim = self
-                .resident
-                .iter()
-                .filter(|(_, (a, _))| Arc::strong_count(a) == 1)
-                .min_by_key(|(k, (_, access))| (*access, k.0, k.1))
-                .map(|(k, _)| *k)
-                .expect("evictable > 0 implies a victim");
-            if let Some((gone, _)) = self.resident.remove(&victim) {
-                if t.enabled() {
-                    t.resident_bytes.add(-(gone.approx_bytes() as i64));
-                }
-            }
-        }
     }
 
     fn enforce_memo_cap(&mut self) {
@@ -732,13 +567,11 @@ impl<A: DiskCodec> ArtifactCache<A> {
         self.memory.is_empty()
     }
 
-    /// Looks `key` up in memory (memo, then resident), then on disk. Any
-    /// in-memory hit is a handle share — a refcount bump on the one
-    /// decoded allocation, never a deep copy. A disk hit is decoded once:
-    /// promoted into the memo when the artifact opts in (small artifacts —
-    /// see [`DiskCodec::promote_to_memory`]), parked in the bounded
-    /// resident layer otherwise, so sibling consumers behind it share the
-    /// decode instead of each paying it.
+    /// Looks `key` up in the memo, then on disk. A memo hit is a handle
+    /// share — a refcount bump on the one decoded allocation, never a deep
+    /// copy. A disk hit is decoded and promoted into the memo when the
+    /// artifact opts in (small artifacts — see
+    /// [`DiskCodec::promote_to_memory`]); a heavy one is only handed back.
     pub fn get(&mut self, key: CacheKey) -> Option<Arc<A>> {
         let t = crate::telemetry::global();
         self.clock += 1;
@@ -752,16 +585,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
             }
             return Some(Arc::clone(a));
         }
-        if let Some((a, access)) = self.resident.get_mut(&key) {
-            *access = clock;
-            self.stats.memory_hits += 1;
-            if t.enabled() {
-                t.cache_memory_hits.inc();
-                t.handle_shares.inc();
-                t.deep_copies_avoided.inc();
-            }
-            return Some(Arc::clone(a));
-        }
         if let Some(store) = self.disk.clone() {
             if let Some(payload) = store.load(key) {
                 if let Some(a) = A::decode(&payload) {
@@ -772,8 +595,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
                     let a = Arc::new(a);
                     if a.promote_to_memory() {
                         self.remember(key, Arc::clone(&a));
-                    } else {
-                        self.park_resident(key, Arc::clone(&a));
                     }
                     return Some(a);
                 }
@@ -869,8 +690,7 @@ mod tests {
         assert!(Arc::ptr_eq(&h1, &original), "memo keeps the caller's allocation");
     }
 
-    /// A heavy artifact: opts out of memo promotion, so disk hits land in
-    /// the resident layer.
+    /// A heavy artifact: opts out of memo promotion.
     #[derive(Debug, Clone, PartialEq)]
     struct Heavy(f64);
 
@@ -889,54 +709,26 @@ mod tests {
         fn promote_to_memory(&self) -> bool {
             false
         }
-        fn approx_bytes(&self) -> u64 {
-            1024
-        }
     }
 
     #[test]
-    fn heavy_disk_hit_decodes_once_and_stays_resident() {
-        let dir = temp_dir("resident");
+    fn heavy_disk_hits_are_not_kept_in_memory() {
+        let dir = temp_dir("heavy");
         let k = CacheKey::of("heavy");
         {
             let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
             c.put(k, &Arc::new(Heavy(7.0)));
         }
-        // fresh process image: first get pays the decode, the rest share it
+        // fresh process image: the disk hit goes back to the caller only
         let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-        let h1 = c.get(k).expect("disk hit");
-        let h2 = c.get(k).expect("resident hit");
-        let h3 = c.get(k).expect("resident hit");
-        assert_eq!(c.stats.disk_hits, 1, "exactly one decode per process");
-        assert_eq!(c.stats.memory_hits, 2);
-        assert!(Arc::ptr_eq(&h1, &h2) && Arc::ptr_eq(&h2, &h3), "one shared allocation");
-        assert_eq!(*h1, Heavy(7.0));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resident_layer_evicts_idle_entries_but_pins_live_handles() {
-        let dir = temp_dir("resident-cap");
-        let keys: Vec<CacheKey> = (0..4).map(|i| CacheKey::of(&format!("h{i}"))).collect();
-        {
-            let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-            for (i, k) in keys.iter().enumerate() {
-                c.put(*k, &Arc::new(Heavy(i as f64)));
-            }
-        }
-        let store = DiskStore::open(dir.clone(), None);
-        let mut c: ArtifactCache<Heavy> =
-            ArtifactCache::with_store(Some(store)).with_resident_cap(2);
-        // hold a live handle to h0: it must survive any eviction
-        let pinned = c.get(keys[0]).expect("disk hit");
-        for k in &keys[1..] {
-            let _ = c.get(*k).expect("disk hit"); // handle dropped at once
-        }
-        assert_eq!(c.stats.disk_hits, 4);
-        // h0 is pinned by `pinned`; idle entries were evicted down to cap
-        let again = c.get(keys[0]).expect("still resident");
-        assert!(Arc::ptr_eq(&pinned, &again), "live handle pins the entry");
-        assert_eq!(c.stats.memory_hits, 1);
+        let handle = c.get(k).expect("disk hit");
+        assert_eq!(*handle, Heavy(7.0));
+        let weak = Arc::downgrade(&handle);
+        drop(handle);
+        assert!(weak.upgrade().is_none(), "the cache kept a heavy decode alive");
+        assert!(c.is_empty());
+        assert!(c.get(k).is_some(), "a later demand decodes again");
+        assert_eq!(c.stats.disk_hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1116,36 +908,6 @@ mod tests {
         assert!(c.get(kb).is_none(), "LRU memo entry evicted");
         assert_eq!(c.get(ka).as_deref(), Some(&Blob(1.0)));
         assert_eq!(c.get(kc).as_deref(), Some(&Blob(3.0)));
-    }
-
-    #[test]
-    fn retention_pins_survive_eviction_and_lru_orders_the_rest() {
-        let mut r: Retention<Blob> = Retention::new(2);
-        let (ka, kb, kc, kd) =
-            (CacheKey::of("ra"), CacheKey::of("rb"), CacheKey::of("rc"), CacheKey::of("rd"));
-        r.pin(ka);
-        r.pin(ka); // two live submissions
-        r.insert(ka, Blob(1.0));
-        r.insert(kb, Blob(2.0));
-        r.insert(kc, Blob(3.0));
-        // touching b makes c the LRU unpinned entry
-        assert!(r.get(kb).is_some());
-        r.insert(kd, Blob(4.0)); // third unpinned entry: evicts c
-        assert_eq!(r.len(), 3, "a pinned + b, d warm");
-        assert!(r.get(kc).is_none(), "LRU unpinned entry evicted");
-        assert_eq!(r.get(ka), Some(Blob(1.0)), "pinned entry never evicted");
-
-        // one submission releases its pin: still pinned by the other
-        r.unpin(ka);
-        assert_eq!(r.pins(ka), 1);
-        r.insert(CacheKey::of("re"), Blob(5.0)); // evicts an unpinned entry
-        assert_eq!(r.get(ka), Some(Blob(1.0)));
-
-        // last pin drops: `a` becomes evictable like any warm entry, and
-        // the cap is re-enforced immediately (3 unpinned > cap 2)
-        r.unpin(ka);
-        assert_eq!(r.pins(ka), 0);
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

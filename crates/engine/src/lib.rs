@@ -62,7 +62,7 @@ pub mod study;
 pub(crate) mod subwork;
 pub mod telemetry;
 
-pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore, Retention};
+pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore};
 pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
 pub use jobs::parallel_map;

@@ -1,9 +1,9 @@
 //! The resident execution core: a long-lived worker pool serving many
 //! concurrent, content-address-deduplicated submissions.
 //!
-//! A [`Pool`] owns its worker threads, its ready frontier and its
-//! retention layer for its whole lifetime, and accepts any number of
-//! overlapping [`Pool::submit`] calls:
+//! A [`Pool`] owns its worker threads and its ready frontier for its
+//! whole lifetime, and accepts any number of overlapping [`Pool::submit`]
+//! calls:
 //!
 //! * every submission's graph is **merged** into one resident task table
 //!   keyed by content address — two concurrent submissions demanding the
@@ -16,11 +16,10 @@
 //!   cancellation are isolated — a task body error fails exactly the
 //!   submissions demanding that task, and a [`SubmissionHandle::cancel`]
 //!   releases its subgraph without disturbing anything shared;
-//! * artifact retirement generalizes from per-run consumer counts to
-//!   cross-submission refcounts: an artifact whose consumers finished and
-//!   whose retaining submissions collected moves into the size-capped warm
-//!   LRU ([`crate::cache::Retention`]) instead of vanishing, ready for the
-//!   next submission that dedupes onto it.
+//! * artifact lifetimes are refcounted across submissions: an entry holds
+//!   its artifact while a runnable consumer or an uncollected retaining
+//!   submission still needs it, then drops it. A later submission that
+//!   demands it again finds it in the memo or on disk, or re-runs it.
 //!
 //! Local workers keep the work-stealing discipline (LIFO own deque, FIFO
 //! steals) under one scheduler lock; remote lease threads
@@ -42,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use cleanml_core::CoreError;
 
-use crate::cache::{CacheKey, DiskCodec, DiskStore, Retention, DEFAULT_WARM_ENTRIES};
+use crate::cache::{CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskFn, TaskGraph};
 use crate::remote::coordinator::spawn_hub_service;
@@ -294,8 +293,7 @@ pub(crate) struct TaskEntry<A> {
     run: Option<TaskFn<A>>,
     pub(crate) artifact: Option<Arc<A>>,
     /// Runnable, not-yet-finished consumer entries across *all* live
-    /// submissions. At zero (with no retains) the artifact moves to the
-    /// warm LRU.
+    /// submissions. At zero (with no retains) the artifact is dropped.
     consumers_left: usize,
     /// Live submissions that need the artifact to survive until they
     /// collect (their sinks).
@@ -353,7 +351,7 @@ struct SubEntry {
     events: Option<EventSink>,
     error: Option<CoreError>,
     done: bool,
-    /// Refs on tasks/retention already released (cancel or failure path).
+    /// Refs on tasks already released (cancel or failure path).
     abandoned: bool,
 }
 
@@ -361,7 +359,6 @@ pub(crate) struct State<A> {
     pub(crate) tasks: Vec<TaskEntry<A>>,
     pub(crate) by_key: HashMap<CacheKey, Gid>,
     pub(crate) deques: Vec<DequeState>,
-    pub(crate) retention: Retention<Arc<A>>,
     subs: HashMap<SubId, SubEntry>,
     specs: Vec<SpecEntry>,
     next_sub: SubId,
@@ -612,17 +609,11 @@ where
         self.maybe_retire(st, gid);
     }
 
-    /// Parks the artifact in the warm LRU once nothing live references it.
+    /// Drops the pool's handle once nothing live references the artifact.
     fn maybe_retire(&self, st: &mut State<A>, gid: Gid) {
         let entry = &mut st.tasks[gid];
-        if entry.phase == Phase::Done
-            && entry.consumers_left == 0
-            && entry.retain_refs == 0
-            && entry.artifact.is_some()
-        {
-            let artifact = entry.artifact.take().expect("just checked");
-            let key = entry.key;
-            st.retention.insert(key, artifact);
+        if entry.phase == Phase::Done && entry.consumers_left == 0 && entry.retain_refs == 0 {
+            entry.artifact = None;
         }
     }
 
@@ -748,8 +739,6 @@ where
         }
         for gid in retained {
             st.tasks[gid].retain_refs -= 1;
-            let key = st.tasks[gid].key;
-            st.retention.unpin(key);
         }
         for gid in tasks {
             st.tasks[gid].subs.retain(|s| *s != sid);
@@ -777,10 +766,8 @@ where
         if let Some(key) = sub.spec_key {
             self.release_spec(st, key);
         }
-        for gid in &sub.retained {
-            st.tasks[*gid].retain_refs -= 1;
-            let key = st.tasks[*gid].key;
-            st.retention.unpin(key);
+        for gid in sub.retained {
+            st.tasks[gid].retain_refs -= 1;
         }
         for gid in sub.tasks {
             st.tasks[gid].subs.retain(|s| *s != sid);
@@ -845,16 +832,12 @@ where
         );
     }
 
-    /// Serves a remote `Fetch`: the resident entry's artifact, the warm
-    /// LRU, then (outside the lock, by the caller) the disk store.
+    /// Serves a remote `Fetch` from the live entry's artifact; the caller
+    /// falls back to the disk store outside the lock.
     pub(crate) fn fetch_artifact(&self, key: CacheKey) -> Option<Arc<A>> {
-        let mut st = self.state.lock().expect("state lock");
-        if let Some(&gid) = st.by_key.get(&key) {
-            if let Some(a) = &st.tasks[gid].artifact {
-                return Some(Arc::clone(a));
-            }
-        }
-        st.retention.get(key)
+        let st = self.state.lock().expect("state lock");
+        let gid = *st.by_key.get(&key)?;
+        st.tasks[gid].artifact.clone()
     }
 }
 
@@ -903,7 +886,6 @@ where
                 tasks: Vec::new(),
                 by_key: HashMap::new(),
                 deques: (0..workers).map(|_| DequeState::new()).collect(),
-                retention: Retention::new(DEFAULT_WARM_ENTRIES),
                 subs: HashMap::new(),
                 specs: Vec::new(),
                 next_sub: 0,
@@ -1042,17 +1024,10 @@ where
                         Phase::Done if st.tasks[gid].artifact.is_some() => gid,
                         Phase::Waiting | Phase::Queued | Phase::Running => gid,
                         Phase::Done | Phase::Orphaned | Phase::Failed => {
-                            // retired or dead: recover the artifact from
-                            // the warm LRU, else re-arm with this
+                            // retired or dead: re-arm with this
                             // submission's task body
-                            if let Some(a) = st.retention.get(key) {
-                                st.tasks[gid].artifact = Some(a);
-                                st.tasks[gid].phase = Phase::Done;
-                                gid
-                            } else {
-                                reset_entry(st, gid, idx, &mut nodes, sid);
-                                gid
-                            }
+                            reset_entry(st, gid, idx, &mut nodes, sid);
+                            gid
                         }
                     },
                 },
@@ -1073,7 +1048,6 @@ where
             if retain[idx] {
                 entry.retain_refs += 1;
                 sub.retained.push(gid);
-                st.retention.pin(key);
             }
             if entry.phase == Phase::Waiting && entry.pending == 0 {
                 seeds.push(gid);
@@ -1849,50 +1823,39 @@ mod tests {
     }
 
     #[test]
-    fn warm_retention_revives_retired_artifacts_for_later_submissions() {
+    fn retired_artifacts_are_freed() {
+        // Once its last consumer has finished, an unretained intermediate
+        // is dropped: nothing in the pool keeps its allocation alive.
         let pool: Pool<V> = Pool::new(2, None);
-        // First submission: leaf -> sink; the unretained leaf retires
-        // into the warm LRU when the sink finishes.
-        let mut g1: TaskGraph<V> = TaskGraph::new();
-        let leaf1 =
-            g1.task(TaskKind::Train, "warm-leaf", CacheKey::of("warm-leaf"), vec![], |_| Ok(V(7)));
-        let sink1 =
-            g1.task(TaskKind::Evaluate, "warm-a", CacheKey::of("warm-a"), vec![leaf1], |d| {
+        let (tx, rx) = std::sync::mpsc::channel::<std::sync::Weak<V>>();
+        let mut g: TaskGraph<V> = TaskGraph::new();
+        let leaf =
+            g.task(TaskKind::Split, "freed-leaf", CacheKey::of("freed-leaf"), vec![], |_| Ok(V(4)));
+        let sink = g.task(
+            TaskKind::Evaluate,
+            "freed-sink",
+            CacheKey::of("freed-sink"),
+            vec![leaf],
+            move |d| {
+                tx.send(Arc::downgrade(&d[0])).expect("send");
                 Ok(V(d[0].0 + 1))
-            });
-        let mut c: ArtifactCache<V> = ArtifactCache::new(None);
-        g1.resolve(&mut c, &[sink1]);
-        let (a1, st1) = pool.submit(g1, retain_only(2, &[sink1]), None, None).wait().unwrap();
-        assert_eq!(a1[sink1].as_deref(), Some(V(8)).as_ref());
-        assert_eq!(st1.executed.iter().map(|(_, n)| n).sum::<usize>(), 2);
-
-        // Second submission demands the same leaf under a new sink: the
-        // leaf's artifact must come back from the warm LRU (V has no disk
-        // codec, so there is no other source) — only the new sink runs.
-        let mut g2: TaskGraph<V> = TaskGraph::new();
-        let leaf2 =
-            g2.task(TaskKind::Train, "warm-leaf", CacheKey::of("warm-leaf"), vec![], |_| Ok(V(7)));
-        let sink2 =
-            g2.task(TaskKind::Evaluate, "warm-b", CacheKey::of("warm-b"), vec![leaf2], |d| {
-                Ok(V(d[0].0 * 10))
-            });
-        let mut c2: ArtifactCache<V> = ArtifactCache::new(None);
-        g2.resolve(&mut c2, &[sink2]);
-        let (a2, st2) = pool.submit(g2, retain_only(2, &[sink2]), None, None).wait().unwrap();
-        assert_eq!(a2[sink2].as_deref(), Some(V(70)).as_ref());
-        let trains =
-            st2.executed.iter().find(|(k, _)| *k == TaskKind::Train).map_or(0, |(_, n)| *n);
-        assert_eq!(trains, 0, "retired leaf must revive from the warm LRU, not re-run");
+            },
+        );
+        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
+        g.resolve(&mut cache, &[sink]);
+        let (arts, _) = pool.submit(g, retain_only(2, &[sink]), None, None).wait().unwrap();
+        assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
+        let leaf_handle = rx.recv().expect("the consumer ran");
+        assert!(leaf_handle.upgrade().is_none(), "the pool kept a retired artifact alive");
     }
 
     #[test]
     fn rearmed_evicted_entry_does_not_double_count_a_live_submission() {
         // Regression: S1 finishes but stays uncollected; its unretained
-        // leaf retires into the warm LRU and is then *evicted* by a flood
-        // of other retired artifacts. S2 re-demands the leaf, which must
-        // be re-armed and re-executed — WITHOUT decrementing S1's
-        // completed bookkeeping a second time (previously a usize
-        // underflow in `complete_ok`).
+        // leaf retires (the pool drops it) once S1's sink has run. S2
+        // re-demands the leaf, which must be re-armed and re-executed —
+        // WITHOUT decrementing S1's completed bookkeeping a second time
+        // (previously a usize underflow in `complete_ok`).
         let pool: Pool<V> = Pool::new(1, None);
 
         let mut g1: TaskGraph<V> = TaskGraph::new();
@@ -1909,13 +1872,6 @@ mod tests {
         }
         // h1 deliberately NOT collected yet: S1 stays live in the table.
 
-        // Flood the warm LRU far past its cap so "evict-leaf" is evicted.
-        let flood = crate::cache::DEFAULT_WARM_ENTRIES + 50;
-        let (mut gf, sf) = counting_graph("flood", flood as i64);
-        let mut cf: ArtifactCache<V> = ArtifactCache::new(None);
-        gf.resolve(&mut cf, &[sf]);
-        pool.submit(gf, retain_only(flood + 1, &[sf]), None, None).wait().expect("flood");
-
         // S2 re-demands the leaf under a new sink: re-armed, re-executed.
         let mut g2: TaskGraph<V> = TaskGraph::new();
         let l2 = g2
@@ -1929,7 +1885,7 @@ mod tests {
         assert_eq!(a2[s2].as_deref(), Some(V(50)).as_ref());
         let trains =
             st2.executed.iter().find(|(k, _)| *k == TaskKind::Train).map_or(0, |(_, n)| *n);
-        assert_eq!(trains, 1, "evicted leaf must re-execute for S2");
+        assert_eq!(trains, 1, "retired leaf must re-execute for S2");
 
         // And S1 is still collectable, with its own accounting intact.
         let (a1, st1) = h1.wait().expect("S1 collects after the re-arm");

@@ -13,8 +13,8 @@
 //!   `Hello`/`Welcome` handshake, and then behaves like a worker thread
 //!   whose "execution" is the wire: it claims a ready task from the merged
 //!   frontier (heaviest leasable first, guided by the per-deque kind-count
-//!   summaries), sends a `Lease`, serves `Fetch` requests from the
-//!   resident artifacts, the warm LRU or the disk store, and on `Done`
+//!   summaries), sends a `Lease`, serves `Fetch` requests from the live
+//!   task entries' artifacts or the disk store, and on `Done`
 //!   applies the exact completion bookkeeping a local worker would — the
 //!   shipped payload lands in the [`crate::cache::DiskStore`] *before* any
 //!   dependent can observe the artifact.
@@ -201,9 +201,9 @@ fn classify<A>(
     } // anything else is a protocol violation: drop the connection
 }
 
-/// Serves one `Fetch`: the resident entry's artifact or the warm LRU
-/// (Arc-cheap clones, encoded outside the scheduler lock), then the disk
-/// store's framed payload. Artifacts without a wire form — generated
+/// Serves one `Fetch`: the live entry's artifact (an Arc-cheap clone,
+/// encoded outside the scheduler lock), then the disk store's framed
+/// payload. Artifacts without a wire form — generated
 /// datasets — answer `NoArtifact`, and the worker recomputes them locally
 /// (they are cheap and deterministic by construction).
 fn serve_fetch<A>(inner: &PoolInner<A>, key: CacheKey) -> Message

@@ -305,9 +305,10 @@ impl DiskCodec for Artifact {
         r.is_empty().then_some(artifact)
     }
 
-    /// Only the small artifacts accumulate in the unbounded in-memory map;
-    /// splits, cleaned matrices and trained models are prefilled into their
-    /// demanding nodes and retired after their last consumer instead.
+    /// Only the small artifacts enter the memo (an LRU capped at
+    /// [`crate::cache::DEFAULT_MEMO_ENTRIES`] entries); splits, cleaned
+    /// matrices and trained models are prefilled into their demanding
+    /// nodes and dropped after their last consumer instead.
     fn promote_to_memory(&self) -> bool {
         matches!(self, Artifact::Cell(_) | Artifact::Cells(_) | Artifact::Context(_))
     }

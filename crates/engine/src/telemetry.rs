@@ -19,7 +19,7 @@
 //!   `--trace-out FILE`.
 //!
 //! The registry is a process singleton ([`global`]): instrumentation in
-//! generic code (`DiskStore`, `Retention`, the pool) reaches it without
+//! generic code (`DiskStore`, `ArtifactCache`, the pool) reaches it without
 //! threading a handle through every constructor. Counters are cumulative
 //! (Prometheus semantics); per-run figures are taken as deltas between
 //! two [`StatsSnapshot`]s.
@@ -100,10 +100,6 @@ impl Gauge {
 
     pub fn dec(&self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn set(&self, v: i64) {
@@ -305,7 +301,6 @@ pub struct Telemetry {
     pub(crate) cache_disk_hits: Counter,
     pub(crate) cache_misses: Counter,
     pub(crate) memo_evictions: Counter,
-    pub(crate) warm_evictions: Counter,
     pub(crate) store_writes: Counter,
     pub(crate) store_written_bytes: Counter,
     pub(crate) store_evictions: Counter,
@@ -342,9 +337,7 @@ pub struct Telemetry {
     pub(crate) http_route_seconds: [Histogram; NROUTES],
 
     // Zero-copy artifact plane (cache.rs) and nested subwork (pool.rs).
-    pub(crate) resident_bytes: Gauge,
     pub(crate) handle_shares: Counter,
-    pub(crate) deep_copies_avoided: Counter,
     pub(crate) subtasks_executed: Counter,
     pub(crate) subwork_batches: Counter,
 
@@ -380,7 +373,6 @@ impl Telemetry {
             cache_disk_hits: Counter::default(),
             cache_misses: Counter::default(),
             memo_evictions: Counter::default(),
-            warm_evictions: Counter::default(),
             store_writes: Counter::default(),
             store_written_bytes: Counter::default(),
             store_evictions: Counter::default(),
@@ -411,9 +403,7 @@ impl Telemetry {
             http_unauthorized: Counter::default(),
             http_route_requests: std::array::from_fn(|_| Counter::default()),
             http_route_seconds: std::array::from_fn(|_| Histogram::default()),
-            resident_bytes: Gauge::default(),
             handle_shares: Counter::default(),
-            deep_copies_avoided: Counter::default(),
             subtasks_executed: Counter::default(),
             subwork_batches: Counter::default(),
             slow: Mutex::new(Vec::new()),
@@ -626,7 +616,6 @@ impl Telemetry {
         );
         counter(&mut o, "cleanml_cache_misses_total", &self.cache_misses);
         counter(&mut o, "cleanml_memo_evictions_total", &self.memo_evictions);
-        counter(&mut o, "cleanml_warm_evictions_total", &self.warm_evictions);
         counter(&mut o, "cleanml_store_writes_total", &self.store_writes);
         counter(&mut o, "cleanml_store_written_bytes_total", &self.store_written_bytes);
         counter(&mut o, "cleanml_store_evictions_total", &self.store_evictions);
@@ -700,9 +689,7 @@ impl Telemetry {
         }
         counter(&mut o, "cleanml_trace_events_dropped_total", &self.trace_overflow);
 
-        gauge(&mut o, "cleanml_resident_bytes", &self.resident_bytes);
         counter(&mut o, "cleanml_handle_shares_total", &self.handle_shares);
-        counter(&mut o, "cleanml_deep_copies_avoided_total", &self.deep_copies_avoided);
         counter(&mut o, "cleanml_subtasks_executed_total", &self.subtasks_executed);
         counter(&mut o, "cleanml_subwork_batches_total", &self.subwork_batches);
 
