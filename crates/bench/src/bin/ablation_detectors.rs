@@ -6,12 +6,11 @@
 //! precision/recall against the injected ground truth, and the flag of the
 //! downstream KNN experiment (the paper's most outlier-sensitive model).
 
-use cleanml_bench::{banner, config_from_args, header, job_workers};
+use cleanml_bench::{banner, config_from_args, fan_out, header};
 use cleanml_cleaning::outliers::{self, OutlierDetection, OutlierRepair};
 use cleanml_core::runner::evaluate_grid_with;
 use cleanml_core::schema::ErrorType;
 use cleanml_datagen::{generate, spec_by_name};
-use cleanml_engine::parallel_map;
 use cleanml_ml::ModelKind;
 
 fn detection_quality(
@@ -63,8 +62,8 @@ fn main() {
             OutlierDetection::IsolationForest { contamination: 0.10, n_trees: 50 },
         ),
     ];
-    // each detector sweep is independent: fan them out on the job pool
-    let qualities = parallel_map(&sweeps, job_workers(), |(_, det)| detection_quality(&data, *det));
+    // each detector sweep is independent: fan them out
+    let qualities = fan_out(&sweeps, |(_, det)| detection_quality(&data, *det));
     for ((name, _), (cells, p, r)) in sweeps.iter().zip(&qualities) {
         println!("{name:<26} {cells:>9} {p:>10.2} {r:>8.2}");
     }

@@ -3,9 +3,9 @@
 //! Runs the repository's quick study three ways against fresh cache
 //! directories — cold with telemetry, warm-resumed with telemetry, and
 //! cold with the registry disabled — then writes `BENCH_quick.json`:
-//! wall-clock for each leg, per-kind task-latency summaries pulled from
-//! the metrics registry, the scheduler's observed EWMA task costs, and
-//! the measured telemetry overhead (asserted under 2%). Committing the
+//! wall-clock for each leg, per-kind task-latency summaries and the
+//! slowest tasks pulled from the metrics registry, and the measured
+//! telemetry overhead (asserted under 2%). Committing the
 //! file gives the repository its first perf baseline; regenerate it with
 //! `cargo run --release -p cleanml-bench --bin cleanml-bench-trajectory`
 //! after changes that should move the needle.
@@ -74,14 +74,12 @@ fn run_leg(
     cache_dir: &Path,
     error_types: &[ErrorType],
     cfg: &ExperimentConfig,
-) -> (Duration, RunReport, Vec<(TaskKind, u64, u64)>) {
+) -> (Duration, RunReport) {
     let mut engine = Engine::new(engine_cfg(workers, cache_dir.to_path_buf()));
     let started = Instant::now();
     let (_db, report) =
         engine.run_study_with_report(error_types, cfg).expect("trajectory study run");
-    let wall = started.elapsed();
-    let costs = engine.cost_observations();
-    (wall, report, costs)
+    (started.elapsed(), report)
 }
 
 fn json_str(s: &str) -> String {
@@ -121,15 +119,14 @@ fn main() {
     };
 
     // Reported walls keep per-leg minima across attempts; the overhead
-    // estimate is the best adjacent on/off pair. The latency and cost
-    // summaries come from the *first* cold instrumented run (the
+    // estimate is the best adjacent on/off pair. The latency summaries
+    // and slowest tasks come from the *first* cold instrumented run (the
     // registry is cumulative, so capturing right after the first run
     // isolates exactly that run's figures).
     let mut cold_on = Duration::MAX;
     let mut warm_on = Duration::MAX;
     let mut cold_off = Duration::MAX;
     let mut first_latency: Option<Vec<(TaskKind, HistogramSummary)>> = None;
-    let mut first_costs: Vec<(TaskKind, u64, u64)> = Vec::new();
     let mut first_slow: Vec<cleanml_engine::SlowTask> = Vec::new();
     // Fold-plane counters for the first cold instrumented leg: how many
     // candidate×fold fits its Train tasks executed and how many fold
@@ -150,7 +147,7 @@ fn main() {
         let dir = fresh_dir("warmup", 0);
         let warmup = &error_types[..1];
         t.set_enabled(false);
-        let (wall, _, _) = run_leg(workers, &dir, warmup, &cfg);
+        let (wall, _) = run_leg(workers, &dir, warmup, &cfg);
         t.set_enabled(true);
         eprintln!("[trajectory] warm-up run ({}): {wall:.1?}", warmup[0].name());
     }
@@ -167,7 +164,7 @@ fn main() {
                 t.set_enabled(true);
                 t.reset_slow_tasks(); // run boundary: the table is per-run
                 let cv_before = t.stats_snapshot();
-                let (wall, report, costs) = run_leg(workers, &dir, &error_types, &cfg);
+                let (wall, report) = run_leg(workers, &dir, &error_types, &cfg);
                 eprintln!(
                     "[trajectory] attempt {attempt}: cold run (telemetry on): {:.1?}, \
                      {} tasks executed",
@@ -184,7 +181,6 @@ fn main() {
                             .filter(|(_, s)| s.count > 0)
                             .collect(),
                     );
-                    first_costs = costs;
                     first_slow = t.slowest_tasks();
                     let cv = t.stats_snapshot().since(&cv_before);
                     train_cv_fits = cv.cv_fits;
@@ -198,7 +194,7 @@ fn main() {
                 }
 
                 t.reset_slow_tasks();
-                let (wall, report, _) = run_leg(workers, &dir, &error_types, &cfg);
+                let (wall, report) = run_leg(workers, &dir, &error_types, &cfg);
                 let warm_trains = report.executed(TaskKind::Train) + report.remote(TaskKind::Train);
                 eprintln!(
                     "[trajectory] attempt {attempt}: warm resume: {:.1?}, {} tasks executed",
@@ -212,7 +208,7 @@ fn main() {
             } else {
                 let dir = fresh_dir("off", attempt);
                 t.set_enabled(false);
-                let (wall, _, _) = run_leg(workers, &dir, &error_types, &cfg);
+                let (wall, _) = run_leg(workers, &dir, &error_types, &cfg);
                 t.set_enabled(true);
                 eprintln!("[trajectory] attempt {attempt}: cold run (telemetry off): {wall:.1?}");
                 cold_off = cold_off.min(wall);
@@ -249,7 +245,7 @@ fn main() {
         let dir = fresh_dir("w4", 0);
         t.set_enabled(true);
         t.reset_slow_tasks();
-        let (wall, report, _) = run_leg(SCALE_WORKERS, &dir, &error_types, &cfg);
+        let (wall, report) = run_leg(SCALE_WORKERS, &dir, &error_types, &cfg);
         let speedup = cold_on.as_secs_f64() / wall.as_secs_f64();
         eprintln!(
             "[trajectory] cold run (workers={SCALE_WORKERS}): {:.1?}, {} tasks executed, \
@@ -265,7 +261,7 @@ fn main() {
     if let Some(path) = &trace_out {
         t.start_tracing();
         let dir = fresh_dir("trace", 0);
-        let (wall, _, _) = run_leg(workers, &dir, &error_types, &cfg);
+        let (wall, _) = run_leg(workers, &dir, &error_types, &cfg);
         eprintln!("[trajectory] traced cold run: {wall:.1?}");
         match t.write_trace(path) {
             Ok(n) => eprintln!("[trajectory] wrote {n} trace events to {}", path.display()),
@@ -340,16 +336,7 @@ fn main() {
         })
         .collect();
     j.push_str(&rows.join(",\n"));
-    j.push_str("\n  ],\n");
-    j.push_str("  \"cost_model\": {\n");
-    let rows: Vec<String> = first_costs
-        .iter()
-        .map(|(k, n, us)| {
-            format!("    {}: {{\"samples\": {n}, \"ewma_us\": {us}}}", json_str(k.name()))
-        })
-        .collect();
-    j.push_str(&rows.join(",\n"));
-    j.push_str("\n  }\n}\n");
+    j.push_str("\n  ]\n}\n");
 
     if let Err(e) = std::fs::write(&out_path, &j) {
         eprintln!("[trajectory] failed to write {}: {e}", out_path.display());

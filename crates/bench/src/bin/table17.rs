@@ -45,7 +45,7 @@ fn main() {
 
     header("Cleaning Mixed Error Types vs. Single Error Type");
     // One job per (dataset, single error type): all comparisons run
-    // concurrently on the engine's job pool.
+    // concurrently on `--workers` threads.
     let grouped = grouped_flags(&comparisons, |name, single| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));

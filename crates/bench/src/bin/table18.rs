@@ -9,12 +9,11 @@
 //!
 //! P = cleaning better than the robust model.
 
-use cleanml_bench::{banner, config_from_args, dist_of, header, job_workers};
+use cleanml_bench::{banner, config_from_args, dist_of, fan_out, header};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::robust::{compare_cleaning_vs_robust, table18_pool, RobustBaseline};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::study::generate_datasets_for;
-use cleanml_engine::parallel_map;
 
 fn run_row(
     label: &str,
@@ -25,9 +24,9 @@ fn run_row(
 ) -> (String, cleanml_core::FlagDist) {
     let pool = table18_pool(lr_only);
     // Generate eagerly (shared mislabel bases are built once), then fan the
-    // per-dataset comparisons out on the engine pool.
+    // per-dataset comparisons out.
     let datasets = generate_datasets_for(error_type, cfg.base_seed);
-    let flags = parallel_map(&datasets, job_workers(), |data| {
+    let flags = fan_out(&datasets, |data| {
         compare_cleaning_vs_robust(data, error_type, &pool, baseline, cfg).expect("comparison").flag
     });
     (label.to_owned(), dist_of(&flags))

@@ -33,15 +33,14 @@
 //! * `--trace-out FILE` — record per-task spans and write them as Chrome
 //!   trace-event JSON on exit (load in `chrome://tracing` / Perfetto).
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::http::MAX_SPLITS;
-use cleanml_engine::{
-    parallel_map, Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot, TaskKind,
-};
+use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot, TaskKind};
+use cleanml_parallel::ThreadBridge;
 use cleanml_stats::Flag;
 
 /// The command line without the program name.
@@ -157,10 +156,15 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(1u64 << shift)
 }
 
-/// Worker count the binaries should use for coarse-grained
-/// [`cleanml_engine::parallel_map`] jobs.
-pub fn job_workers() -> usize {
-    engine_from_args().effective_workers()
+/// Applies `f` to every item on `--workers` threads (the caller and its
+/// helpers) and returns the results in input order, as a serial loop
+/// would. Kernels called inside `f`, or outside this call, stay serial.
+pub fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let helpers = engine_from_args().effective_workers().saturating_sub(1);
+    cleanml_parallel::install_bridge(Arc::new(ThreadBridge { helpers }));
+    let out = cleanml_parallel::run_indexed(items.len(), |i| f(&items[i]));
+    cleanml_parallel::clear_bridge();
+    out
 }
 
 /// Parses one error-type name, tolerant of case, spaces and underscores
@@ -358,8 +362,8 @@ pub fn slowest_tasks_field(slow: &[SlowTask]) -> String {
         .join(",")
 }
 
-/// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out on
-/// the engine job pool and regroups the flags by comparison, preserving
+/// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out
+/// with [`fan_out`] and regroups the flags by comparison, preserving
 /// order.
 pub fn grouped_flags<F>(comparisons: &[(&[&str], ErrorType)], f: F) -> Vec<Vec<Flag>>
 where
@@ -370,7 +374,7 @@ where
         .enumerate()
         .flat_map(|(ci, (datasets, et))| datasets.iter().map(move |&d| (ci, d, *et)))
         .collect();
-    let flags = parallel_map(&jobs, job_workers(), |&(_, name, et)| f(name, et));
+    let flags = fan_out(&jobs, |&(_, name, et)| f(name, et));
     let mut grouped = vec![Vec::new(); comparisons.len()];
     for (&(ci, _, _), flag) in jobs.iter().zip(flags) {
         grouped[ci].push(flag);

@@ -33,9 +33,7 @@ pub struct TaskNode<A> {
     pub kind: TaskKind,
     pub label: String,
     pub key: CacheKey,
-    /// Scheduling class (the dataset the task belongs to, typically):
-    /// the pool keys its observed-cost model per `(kind, class)`, so a
-    /// Train on one dataset does not inherit another's runtime profile.
+    /// The dataset the task belongs to, named in the slowest-tasks table.
     pub class: Option<String>,
     pub deps: Vec<TaskId>,
     pub(crate) run: Option<TaskFn<A>>,
@@ -101,7 +99,7 @@ impl<A> TaskGraph<A> {
         id
     }
 
-    /// Assigns scheduling class `class` to every node from `from`
+    /// Assigns dataset class `class` to every node from `from`
     /// onwards that has none yet. Builders call this once per region
     /// (e.g. one dataset's grid) instead of threading the class through
     /// every `task` call; nodes deduplicated into an earlier region keep

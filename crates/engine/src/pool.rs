@@ -25,16 +25,12 @@
 //! steals) under one scheduler lock; remote lease threads
 //! ([`crate::remote::coordinator`]) claim from the same deques, guided by
 //! per-deque kind-count summaries instead of a full frontier scan. Ready
-//! tasks are ordered heaviest-first by an adaptive cost model
-//! ([`CostModel`]): static per-kind weights until enough completed tasks
-//! have been observed, then an EWMA of measured runtimes keyed per
-//! `(kind, class)` — class being the dataset a task belongs to — that
-//! re-weights the frontier mid-run and stretches remote lease deadlines
-//! for known-slow datasets.
+//! tasks are ordered heaviest-first by their kind's static
+//! [`TaskKind::cost_weight`].
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -113,148 +109,10 @@ impl RunReport {
     }
 }
 
-/// Execution counters of one submission, split by provenance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    pub executed: Vec<(TaskKind, usize)>,
-    pub remote_executed: Vec<(TaskKind, usize)>,
-    pub remote_workers: usize,
-    pub releases: usize,
-}
-
 /// Per-node artifact handles (`None` for pruned or retired nodes) plus
-/// execution counters. Handles are shared, not copied: collecting a
-/// submission bumps refcounts on the resident artifacts.
-pub type ExecutionOutcome<A> = (Vec<Option<Arc<A>>>, ExecStats);
-
-// ---------------------------------------------------------------------------
-// Adaptive cost model (observed per-kind runtimes)
-// ---------------------------------------------------------------------------
-
-/// Completed-task samples needed for a `(kind, class)` pair — or a kind
-/// aggregate — before observed cost replaces the next-coarser estimate.
-pub const MIN_COST_SAMPLES: u64 = 4;
-
-/// One scheduling class's observed runtimes: an EWMA of wall-clock
-/// microseconds per [`TaskKind`]. A class is typically a dataset — the
-/// unit across which same-kind runtimes actually differ (a Train on a
-/// 15k-row dataset is not a Train on a 600-row one).
-#[derive(Debug)]
-pub struct ClassCosts {
-    counts: [AtomicU64; NKINDS],
-    ewma_micros: [AtomicU64; NKINDS],
-}
-
-impl Default for ClassCosts {
-    fn default() -> Self {
-        ClassCosts {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            ewma_micros: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl ClassCosts {
-    fn record_at(&self, i: usize, sample: u64) {
-        let seen = self.counts[i].fetch_add(1, Ordering::Relaxed);
-        if seen == 0 {
-            self.ewma_micros[i].store(sample, Ordering::Relaxed);
-        } else {
-            // racy read-modify-write: an occasionally lost update only
-            // nudges the average, which is itself an approximation
-            let old = self.ewma_micros[i].load(Ordering::Relaxed);
-            self.ewma_micros[i].store((3 * old + sample) / 4, Ordering::Relaxed);
-        }
-    }
-
-    /// EWMA microseconds at kind-index `i` once enough samples exist.
-    fn settled(&self, i: usize) -> Option<u64> {
-        (self.counts[i].load(Ordering::Relaxed) >= MIN_COST_SAMPLES)
-            .then(|| self.ewma_micros[i].load(Ordering::Relaxed).max(1))
-    }
-}
-
-/// Observed task runtimes, kept for the pool's whole lifetime and keyed
-/// per `(kind, class)` with a per-kind aggregate underneath.
-///
-/// Each locally executed task feeds two EWMAs of its wall-clock
-/// microseconds: its class's (when its graph node carried one) and the
-/// kind aggregate. Frontier ordering asks
-/// [`CostModel::effective_weight`], which answers from the finest level
-/// with [`MIN_COST_SAMPLES`] completions: the `(kind, class)` EWMA,
-/// else the kind EWMA, else the static [`TaskKind::cost_weight`] prior
-/// (scaled into the microsecond domain so observed and unobserved kinds
-/// stay comparable) — so the ready frontier re-weights itself mid-run as
-/// real costs emerge, and a heavy dataset's tasks outrank a light one's
-/// even within a kind.
-#[derive(Debug, Default)]
-pub struct CostModel {
-    kinds: ClassCosts,
-    classes: Mutex<HashMap<String, Arc<ClassCosts>>>,
-}
-
-impl CostModel {
-    /// Interns scheduling class `name`, returning its cost table. Entries
-    /// resolve their class once at submission time and hold the `Arc`, so
-    /// the hot paths (record, frontier ordering) never touch the map.
-    pub fn class(&self, name: &str) -> Arc<ClassCosts> {
-        let mut map = self.classes.lock().expect("cost class map lock");
-        match map.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(ClassCosts::default());
-                map.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
-    }
-
-    /// Records one completed task's runtime at both levels.
-    pub fn record(&self, kind: TaskKind, class: Option<&ClassCosts>, elapsed: Duration) {
-        let i = kind_index(kind);
-        let sample = (elapsed.as_micros() as u64).max(1);
-        self.kinds.record_at(i, sample);
-        if let Some(c) = class {
-            c.record_at(i, sample);
-        }
-    }
-
-    /// `(samples, ewma_micros)` aggregated over a kind, if any task of it
-    /// completed.
-    pub fn observed(&self, kind: TaskKind) -> Option<(u64, u64)> {
-        let i = kind_index(kind);
-        let n = self.kinds.counts[i].load(Ordering::Relaxed);
-        (n > 0).then(|| (n, self.kinds.ewma_micros[i].load(Ordering::Relaxed)))
-    }
-
-    /// Scheduling weight for one task: its `(kind, class)` EWMA once that
-    /// pair has enough samples, the kind-aggregate EWMA next, the static
-    /// prior (scaled to microseconds) before either has settled.
-    pub fn effective_weight(&self, kind: TaskKind, class: Option<&ClassCosts>) -> u64 {
-        let i = kind_index(kind);
-        class
-            .and_then(|c| c.settled(i))
-            .or_else(|| self.kinds.settled(i))
-            .unwrap_or(kind.cost_weight() as u64 * 100)
-    }
-
-    /// Deadline for a remote lease of one task: never below `floor` (the
-    /// configured lease timeout), stretched to 4× the settled EWMA of the
-    /// finest observed level — so a lease on a known-slow dataset is not
-    /// declared dead by a deadline tuned for the average one.
-    pub fn lease_budget(
-        &self,
-        kind: TaskKind,
-        class: Option<&ClassCosts>,
-        floor: Duration,
-    ) -> Duration {
-        let i = kind_index(kind);
-        match class.and_then(|c| c.settled(i)).or_else(|| self.kinds.settled(i)) {
-            Some(ewma_us) => floor.max(Duration::from_micros(ewma_us.saturating_mul(4))),
-            None => floor,
-        }
-    }
-}
+/// the submission's [`RunReport`]. Handles are shared, not copied:
+/// collecting a submission bumps refcounts on the resident artifacts.
+pub type ExecutionOutcome<A> = (Vec<Option<Arc<A>>>, RunReport);
 
 // ---------------------------------------------------------------------------
 // Resident scheduler state
@@ -280,12 +138,8 @@ pub(crate) struct TaskEntry<A> {
     pub(crate) key: CacheKey,
     pub(crate) kind: TaskKind,
     pub(crate) label: String,
-    /// Interned cost-model class (resolved once at submission time);
-    /// `None` falls back to kind-aggregate costs.
-    pub(crate) class: Option<Arc<ClassCosts>>,
-    /// Human-readable class name (the dataset), for the slowest-tasks
-    /// table and trace labels.
-    pub(crate) class_name: Option<String>,
+    /// The dataset the task belongs to, for the slowest-tasks table.
+    pub(crate) class: Option<String>,
     deps: Vec<Gid>,
     dependents: Vec<Gid>,
     pending: usize,
@@ -374,7 +228,6 @@ pub(crate) struct PoolInner<A> {
     /// Wakes submission waiters on completion/cancellation/failure.
     pub(crate) client: Condvar,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) costs: CostModel,
     pub(crate) persist: Option<Arc<DiskStore>>,
     pub(crate) n_workers: usize,
     /// Open intra-task subwork batches; idle workers drain them between
@@ -464,7 +317,7 @@ where
     /// extract the matching element; a miss there (stale ids, or entries
     /// of a different spec) falls through to the next-best deque.
     pub(crate) fn claim_leasable(&self, st: &mut State<A>, spec_key: u64) -> Option<(Gid, u64)> {
-        let mut order: Vec<(u64, usize)> = st
+        let mut order: Vec<(u32, usize)> = st
             .deques
             .iter()
             .enumerate()
@@ -472,7 +325,7 @@ where
                 TaskKind::ALL
                     .iter()
                     .filter(|&&k| crate::remote::leasable(k) && d.counts[kind_index(k)] > 0)
-                    .map(|&k| self.costs.effective_weight(k, None))
+                    .map(|&k| k.cost_weight())
                     .max()
                     .map(|w| (w, di))
             })
@@ -491,10 +344,7 @@ where
                         && crate::remote::leasable(t.kind)
                         && t.spec_locals.iter().any(|&(k, _)| k == spec_key)
                 })
-                .max_by_key(|&(pos, &gid)| {
-                    let t = &st.tasks[gid];
-                    (self.costs.effective_weight(t.kind, t.class.as_deref()), pos)
-                })
+                .max_by_key(|&(pos, &gid)| (st.tasks[gid].kind.cost_weight(), pos))
                 .map(|(pos, _)| pos);
             if let Some(pos) = best {
                 let gid = st.deques[di].q.remove(pos).expect("position just found");
@@ -589,19 +439,7 @@ where
             t.handle_shares.add(inputs.len() as u64);
         }
         let class = st.tasks[gid].class.clone();
-        let class_name = st.tasks[gid].class_name.clone();
-        Some(Job {
-            gid,
-            kind,
-            key: st.tasks[gid].key,
-            label,
-            class,
-            class_name,
-            run,
-            inputs,
-            queued_at,
-            sub,
-        })
+        Some(Job { gid, kind, key: st.tasks[gid].key, label, class, run, inputs, queued_at, sub })
     }
 
     fn dec_consumer(&self, st: &mut State<A>, gid: Gid) {
@@ -674,13 +512,9 @@ where
                 }
             }
         }
-        // Heaviest observed-or-static cost first: sorted descending, then
-        // pushed in reverse so the home deque's LIFO pop starts with the
-        // heaviest — this is where mid-run re-weighting bites.
-        released.sort_by_key(|&g| {
-            let t = &st.tasks[g];
-            (std::cmp::Reverse(self.costs.effective_weight(t.kind, t.class.as_deref())), g)
-        });
+        // Heaviest kind first: sorted descending, then pushed in reverse
+        // so the home deque's LIFO pop starts with the heaviest.
+        released.sort_by_key(|&g| (std::cmp::Reverse(st.tasks[g].kind.cost_weight()), g));
         let notify = !released.is_empty();
         for &g in released.iter().rev() {
             self.enqueue(st, g, home);
@@ -846,10 +680,8 @@ struct Job<A> {
     kind: TaskKind,
     key: CacheKey,
     label: String,
-    /// Cost-model class the runtime sample lands in.
-    class: Option<Arc<ClassCosts>>,
-    /// Class name for the slowest-tasks table.
-    class_name: Option<String>,
+    /// Dataset name for the slowest-tasks table.
+    class: Option<String>,
     run: TaskFn<A>,
     inputs: Vec<Arc<A>>,
     /// When the entry entered the ready frontier (telemetry only).
@@ -894,7 +726,6 @@ where
             work: Condvar::new(),
             client: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            costs: CostModel::default(),
             persist,
             n_workers: workers,
             subwork: Arc::new(crate::subwork::SubworkShared::new()),
@@ -926,11 +757,6 @@ where
 
     pub fn workers(&self) -> usize {
         self.inner.n_workers
-    }
-
-    /// The pool's adaptive cost model.
-    pub fn costs(&self) -> &CostModel {
-        &self.inner.costs
     }
 
     /// Starts serving `hub`'s connections for the pool's lifetime:
@@ -1000,7 +826,7 @@ where
                 NodeState::Cached => {
                     let art = node.prefilled.take().expect("cached node prefilled");
                     match st.by_key.get(&key).copied() {
-                        None => new_entry(st, &self.inner.costs, idx, &mut nodes, sid, Some(art)),
+                        None => new_entry(st, idx, &mut nodes, sid, Some(art)),
                         Some(gid) => {
                             let entry = &mut st.tasks[gid];
                             if entry.artifact.is_none()
@@ -1019,7 +845,7 @@ where
                     }
                 }
                 NodeState::Run => match st.by_key.get(&key).copied() {
-                    None => new_entry(st, &self.inner.costs, idx, &mut nodes, sid, None),
+                    None => new_entry(st, idx, &mut nodes, sid, None),
                     Some(gid) => match st.tasks[gid].phase {
                         Phase::Done if st.tasks[gid].artifact.is_some() => gid,
                         Phase::Waiting | Phase::Queued | Phase::Running => gid,
@@ -1064,15 +890,12 @@ where
         st.subs.insert(sid, sub);
 
         // Seed the frontier heaviest-first: tasks sorted by descending
-        // effective cost, dealt round-robin across the deques, each share
+        // kind weight, dealt round-robin across the deques, each share
         // pushed in ascending order so its owner's LIFO pop starts with
         // its heaviest task. On a cold run the frontier is all-generate;
         // on a partial resume it spans the whole DAG and dispatching the
         // expensive stragglers first shortens the critical path.
-        seeds.sort_by_key(|&g| {
-            let t = &st.tasks[g];
-            (std::cmp::Reverse(self.inner.costs.effective_weight(t.kind, t.class.as_deref())), g)
-        });
+        seeds.sort_by_key(|&g| (std::cmp::Reverse(st.tasks[g].kind.cost_weight()), g));
         let width = st.deques.len();
         let start = st.rr;
         st.rr = (st.rr + 1) % width;
@@ -1101,7 +924,6 @@ fn clone_bytes(b: &[u8]) -> Vec<u8> {
 /// consumers); otherwise it registers with its dependencies and waits.
 fn new_entry<A>(
     st: &mut State<A>,
-    costs: &CostModel,
     idx: usize,
     nodes: &mut [crate::graph::TaskNode<A>],
     sid: SubId,
@@ -1114,8 +936,7 @@ fn new_entry<A>(
         key,
         kind: nodes[idx].kind,
         label: std::mem::take(&mut nodes[idx].label),
-        class: nodes[idx].class.as_deref().map(|c| costs.class(c)),
-        class_name: nodes[idx].class.clone(),
+        class: nodes[idx].class.take(),
         deps: Vec::new(),
         dependents: Vec::new(),
         pending: 0,
@@ -1263,7 +1084,8 @@ where
 
     /// Blocks until the submission completes, then returns the artifacts
     /// of its graph nodes (`None` for pruned or already-retired nodes)
-    /// plus its execution counters.
+    /// plus its execution counters. The report's `cache_hits`, `pruned`
+    /// and `total` stay zero: graph resolution, not the pool, knows them.
     pub fn wait(mut self) -> Result<ExecutionOutcome<A>, CoreError> {
         self.collected = true;
         let inner = Arc::clone(&self.inner);
@@ -1286,11 +1108,13 @@ where
         let sub = st.subs.get(&self.id).expect("checked above");
         let error = sub.error.clone();
         let node_of = sub.node_of.clone();
-        let stats = ExecStats {
+        let report = RunReport {
             executed: counts_vec(&sub.executed),
             remote_executed: counts_vec(&sub.remote_executed),
+            workers: inner.n_workers,
             remote_workers: sub.remote_workers,
             releases: sub.releases,
+            ..RunReport::default()
         };
         let artifacts: Vec<Option<Arc<A>>> =
             node_of.iter().map(|g| g.and_then(|gid| st.tasks[gid].artifact.clone())).collect();
@@ -1298,7 +1122,7 @@ where
         drop(st);
         match error {
             Some(e) => Err(e),
-            None => Ok((artifacts, stats)),
+            None => Ok((artifacts, report)),
         }
     }
 }
@@ -1345,7 +1169,7 @@ where
             inner.subwork.help();
         };
         let Some(job) = job else { continue };
-        let Job { gid, kind, key, label, class, class_name, run, inputs, queued_at, sub } = job;
+        let Job { gid, kind, key, label, class, run, inputs, queued_at, sub } = job;
 
         let t = crate::telemetry::global();
         let started = Instant::now();
@@ -1368,7 +1192,6 @@ where
 
         match outcome {
             Ok(artifact) => {
-                inner.costs.record(kind, class.as_deref(), elapsed);
                 // Durability before progress: the artifact reaches disk
                 // before any dependent can observe it — and before the
                 // scheduler lock is taken, so persistence never blocks
@@ -1388,7 +1211,7 @@ where
                     t.record_slow_task(
                         &label,
                         kind.name(),
-                        class_name.as_deref().unwrap_or(""),
+                        class.as_deref().unwrap_or(""),
                         elapsed,
                     );
                     if let Some(wait) = queue_wait {
@@ -1476,6 +1299,7 @@ mod tests {
             assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
             let total: usize = stats.executed.iter().map(|(_, n)| n).sum();
             assert_eq!(total, 4, "workers={workers}");
+            assert_eq!(stats.workers, workers);
             assert_eq!(stats.remote_workers, 0);
             assert_eq!(stats.releases, 0);
             assert!(stats.remote_executed.is_empty());
@@ -1575,8 +1399,7 @@ mod tests {
         // A resume-shaped frontier: independent ready tasks of mixed kinds.
         // With one worker there is no stealing, so the execution order *is*
         // the seeding policy: Train before Clean before Split before the
-        // bookkeeping kinds, regardless of insertion order. (A fresh pool
-        // has no runtime samples, so the static weights order the seeds.)
+        // bookkeeping kinds, regardless of insertion order.
         let mut g: TaskGraph<V> = TaskGraph::new();
         let kinds = [
             TaskKind::Evaluate,
@@ -1617,111 +1440,6 @@ mod tests {
             TaskKind::Evaluate,
         ];
         assert_eq!(started, expected, "seeding must order by descending cost weight");
-    }
-
-    #[test]
-    fn observed_costs_reorder_the_frontier_mid_run() {
-        // Satellite acceptance: the EWMA cost model re-weights dispatch
-        // *during* a run. Statically Split (40) outweighs Evaluate (2);
-        // here Evaluate tasks are observably slow (they sleep), so once
-        // MIN_COST_SAMPLES of them have completed, a freshly released
-        // Evaluate must dispatch before a freshly released Split.
-        let mut g: TaskGraph<V> = TaskGraph::new();
-        let slow: Vec<TaskId> = (0..MIN_COST_SAMPLES)
-            .map(|i| {
-                g.task(
-                    TaskKind::Evaluate,
-                    format!("slow{i}"),
-                    CacheKey::of(&format!("slow{i}")),
-                    vec![],
-                    move |_| {
-                        std::thread::sleep(Duration::from_millis(25));
-                        Ok(V(i as i64))
-                    },
-                )
-            })
-            .collect();
-        let gate =
-            g.task(TaskKind::Reduce, "gate", CacheKey::of("gate"), slow.clone(), |_| Ok(V(0)));
-        // Released together when the gate finishes: under static weights
-        // Split would dispatch first; under observed costs Evaluate must.
-        let late_split =
-            g.task(TaskKind::Split, "late-split", CacheKey::of("late-split"), vec![gate], |_| {
-                Ok(V(1))
-            });
-        let late_eval =
-            g.task(TaskKind::Evaluate, "late-eval", CacheKey::of("late-eval"), vec![gate], |_| {
-                Ok(V(2))
-            });
-        let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
-        let sinks = [late_split, late_eval];
-        g.resolve(&mut cache, &sinks);
-        let retain = retain_only(g.len(), &sinks);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let (arts, _) = Pool::new(1, None).submit(g, retain, Some(tx), None).wait().unwrap();
-        assert_eq!(arts[late_split].as_deref(), Some(V(1)).as_ref());
-        assert_eq!(arts[late_eval].as_deref(), Some(V(2)).as_ref());
-        let started: Vec<String> = rx
-            .try_iter()
-            .filter_map(|e| match e {
-                EngineEvent::TaskStarted { label, .. } if label.starts_with("late-") => Some(label),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            started,
-            vec!["late-eval".to_string(), "late-split".to_string()],
-            "observed Evaluate cost must outrank static Split weight mid-run"
-        );
-    }
-
-    #[test]
-    fn class_costs_refine_kind_aggregates() {
-        // Satellite acceptance: the cost model is keyed per (kind, class)
-        // — a Train on one dataset must not inherit another's runtime —
-        // with kind-aggregate and static-prior fallbacks underneath.
-        let costs = CostModel::default();
-        let heavy = costs.class("eeg");
-        let light = costs.class("university");
-        assert!(Arc::ptr_eq(&heavy, &costs.class("eeg")), "classes are interned");
-
-        // Nothing observed: both classes answer the static prior.
-        let prior = TaskKind::Train.cost_weight() as u64 * 100;
-        assert_eq!(costs.effective_weight(TaskKind::Train, Some(&heavy)), prior);
-        assert_eq!(costs.effective_weight(TaskKind::Train, None), prior);
-
-        // Settle the light class (which also settles the kind aggregate):
-        // the still-unsettled heavy class falls back to the aggregate.
-        for _ in 0..MIN_COST_SAMPLES {
-            costs.record(TaskKind::Train, Some(&light), Duration::from_micros(200));
-        }
-        let kind_level = costs.effective_weight(TaskKind::Train, None);
-        assert_eq!(kind_level, 200, "kind aggregate reflects the observed samples");
-        assert_eq!(costs.effective_weight(TaskKind::Train, Some(&heavy)), kind_level);
-
-        // Once the heavy class observes its own (much slower) Trains, the
-        // two classes diverge within the same kind.
-        for _ in 0..MIN_COST_SAMPLES {
-            costs.record(TaskKind::Train, Some(&heavy), Duration::from_millis(50));
-        }
-        let w_heavy = costs.effective_weight(TaskKind::Train, Some(&heavy));
-        let w_light = costs.effective_weight(TaskKind::Train, Some(&light));
-        assert_eq!(w_light, 200);
-        assert!(
-            w_heavy > 100 * w_light,
-            "per-dataset EWMAs must diverge within a kind: {w_heavy} vs {w_light}"
-        );
-
-        // Remote lease sizing: the floor holds for the fast class, while
-        // the slow class's deadline stretches to 4x its observed EWMA.
-        let floor = Duration::from_millis(5);
-        assert_eq!(costs.lease_budget(TaskKind::Train, Some(&light), floor), floor);
-        assert_eq!(
-            costs.lease_budget(TaskKind::Train, Some(&heavy), floor),
-            Duration::from_millis(200),
-        );
-        // Unobserved (kind, class) pairs never shrink below the floor.
-        assert_eq!(costs.lease_budget(TaskKind::Clean, Some(&heavy), floor), floor);
     }
 
     #[test]
@@ -1794,11 +1512,8 @@ mod tests {
         let (a2, st2) = h2.wait().expect("second submission");
         assert_eq!(a1[s1].as_deref(), Some(V(66)).as_ref());
         assert_eq!(a2[s2].as_deref(), Some(V(66)).as_ref());
-        let trains = |s: &ExecStats| {
-            s.executed.iter().find(|(k, _)| *k == TaskKind::Train).map_or(0, |(_, n)| *n)
-        };
         assert_eq!(
-            trains(&st1) + trains(&st2),
+            st1.executed(TaskKind::Train) + st2.executed(TaskKind::Train),
             12,
             "overlapping submissions must dedupe onto the same in-flight tasks: {st1:?} {st2:?}"
         );

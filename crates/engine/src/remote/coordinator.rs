@@ -324,21 +324,16 @@ where
             std::thread::sleep(POLL);
             continue;
         };
-        let (kind, key, label, class) = {
+        let (kind, key, label) = {
             let st = inner.state.lock().expect("state lock");
             let t = &st.tasks[gid];
-            (t.kind, t.key, t.label.clone(), t.class.clone())
+            (t.kind, t.key, t.label.clone())
         };
-        // Size the lease to the task, not the fleet average: the cost
-        // model's (kind, dataset) EWMA stretches the deadline for tasks
-        // known to run long, so a slow dataset's Train is not declared
-        // dead by a deadline tuned for the fast ones.
-        let lease_deadline = inner.costs.lease_budget(kind, class.as_deref(), lease_timeout);
         let lease = Message::Lease {
             id: local_id,
             key,
             kind,
-            deadline_ms: lease_deadline.as_millis() as u64,
+            deadline_ms: lease_timeout.as_millis() as u64,
         };
         if proto::send(&mut &stream, &lease).is_err() {
             orphan(inner, gid, local_id, &name);
@@ -352,7 +347,7 @@ where
 
         // The lease conversation: serve fetches, extend on traffic, and
         // either complete the task or declare the worker dead.
-        let mut deadline = Instant::now() + lease_deadline;
+        let mut deadline = Instant::now() + lease_timeout;
         let outcome = loop {
             if inner.shutdown.load(Ordering::Acquire) {
                 let _ = proto::send(&mut &stream, &Message::Bye);
@@ -367,7 +362,7 @@ where
                 }
                 Polled::Closed => break LeaseOutcome::Dead,
                 Polled::Msg(msg) => {
-                    deadline = Instant::now() + lease_deadline;
+                    deadline = Instant::now() + lease_timeout;
                     if t.enabled() {
                         t.leases_renewed.inc();
                     }
@@ -409,7 +404,7 @@ where
                                         t.record_slow_task(
                                             &label,
                                             kind.name(),
-                                            st.tasks[gid].class_name.as_deref().unwrap_or(""),
+                                            st.tasks[gid].class.as_deref().unwrap_or(""),
                                             lease_start.elapsed(),
                                         );
                                     }

@@ -457,18 +457,6 @@ impl Engine {
         stats
     }
 
-    /// The pool's observed per-kind task costs: `(kind, samples,
-    /// ewma_micros)` for every kind with at least one completed local
-    /// execution. This is the EWMA that drives frontier ordering
-    /// ([`crate::pool::CostModel::effective_weight`]); dumping it makes
-    /// the scheduler's cost beliefs auditable (`BENCH_quick.json`).
-    pub fn cost_observations(&self) -> Vec<(TaskKind, u64, u64)> {
-        TaskKind::ALL
-            .iter()
-            .filter_map(|&k| self.inner.pool.costs().observed(k).map(|(n, us)| (k, n, us)))
-            .collect()
-    }
-
     /// Runs the full study for `error_types` through the scheduler and
     /// returns the populated, BY-corrected database — the parallel
     /// equivalent of [`cleanml_core::run_study`].
@@ -834,8 +822,7 @@ impl StudySubmission {
     pub fn wait(self) -> Result<(CleanMlDb, RunReport)> {
         let StudySubmission { inner, handle, index, grids, cache_hits, pruned, total, alpha } =
             self;
-        let workers = inner.pool.workers();
-        let (artifacts, stats) = handle.wait()?;
+        let (artifacts, mut report) = handle.wait()?;
 
         // Content-address every freshly produced, retained artifact. Cell
         // batches additionally fan their members out under the singleton
@@ -871,16 +858,9 @@ impl StudySubmission {
             store.flush();
         }
 
-        let report = RunReport {
-            executed: stats.executed,
-            remote_executed: stats.remote_executed,
-            cache_hits,
-            pruned,
-            total,
-            workers,
-            remote_workers: stats.remote_workers,
-            releases: stats.releases,
-        };
+        report.cache_hits = cache_hits;
+        report.pruned = pruned;
+        report.total = total;
         Ok((db, report))
     }
 }
@@ -1034,9 +1014,8 @@ fn build_grid_tasks_scoped(
 ) -> TaskId {
     let GridScope { methods, models, n_models_full, subset } = scope;
     let (n_methods, n_models) = (methods.len(), models.len());
-    // Every node this grid adds belongs to `plan.name` for scheduling
-    // purposes: the pool's cost model is keyed per (kind, dataset), so a
-    // Train on EEG never borrows a Train-on-University runtime estimate.
+    // Every node this grid adds is labelled with `plan.name`, the dataset
+    // the slowest-tasks table names.
     let first_node = g.len();
 
     // GenerateDataset: the base spec, plus the injection step for mislabel

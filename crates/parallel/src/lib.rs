@@ -32,6 +32,7 @@
 //! inlining the rest makes re-entrant deadlocks unrepresentable.
 
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -64,14 +65,17 @@ pub fn clear_bridge() {
 }
 
 /// Marks this thread as executing subwork for the duration of `f`:
-/// `run_indexed` calls made inside run serially inline.
+/// `run_indexed` calls made inside run serially inline. The mark is
+/// lifted even if `f` panics, so a caught panic leaves no thread serial.
 pub fn enter_subwork<R>(f: impl FnOnce() -> R) -> R {
-    IN_SUBWORK.with(|flag| {
-        let was = flag.replace(true);
-        let out = f();
-        flag.set(was);
-        out
-    })
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_SUBWORK.with(|flag| flag.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_SUBWORK.with(|flag| flag.replace(true)));
+    f()
 }
 
 /// Runs `f(i)` for every `i in 0..n` and returns the results in index
@@ -119,10 +123,14 @@ pub fn chunk_ranges(n: usize, max_chunks: usize) -> Vec<std::ops::Range<usize>> 
 }
 
 /// A self-contained bridge that runs subwork on `helpers` freshly spawned
-/// threads per call (the caller drives too). Not for production hot paths
-/// — the engine's pool bridges onto its resident workers — but exactly
-/// what byte-identity tests need: a real multi-thread execution of the
-/// kernels without standing infrastructure.
+/// threads per call (the caller drives too). Not for hot paths — the
+/// engine's pool bridges onto its resident workers — but what coarse
+/// one-off fan-outs (the table and ablation binaries) and byte-identity
+/// tests need: a real multi-thread execution without standing
+/// infrastructure.
+///
+/// A panic in `work` reaches the caller with its original payload, and
+/// the indices nobody has claimed yet are abandoned.
 pub struct ThreadBridge {
     pub helpers: usize,
 }
@@ -130,19 +138,31 @@ pub struct ThreadBridge {
 impl SubworkBridge for ThreadBridge {
     fn run(&self, n: usize, work: &(dyn Fn(usize) + Sync)) {
         let next = AtomicUsize::new(0);
-        let drive = || loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            work(i);
+        let drive = || {
+            catch_unwind(AssertUnwindSafe(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                work(i);
+            }))
+            .inspect_err(|_| next.store(n, Ordering::Relaxed))
         };
-        std::thread::scope(|scope| {
-            for _ in 0..self.helpers {
-                scope.spawn(drive);
+        // Helpers are joined by hand: left to the scope, a helper's panic
+        // would surface as a generic "a scoped thread panicked".
+        let panic = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (0..self.helpers).map(|_| scope.spawn(drive)).collect();
+            let mut first = drive().err();
+            for helper in helpers {
+                if let Err(payload) = helper.join().unwrap_or_else(Err) {
+                    first.get_or_insert(payload);
+                }
             }
-            drive();
+            first
         });
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -298,18 +318,38 @@ mod tests {
         t.join().unwrap();
     }
 
+    /// A helper's panic reaches the caller with its original payload, not
+    /// the scope's generic "a scoped thread panicked". Only helpers panic
+    /// here: the caller holds its first item until one of them has run.
     #[test]
     fn panics_propagate_through_bridge() {
-        install_bridge(Arc::new(ThreadBridge { helpers: 1 }));
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_indexed(4, |i| {
-                if i == 2 {
-                    panic!("boom");
-                }
-                i
-            })
-        }));
-        clear_bridge();
+        for helpers in [1, 7] {
+            let caller = std::thread::current().id();
+            let helper_ran = std::sync::atomic::AtomicBool::new(false);
+            install_bridge(Arc::new(ThreadBridge { helpers }));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                run_indexed(64, |i| {
+                    if std::thread::current().id() != caller {
+                        helper_ran.store(true, Ordering::Release);
+                        panic!("helper boom at item {i}");
+                    }
+                    while !helper_ran.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            }));
+            clear_bridge();
+            let payload = caught.expect_err("a panicking item must propagate");
+            let msg = payload.downcast_ref::<String>().expect("the original String payload");
+            assert!(msg.starts_with("helper boom at item "), "helpers={helpers}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_caught_panic_lifts_the_subwork_mark() {
+        let caught = catch_unwind(|| enter_subwork(|| panic!("inside subwork")));
         assert!(caught.is_err());
+        assert!(!IN_SUBWORK.with(Cell::get), "a caught panic left the thread serial");
     }
 }
