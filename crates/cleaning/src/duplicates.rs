@@ -20,12 +20,8 @@ use std::collections::HashMap;
 
 use cleanml_dataset::{ColumnKind, ColumnRole, Table};
 
-use std::collections::HashSet;
-
 use crate::report::TableReport;
-use crate::similarity::{
-    jaccard_sets, levenshtein_similarity, numeric_similarity, token_set, trigram_set,
-};
+use crate::similarity::{levenshtein_similarity, numeric_similarity, InternedSets};
 use crate::zeroer::{PairGmm, SimMatrix};
 use crate::Result;
 
@@ -47,7 +43,7 @@ impl DuplicateDetection {
 }
 
 /// Posterior threshold above which a pair is declared a match.
-const MATCH_THRESHOLD: f64 = 0.5;
+pub(crate) const MATCH_THRESHOLD: f64 = 0.5;
 
 /// A fitted duplicate cleaner.
 #[derive(Debug, Clone)]
@@ -64,7 +60,7 @@ pub struct FittedDuplicates {
 /// the same entity, and mixing such columns in destroys the bimodality the
 /// ZeroER mixture relies on. Tables without identifying text fall back to
 /// categorical features.
-fn text_columns(table: &Table) -> Vec<usize> {
+pub(crate) fn text_columns(table: &Table) -> Vec<usize> {
     let mut cols = table.schema().key_indices();
     for (i, f) in table.schema().fields().iter().enumerate() {
         if f.kind == ColumnKind::Categorical && f.role == ColumnRole::Ignore {
@@ -79,12 +75,13 @@ fn text_columns(table: &Table) -> Vec<usize> {
     cols
 }
 
-fn numeric_columns(table: &Table) -> Vec<usize> {
+pub(crate) fn numeric_columns(table: &Table) -> Vec<usize> {
     table.schema().numeric_feature_indices()
 }
 
-/// Concatenated lowercase text of a record over `cols`.
-fn record_text(table: &Table, row: usize, cols: &[usize]) -> String {
+/// A record's text: its non-missing values over `cols`, space-joined, case
+/// preserved (the token and trigram sets lowercase it).
+pub(crate) fn record_text(table: &Table, row: usize, cols: &[usize]) -> String {
     let mut s = String::new();
     for &c in cols {
         if let Ok(col) = table.column(c) {
@@ -99,33 +96,27 @@ fn record_text(table: &Table, row: usize, cols: &[usize]) -> String {
     s
 }
 
-/// Similarity-vector width for a table: three text similarities plus one
-/// pooled numeric similarity when numeric features exist.
-fn feature_dim(num_cols: &[usize]) -> usize {
-    3 + usize::from(!num_cols.is_empty())
-}
-
 /// Per-row state for the O(n²) pair sweeps, computed once per table
 /// instead of once per pair: the concatenated record text, its token and
-/// trigram sets (the dominant per-pair cost before this cache existed),
-/// and the numeric feature values. Pair features computed through this
-/// are bit-identical to the historical per-pair recomputation — the same
-/// sets feed the same Jaccard, the same strings feed Levenshtein.
+/// trigram sets interned to sorted `u32` ids (a pair's Jaccard is then an
+/// integer merge, with the same counts string sets give), and the numeric
+/// feature values.
 struct PairFeaturizer {
     texts: Vec<String>,
-    tokens: Vec<HashSet<String>>,
-    trigrams: Vec<HashSet<String>>,
+    tokens: InternedSets,
+    trigrams: InternedSets,
     /// `numeric[k][row]` for `num_cols[k]`, in `num_cols` order.
     numeric: Vec<Vec<Option<f64>>>,
 }
 
 impl PairFeaturizer {
-    fn new(table: &Table, text_cols: &[usize], num_cols: &[usize]) -> Self {
+    fn new(table: &Table) -> Self {
+        let text_cols = text_columns(table);
         let n = table.n_rows();
-        let texts: Vec<String> = (0..n).map(|r| record_text(table, r, text_cols)).collect();
-        let tokens = texts.iter().map(|t| token_set(t)).collect();
-        let trigrams = texts.iter().map(|t| trigram_set(t)).collect();
-        let numeric = num_cols
+        let texts: Vec<String> = (0..n).map(|r| record_text(table, r, &text_cols)).collect();
+        let tokens = InternedSets::tokens(&texts);
+        let trigrams = InternedSets::trigrams(&texts);
+        let numeric = numeric_columns(table)
             .iter()
             .map(|&c| {
                 let col = table.column(c).expect("column exists");
@@ -135,12 +126,18 @@ impl PairFeaturizer {
         PairFeaturizer { texts, tokens, trigrams, numeric }
     }
 
+    /// Similarity-vector width: three text similarities plus one pooled
+    /// numeric similarity when numeric features exist.
+    fn dim(&self) -> usize {
+        3 + usize::from(!self.numeric.is_empty())
+    }
+
     /// Writes the similarity vector of a record pair into `out` (width
-    /// [`feature_dim`]); the caller reuses the scratch across pairs.
+    /// [`PairFeaturizer::dim`]); the caller reuses the scratch across pairs.
     fn features_into(&self, a: usize, b: usize, out: &mut [f64]) {
         out[0] = levenshtein_similarity(&self.texts[a], &self.texts[b]);
-        out[1] = jaccard_sets(&self.tokens[a], &self.tokens[b]);
-        out[2] = jaccard_sets(&self.trigrams[a], &self.trigrams[b]);
+        out[1] = self.tokens.jaccard(a, b);
+        out[2] = self.trigrams.jaccard(a, b);
         if !self.numeric.is_empty() {
             let mut sum = 0.0;
             let mut n = 0usize;
@@ -153,6 +150,30 @@ impl PairFeaturizer {
             out[3] = if n > 0 { sum / n as f64 } else { 0.5 };
         }
     }
+
+    /// The similarity vectors of `pairs`, one matrix row per pair. The
+    /// sweep fans out in contiguous chunks, each filling a column-major
+    /// block of its own; the blocks land in chunk order, so the matrix is
+    /// the one a serial loop builds.
+    fn sim_matrix(&self, pairs: &[(usize, usize)]) -> SimMatrix {
+        let dim = self.dim();
+        let chunks = pair_chunks(pairs.len());
+        let blocks: Vec<SimMatrix> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
+            let range = chunks[ci].clone();
+            let mut block = SimMatrix::zeroed(range.len(), dim);
+            let mut feat = vec![0.0; dim];
+            for (j, &(a, b)) in pairs[range].iter().enumerate() {
+                self.features_into(a, b, &mut feat);
+                block.set_row(j, &feat);
+            }
+            block
+        });
+        let mut points = SimMatrix::zeroed(pairs.len(), dim);
+        for (chunk, block) in chunks.iter().zip(&blocks) {
+            points.copy_block(chunk.start, block);
+        }
+        points
+    }
 }
 
 /// Upper bound on subwork chunks for a pair sweep: enough to keep every
@@ -163,9 +184,9 @@ fn pair_chunks(n_pairs: usize) -> Vec<std::ops::Range<usize>> {
 
 /// Candidate pairs: all pairs for small tables, token-blocked pairs above
 /// [`BLOCK_ABOVE`] rows (pairs must share a token in their record text).
-const BLOCK_ABOVE: usize = 700;
+pub(crate) const BLOCK_ABOVE: usize = 700;
 
-fn candidate_pairs(table: &Table, text_cols: &[usize]) -> Vec<(usize, usize)> {
+pub(crate) fn candidate_pairs(table: &Table) -> Vec<(usize, usize)> {
     let n = table.n_rows();
     if n <= BLOCK_ABOVE {
         let mut pairs = Vec::with_capacity(n * (n - 1) / 2);
@@ -177,9 +198,10 @@ fn candidate_pairs(table: &Table, text_cols: &[usize]) -> Vec<(usize, usize)> {
         return pairs;
     }
     // Token blocking: bucket rows by lowercase token, pair within buckets.
+    let text_cols = text_columns(table);
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     for r in 0..n {
-        let text = record_text(table, r, text_cols).to_lowercase();
+        let text = record_text(table, r, &text_cols).to_lowercase();
         for tok in text.split_whitespace() {
             buckets.entry(tok.to_owned()).or_default().push(r);
         }
@@ -200,40 +222,63 @@ fn candidate_pairs(table: &Table, text_cols: &[usize]) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Fits the detector on the training partition (only ZeroER learns state).
-pub fn fit(detection: DuplicateDetection, train: &Table) -> Result<FittedDuplicates> {
-    let gmm = match detection {
-        DuplicateDetection::KeyCollision => None,
+/// Fits the detector on the training partition (only ZeroER learns
+/// state) and returns it with the training partition already cleaned.
+///
+/// ZeroER matches the training pairs with the posteriors of the matrix
+/// its mixture was fit on, so the training table is featurized once; the
+/// cleaned table and report are the ones [`FittedDuplicates::apply`]
+/// gives for `train`.
+pub fn fit(
+    detection: DuplicateDetection,
+    train: &Table,
+) -> Result<(FittedDuplicates, Table, TableReport)> {
+    let (cleaner, pairs) = match detection {
+        DuplicateDetection::KeyCollision => {
+            let cleaner = FittedDuplicates { detection, gmm: None };
+            let pairs = cleaner.detect_pairs(train)?;
+            (cleaner, pairs)
+        }
         DuplicateDetection::ZeroEr => {
-            let text_cols = text_columns(train);
-            let num_cols = numeric_columns(train);
-            let pairs = candidate_pairs(train, &text_cols);
-            let dim = feature_dim(&num_cols);
-            let fz = PairFeaturizer::new(train, &text_cols, &num_cols);
-            // The O(n²) feature sweep fans out in contiguous chunks; rows
-            // land back in pair order, so the GMM sees the exact matrix
-            // the serial loop built.
-            let chunks = pair_chunks(pairs.len());
-            let chunk_rows: Vec<Vec<f64>> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
-                let range = chunks[ci].clone();
-                let mut rows = vec![0.0; range.len() * dim];
-                for (j, &(a, b)) in pairs[range].iter().enumerate() {
-                    fz.features_into(a, b, &mut rows[j * dim..(j + 1) * dim]);
-                }
-                rows
-            });
-            let mut points = SimMatrix::zeroed(pairs.len(), dim);
-            let mut i = 0;
-            for rows in &chunk_rows {
-                for feat in rows.chunks_exact(dim) {
-                    points.set_row(i, feat);
-                    i += 1;
-                }
-            }
-            PairGmm::fit(&points)
+            let (gmm, pairs) = fit_zeroer(train);
+            (FittedDuplicates { detection, gmm }, pairs)
         }
     };
-    Ok(FittedDuplicates { detection, gmm })
+    let (clean, report) = keep_one(train, &pairs);
+    Ok((cleaner, clean, report))
+}
+
+/// ZeroER's fit: the mixture over the training pairs' similarity vectors
+/// (`None` below two pairs), and the training pairs it matches.
+pub(crate) fn fit_zeroer(train: &Table) -> (Option<PairGmm>, Vec<(usize, usize)>) {
+    let pairs = candidate_pairs(train);
+    let points = PairFeaturizer::new(train).sim_matrix(&pairs);
+    let Some(gmm) = PairGmm::fit(&points) else {
+        return (None, Vec::new());
+    };
+    let matched = matches(&gmm, &points, &pairs);
+    (Some(gmm), matched)
+}
+
+/// The pairs whose similarity vector (row `i` of `points` for `pairs[i]`)
+/// the mixture matches: ZeroER's one match filter, for the training matrix
+/// and for every table the cleaner is applied to. The sweep fans out in
+/// contiguous chunks; chunk-order concatenation keeps the list identical
+/// to the serial filter's.
+fn matches(gmm: &PairGmm, points: &SimMatrix, pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let chunks = pair_chunks(pairs.len());
+    let matched: Vec<Vec<(usize, usize)>> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
+        let mut row = vec![0.0; points.dim()];
+        chunks[ci]
+            .clone()
+            .filter(|&i| {
+                points.read_row(i, &mut row);
+                gmm.posterior_match(&row) > MATCH_THRESHOLD
+            })
+            .map(|i| pairs[i])
+            .collect()
+    });
+    matched.concat()
 }
 
 /// Minimal union–find over row indices.
@@ -260,6 +305,27 @@ impl UnionFind {
             self.parent[hi] = lo;
         }
     }
+}
+
+/// Groups matched pairs and deletes all but the earliest row of each
+/// group.
+pub(crate) fn keep_one(table: &Table, pairs: &[(usize, usize)]) -> (Table, TableReport) {
+    let n = table.n_rows();
+    let mut uf = UnionFind::new(n);
+    for &(a, b) in pairs {
+        uf.union(a, b);
+    }
+    let keep: Vec<bool> = (0..n).map(|r| uf.find(r) == r).collect();
+    let mut out = table.clone();
+    out.retain_rows(&keep);
+    let removed = n - out.n_rows();
+    let report = TableReport {
+        rows_before: n,
+        rows_after: n - removed,
+        detected: pairs.len(),
+        repaired: removed,
+    };
+    (out, report)
 }
 
 impl FittedDuplicates {
@@ -305,27 +371,9 @@ impl FittedDuplicates {
                 let Some(gmm) = &self.gmm else {
                     return Ok(Vec::new()); // training had too few pairs
                 };
-                let text_cols = text_columns(table);
-                let num_cols = numeric_columns(table);
-                let pairs = candidate_pairs(table, &text_cols);
-                let dim = feature_dim(&num_cols);
-                let fz = PairFeaturizer::new(table, &text_cols, &num_cols);
-                // Chunked match sweep; chunk-order concatenation keeps the
-                // matched-pair list identical to the serial filter.
-                let chunks = pair_chunks(pairs.len());
-                let matched: Vec<Vec<(usize, usize)>> =
-                    cleanml_parallel::run_indexed(chunks.len(), |ci| {
-                        let mut feat = vec![0.0; dim];
-                        pairs[chunks[ci].clone()]
-                            .iter()
-                            .copied()
-                            .filter(|&(a, b)| {
-                                fz.features_into(a, b, &mut feat);
-                                gmm.posterior_match(&feat) > MATCH_THRESHOLD
-                            })
-                            .collect()
-                    });
-                Ok(matched.into_iter().flatten().collect())
+                let pairs = candidate_pairs(table);
+                let points = PairFeaturizer::new(table).sim_matrix(&pairs);
+                Ok(matches(gmm, &points, &pairs))
             }
         }
     }
@@ -333,25 +381,7 @@ impl FittedDuplicates {
     /// Cleans `table`: groups matched pairs and deletes all but the earliest
     /// row of each group.
     pub fn apply(&self, table: &Table) -> Result<(Table, TableReport)> {
-        let pairs = self.detect_pairs(table)?;
-        let n = table.n_rows();
-        let mut uf = UnionFind::new(n);
-        for &(a, b) in &pairs {
-            uf.union(a, b);
-        }
-        let keep: Vec<bool> = (0..n).map(|r| uf.find(r) == r).collect();
-        let mut out = table.clone();
-        out.retain_rows(&keep);
-        let removed = n - out.n_rows();
-        Ok((
-            out,
-            TableReport {
-                rows_before: n,
-                rows_after: n - removed,
-                detected: pairs.len(),
-                repaired: removed,
-            },
-        ))
+        Ok(keep_one(table, &self.detect_pairs(table)?))
     }
 }
 
@@ -395,10 +425,10 @@ mod tests {
     #[test]
     fn key_collision_finds_exact_dups_only() {
         let t = restaurant_table();
-        let cleaner = fit(DuplicateDetection::KeyCollision, &t).unwrap();
+        let (cleaner, clean, report) = fit(DuplicateDetection::KeyCollision, &t).unwrap();
         let pairs = cleaner.detect_pairs(&t).unwrap();
         assert_eq!(pairs, vec![(0, 1)]);
-        let (clean, report) = cleaner.apply(&t).unwrap();
+        assert_eq!(cleaner.apply(&t).unwrap(), (clean.clone(), report));
         assert_eq!(clean.n_rows(), 9);
         assert_eq!(report.repaired, 1);
         // the first occurrence survives
@@ -408,12 +438,14 @@ mod tests {
     #[test]
     fn zeroer_finds_fuzzy_dups() {
         let t = restaurant_table();
-        let cleaner = fit(DuplicateDetection::ZeroEr, &t).unwrap();
+        let (cleaner, clean, report) = fit(DuplicateDetection::ZeroEr, &t).unwrap();
         let pairs = cleaner.detect_pairs(&t).unwrap();
         assert!(pairs.contains(&(0, 1)), "exact dup missed: {pairs:?}");
         assert!(pairs.contains(&(2, 3)), "typo dup missed: {pairs:?}");
-        let (clean, _) = cleaner.apply(&t).unwrap();
         assert!(clean.n_rows() <= 8);
+        // the matches reused from the fit are the ones a fresh sweep finds
+        assert_eq!(report.detected, pairs.len());
+        assert_eq!(cleaner.apply(&t).unwrap(), (clean, report));
     }
 
     #[test]
@@ -422,8 +454,9 @@ mod tests {
         let mut t = Table::new(schema);
         t.push_row(vec![Value::Null, Value::from("p")]).unwrap();
         t.push_row(vec![Value::Null, Value::from("n")]).unwrap();
-        let cleaner = fit(DuplicateDetection::KeyCollision, &t).unwrap();
+        let (cleaner, _, report) = fit(DuplicateDetection::KeyCollision, &t).unwrap();
         assert!(cleaner.detect_pairs(&t).unwrap().is_empty());
+        assert_eq!(report.detected, 0);
     }
 
     #[test]
@@ -432,8 +465,9 @@ mod tests {
         let mut t = Table::new(schema);
         t.push_row(vec![Value::from("x"), Value::from("p")]).unwrap();
         t.push_row(vec![Value::from("x"), Value::from("n")]).unwrap();
-        let cleaner = fit(DuplicateDetection::KeyCollision, &t).unwrap();
+        let (cleaner, _, report) = fit(DuplicateDetection::KeyCollision, &t).unwrap();
         assert!(cleaner.detect_pairs(&t).unwrap().is_empty());
+        assert_eq!(report.detected, 0);
     }
 
     #[test]
@@ -444,8 +478,7 @@ mod tests {
             t.push_row(vec![Value::from("same"), Value::from("p")]).unwrap();
         }
         t.push_row(vec![Value::from("other"), Value::from("n")]).unwrap();
-        let cleaner = fit(DuplicateDetection::KeyCollision, &t).unwrap();
-        let (clean, report) = cleaner.apply(&t).unwrap();
+        let (_, clean, report) = fit(DuplicateDetection::KeyCollision, &t).unwrap();
         assert_eq!(clean.n_rows(), 2);
         assert_eq!(report.detected, 3); // 3 pairs in the triangle
         assert_eq!(report.repaired, 2);
@@ -454,7 +487,7 @@ mod tests {
     #[test]
     fn zeroer_fitted_on_train_applies_to_test() {
         let train = restaurant_table();
-        let cleaner = fit(DuplicateDetection::ZeroEr, &train).unwrap();
+        let (cleaner, _, _) = fit(DuplicateDetection::ZeroEr, &train).unwrap();
         let mut test = Table::new(train.schema().clone());
         test.push_row(vec![
             Value::from("Pasta Palace"),
@@ -484,11 +517,21 @@ mod tests {
     #[test]
     fn duplicate_free_table_unchanged() {
         let t = restaurant_table();
-        let cleaner = fit(DuplicateDetection::KeyCollision, &t).unwrap();
-        let (clean, _) = cleaner.apply(&t).unwrap();
+        let (cleaner, clean, _) = fit(DuplicateDetection::KeyCollision, &t).unwrap();
         let (clean2, report2) = cleaner.apply(&clean).unwrap();
         assert_eq!(clean, clean2);
         assert_eq!(report2.repaired, 0);
+    }
+
+    #[test]
+    fn a_posterior_at_the_threshold_is_no_match() {
+        // tied components under an even prior: every posterior is exactly
+        // 0.5, which the match filter must reject
+        let t = restaurant_table();
+        let gmm = PairGmm::tied(PairFeaturizer::new(&t).dim());
+        assert_eq!(gmm.posterior_match(&[0.9, 0.8, 0.7, 1.0]), MATCH_THRESHOLD);
+        let cleaner = FittedDuplicates { detection: DuplicateDetection::ZeroEr, gmm: Some(gmm) };
+        assert!(cleaner.detect_pairs(&t).unwrap().is_empty());
     }
 
     #[test]

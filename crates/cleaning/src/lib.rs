@@ -30,6 +30,8 @@ pub mod inconsistency;
 pub mod method;
 pub mod mislabel;
 pub mod missing;
+#[cfg(test)]
+mod oracle;
 pub mod outliers;
 pub mod report;
 pub mod similarity;

@@ -340,8 +340,8 @@ pub fn clean_pair(
                 Detection::ZeroEr => DuplicateDetection::ZeroEr,
                 _ => return Err(invalid()),
             };
-            let cleaner = duplicates::fit(detection, train)?;
-            let (ctrain, rtrain) = cleaner.apply(train)?;
+            // the fit cleans `train` with the matches it already computed
+            let (cleaner, ctrain, rtrain) = duplicates::fit(detection, train)?;
             let (ctest, rtest) = cleaner.apply(test)?;
             Ok(CleaningOutcome {
                 train: ctrain,

@@ -57,6 +57,16 @@ impl SimMatrix {
         }
     }
 
+    /// Copies `block`'s rows into rows `start..start + block.n_rows()`,
+    /// one contiguous column slice per dimension.
+    pub(crate) fn copy_block(&mut self, start: usize, block: &SimMatrix) {
+        assert_eq!(block.dim, self.dim, "similarity vector width mismatch");
+        for d in 0..self.dim {
+            let at = d * self.n + start;
+            self.data[at..at + block.n].copy_from_slice(block.col(d));
+        }
+    }
+
     /// Gathers pair `i`'s similarity vector into `out`.
     pub fn read_row(&self, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "similarity vector width mismatch");
@@ -71,36 +81,46 @@ impl SimMatrix {
 /// Component 0 is *unmatch*, component 1 is *match* (higher mean similarity).
 #[derive(Debug, Clone)]
 pub struct PairGmm {
-    means: [Vec<f64>; 2],
-    vars: [Vec<f64>; 2],
+    pub(crate) means: [Vec<f64>; 2],
+    pub(crate) vars: [Vec<f64>; 2],
     /// Per-dimension means of the seed pairs; the match component is
     /// anchored near them (see the regularization constants).
     seed_means: Vec<f64>,
     /// Prior probability of the match component.
-    match_prior: f64,
+    pub(crate) match_prior: f64,
     dim: usize,
+    /// `ln(2πσ²)` per component and dimension, and `[ln(1 − prior),
+    /// ln(prior)]`: the parameters' constant terms, recomputed by
+    /// [`PairGmm::refresh`] whenever the parameters change instead of
+    /// once per pair and dimension.
+    ln_norm: [Vec<f64>; 2],
+    ln_prior: [f64; 2],
 }
 
 /// Variance floor to keep densities finite on degenerate features.
-const VAR_FLOOR: f64 = 1e-4;
-/// EM iterations (convergence on these small problems is fast).
-const EM_ITERS: usize = 50;
+pub(crate) const VAR_FLOOR: f64 = 1e-4;
+/// Cap on EM rounds. EM stops earlier at a bitwise fixed point: once an E
+/// step reproduces every responsibility bit for bit, the M step (a pure
+/// function of the responsibilities) would return the same parameters in
+/// every later round. The quick study's eight fits reach it between
+/// rounds 3 and 47.
+pub(crate) const EM_ITERS: usize = 50;
 /// Regularized-EM constraints, in the spirit of ZeroER's feature
 /// regularization: true matches are rare, near-identical, and stochastically
 /// dominate non-matches on every similarity feature. Without them, EM on the
 /// continuous "share-some-tokens" similarity shoulder of real text data
 /// drifts the match component downward until it absorbs a large fraction of
 /// candidate pairs.
-const MAX_MATCH_PRIOR: f64 = 0.02;
-const MAX_MATCH_VAR: f64 = 0.02;
+pub(crate) const MAX_MATCH_PRIOR: f64 = 0.02;
+pub(crate) const MAX_MATCH_VAR: f64 = 0.02;
 /// Floor on the unmatch variance, equal to the match cap: without it the
 /// unmatch component's tighter tails make mid-similarity points *relatively*
 /// more likely under the broad match Gaussian, flooding the result with
 /// false positives (the tied-covariance robustification).
-const MIN_UNMATCH_VAR: f64 = MAX_MATCH_VAR;
-const DOMINANCE_GAP: f64 = 0.2;
+pub(crate) const MIN_UNMATCH_VAR: f64 = MAX_MATCH_VAR;
+pub(crate) const DOMINANCE_GAP: f64 = 0.2;
 /// How far below its seed mean the match component may drift per feature.
-const SEED_SLACK: f64 = 0.1;
+pub(crate) const SEED_SLACK: f64 = 0.1;
 
 impl PairGmm {
     /// Fits the mixture to `points` (each a similarity vector in `[0,1]^d`).
@@ -155,7 +175,10 @@ impl PairGmm {
             seed_means,
             match_prior: (n_match_init as f64 / n as f64).min(MAX_MATCH_PRIOR),
             dim,
+            ln_norm: [vec![0.0; dim], vec![0.0; dim]],
+            ln_prior: [0.0; 2],
         };
+        gmm.refresh();
 
         let mut row = vec![0.0; dim];
         for _ in 0..EM_ITERS {
@@ -189,11 +212,18 @@ impl PairGmm {
                 gmm.vars[1][d] = v1.clamp(VAR_FLOOR, MAX_MATCH_VAR);
             }
             gmm.match_prior = (w1 / n as f64).clamp(1e-6, MAX_MATCH_PRIOR);
+            gmm.refresh();
 
-            // E step.
+            // E step; a round that moves no responsibility is a fixed point.
+            let mut moved = false;
             for (i, r) in resp.iter_mut().enumerate() {
                 points.read_row(i, &mut row);
-                *r = gmm.posterior_match(&row);
+                let p = gmm.posterior_match(&row);
+                moved |= p.to_bits() != r.to_bits();
+                *r = p;
+            }
+            if !moved {
+                break;
             }
         }
 
@@ -204,15 +234,43 @@ impl PairGmm {
             gmm.means.swap(0, 1);
             gmm.vars.swap(0, 1);
             gmm.match_prior = 1.0 - gmm.match_prior;
+            gmm.refresh();
         }
         Some(gmm)
+    }
+
+    /// Two identical components under an even prior, so every posterior
+    /// is exactly 0.5 (a test fixture).
+    #[cfg(test)]
+    pub(crate) fn tied(dim: usize) -> PairGmm {
+        let mut gmm = PairGmm {
+            means: [vec![0.5; dim], vec![0.5; dim]],
+            vars: [vec![1.0; dim], vec![1.0; dim]],
+            seed_means: vec![0.5; dim],
+            match_prior: 0.5,
+            dim,
+            ln_norm: [vec![0.0; dim], vec![0.0; dim]],
+            ln_prior: [0.0; 2],
+        };
+        gmm.refresh();
+        gmm
+    }
+
+    /// Recomputes the constant terms from the current variances and prior.
+    fn refresh(&mut self) {
+        for (ln_norm, vars) in self.ln_norm.iter_mut().zip(&self.vars) {
+            for (ln, &var) in ln_norm.iter_mut().zip(vars) {
+                *ln = (2.0 * std::f64::consts::PI * var).ln();
+            }
+        }
+        self.ln_prior = [(1.0 - self.match_prior).ln(), self.match_prior.ln()];
     }
 
     /// Posterior probability that `point` is a matching pair.
     pub fn posterior_match(&self, point: &[f64]) -> f64 {
         assert_eq!(point.len(), self.dim, "dimension mismatch");
-        let ll1 = self.log_density(point, 1) + self.match_prior.ln();
-        let ll0 = self.log_density(point, 0) + (1.0 - self.match_prior).ln();
+        let ll1 = self.log_density(point, 1) + self.ln_prior[1];
+        let ll0 = self.log_density(point, 0) + self.ln_prior[0];
         let max = ll1.max(ll0);
         let e1 = (ll1 - max).exp();
         let e0 = (ll0 - max).exp();
@@ -221,11 +279,10 @@ impl PairGmm {
 
     fn log_density(&self, point: &[f64], comp: usize) -> f64 {
         let mut ll = 0.0;
-        for (p, (m, &var)) in
-            point[..self.dim].iter().zip(self.means[comp].iter().zip(&self.vars[comp]))
-        {
+        let params = self.means[comp].iter().zip(&self.vars[comp]).zip(&self.ln_norm[comp]);
+        for (p, ((m, &var), ln_norm)) in point[..self.dim].iter().zip(params) {
             let dev = p - m;
-            ll += -0.5 * ((2.0 * std::f64::consts::PI * var).ln() + dev * dev / var);
+            ll += -0.5 * (ln_norm + dev * dev / var);
         }
         ll
     }

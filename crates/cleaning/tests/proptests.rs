@@ -142,18 +142,23 @@ proptest! {
     }
 
     /// ZeroER duplicate cleaning is byte-identical whether the O(n²)
-    /// similarity sweeps run serially or fan out over a subwork bridge.
+    /// similarity sweeps run serially or fan out over a subwork bridge,
+    /// and the training table `fit` cleans from its own matches is the one
+    /// a fresh `apply` gives.
     #[test]
     fn zeroer_nested_parallel_matches_serial(t in arb_entity_table()) {
         let (serial, bridged) = serial_and_bridged(|| {
-            let cleaner = duplicates::fit(DuplicateDetection::ZeroEr, &t).expect("fit");
+            let (cleaner, clean, report) =
+                duplicates::fit(DuplicateDetection::ZeroEr, &t).expect("fit");
             let pairs = cleaner.detect_pairs(&t).expect("detect");
-            let (clean, report) = cleaner.apply(&t).expect("apply");
-            (pairs, clean, report.detected)
+            let applied = cleaner.apply(&t).expect("apply");
+            (pairs, clean, report, applied)
         });
         prop_assert_eq!(&serial.0, &bridged.0, "pairs diverge under bridge");
         prop_assert_eq!(&serial.1, &bridged.1, "cleaned table diverges under bridge");
         prop_assert_eq!(serial.2, bridged.2);
+        prop_assert_eq!(&serial.3, &(serial.1.clone(), serial.2), "fit's cleaning vs apply");
+        prop_assert_eq!(serial.2.detected, serial.0.len());
     }
 
     /// Per-column outlier fitting (including the seeded isolation forest)

@@ -30,7 +30,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -233,6 +233,9 @@ pub(crate) struct PoolInner<A> {
     /// Open intra-task subwork batches; idle workers drain them between
     /// frontier checks (multi-worker pools only).
     pub(crate) subwork: Arc<crate::subwork::SubworkShared>,
+    /// Live [`LeasableHold`]s: while any is held, local workers leave
+    /// leasable tasks to remote workers.
+    leasable_holds: AtomicUsize,
 }
 
 fn spec_key_of(bytes: &[u8]) -> u64 {
@@ -295,13 +298,35 @@ where
 
     /// Own deque newest-first (depth-first descent keeps artifacts hot),
     /// then steal oldest-first from victims — the classic discipline.
+    /// Under a [`LeasableHold`], only the newest task no remote worker can
+    /// lease.
     fn pop_or_steal(&self, st: &mut State<A>, me: usize) -> Option<Gid> {
+        if self.leasable_holds.load(Ordering::Acquire) > 0 {
+            return self.pop_unleasable(st);
+        }
         if let Some(gid) = self.pop_back_runnable(st, me) {
             return Some(gid);
         }
         for offset in 1..st.deques.len() {
             let victim = (me + offset) % st.deques.len();
             if let Some(gid) = self.pop_front_runnable(st, victim) {
+                return Some(gid);
+            }
+        }
+        None
+    }
+
+    /// Takes the newest queued task of a kind that never travels, from any
+    /// deque; stale ids stay for the regular pops to drop.
+    fn pop_unleasable(&self, st: &mut State<A>) -> Option<Gid> {
+        for di in 0..st.deques.len() {
+            let tasks = &st.tasks;
+            let found = st.deques[di].q.iter().rposition(|&g| {
+                tasks[g].phase == Phase::Queued && !crate::remote::leasable(tasks[g].kind)
+            });
+            if let Some(pos) = found {
+                let gid = st.deques[di].q.remove(pos).expect("position just found");
+                st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
                 return Some(gid);
             }
         }
@@ -729,6 +754,7 @@ where
             persist,
             n_workers: workers,
             subwork: Arc::new(crate::subwork::SubworkShared::new()),
+            leasable_holds: AtomicUsize::new(0),
         });
         let threads = (0..workers)
             .map(|w| {
@@ -766,6 +792,16 @@ where
     pub fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: Option<HttpGateway>) {
         let handle = spawn_hub_service(Arc::clone(&self.inner), hub, gateway);
         self.services.push(handle);
+    }
+
+    /// Holds every leasable task back from the local workers until the
+    /// returned guard drops: they run only the kinds that never travel
+    /// (dataset generation, reduction) and leave the rest to remote
+    /// workers. Fault-injection tests use it to force leases onto a
+    /// worker, instead of racing the local pool for them.
+    pub fn hold_leasable(&self) -> LeasableHold<A> {
+        self.inner.leasable_holds.fetch_add(1, Ordering::AcqRel);
+        LeasableHold { inner: Arc::clone(&self.inner) }
     }
 
     /// Merges a resolved graph into the resident table as one submission.
@@ -1013,6 +1049,25 @@ fn arm_entry<A>(
         st.tasks[gid].run = nodes[idx].run.take();
     }
     debug_assert!(st.tasks[gid].run.is_some(), "re-armed entry has a body");
+}
+
+/// Guard of [`Pool::hold_leasable`]; dropping it hands leasable tasks
+/// back to the local workers.
+pub struct LeasableHold<A>
+where
+    A: Clone + Send + Sync + DiskCodec + 'static,
+{
+    inner: Arc<PoolInner<A>>,
+}
+
+impl<A> Drop for LeasableHold<A>
+where
+    A: Clone + Send + Sync + DiskCodec + 'static,
+{
+    fn drop(&mut self) {
+        self.inner.leasable_holds.fetch_sub(1, Ordering::AcqRel);
+        self.inner.work.notify_all();
+    }
 }
 
 impl<A> Drop for Pool<A>

@@ -42,7 +42,7 @@ use cleanml_dataset::{Encoder, FeatureMatrix};
 use crate::cache::{ArtifactCache, CacheKey, CacheStats, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
-use crate::pool::{Pool, RunReport, SubmissionHandle};
+use crate::pool::{LeasableHold, Pool, RunReport, SubmissionHandle};
 use crate::remote::http::{GatewayBackend, GatewayError, StudyState, StudyStatus, SubmitSpec};
 use crate::remote::{RemoteHub, StudySpec};
 use crate::telemetry;
@@ -421,6 +421,12 @@ impl Engine {
             }
         });
         Engine { inner }
+    }
+
+    /// Holds leasable tasks back from the local workers until the guard
+    /// drops ([`Pool::hold_leasable`]).
+    pub fn hold_leasable(&self) -> LeasableHold<Artifact> {
+        self.inner.pool.hold_leasable()
     }
 
     /// Attaches a progress-event sink (the default for submissions made

@@ -163,11 +163,36 @@ fn serial_local_pool_and_remote_workers_agree() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Upper bound on any one wait for an engine event; a run that stalls
+/// fails the test instead of hanging it.
+const EVENT_WAIT: Duration = Duration::from_secs(120);
+
+/// Receives events into `seen` until one satisfies `pred`.
+fn wait_for(
+    rx: &mpsc::Receiver<EngineEvent>,
+    seen: &mut Vec<EngineEvent>,
+    pred: impl Fn(&EngineEvent) -> bool,
+) {
+    loop {
+        let event = rx.recv_timeout(EVENT_WAIT).expect("the awaited engine event never came");
+        let found = pred(&event);
+        seen.push(event);
+        if found {
+            return;
+        }
+    }
+}
+
 /// The fault-injection scenario of the acceptance criteria: two loopback
 /// workers, one killed mid-lease (its connection drops right after the
 /// coordinator emitted `TaskStarted` for the lease). The coordinator must
 /// re-lease every orphaned task and finish with CSVs byte-identical to the
 /// serial run.
+///
+/// The second lease is forced, not raced for: the local pool holds every
+/// leasable task back while the doomed worker is the only remote one, and
+/// gets them back only once that worker has died on its second lease and
+/// the survivor has joined.
 #[test]
 fn worker_killed_mid_lease_costs_only_its_in_flight_task() {
     let cfg = tiny_cfg();
@@ -176,17 +201,32 @@ fn worker_killed_mid_lease_costs_only_its_in_flight_task() {
     let serial = run_study(&ets, &cfg).expect("serial study");
 
     let (tx, rx) = mpsc::channel();
-    let mut coord = remote_engine(1, Duration::from_secs(5), None).with_events(tx);
+    let coord = remote_engine(1, Duration::from_secs(5), None).with_events(tx);
     let addr = coord.remote_addr().expect("hub bound");
-    // One healthy worker; one completes a task, then vanishes upon its
-    // second lease — the loopback equivalent of `kill -9` mid-lease.
-    let healthy = spawn_worker(addr, "survivor", FaultPlan::default());
+    let hold = coord.hold_leasable();
+    // One worker completes a task, then vanishes upon its second lease —
+    // the loopback equivalent of `kill -9` mid-lease.
     let doomed = spawn_worker(
         addr,
         "crash-dummy",
         FaultPlan { die_on_lease: Some(2), ..Default::default() },
     );
-    let (db, report) = coord.run_study_with_report(&ets, &cfg).expect("faulted study");
+    let submission = coord.submit_study(&ets, &cfg);
+    let mut events = Vec::new();
+    wait_for(
+        &rx,
+        &mut events,
+        |e| matches!(e, EngineEvent::LeaseExpired { worker, .. } if worker == "crash-dummy"),
+    );
+    // A healthy worker joins the run the doomed one left.
+    let healthy = spawn_worker(addr, "survivor", FaultPlan::default());
+    wait_for(
+        &rx,
+        &mut events,
+        |e| matches!(e, EngineEvent::WorkerJoined { worker } if worker == "survivor"),
+    );
+    drop(hold);
+    let (db, report) = submission.wait().expect("faulted study");
     drop(coord);
     let _ = healthy.join().expect("healthy thread");
     let doomed_summary = doomed.join().expect("doomed thread").expect("doomed session");
@@ -196,7 +236,7 @@ fn worker_killed_mid_lease_costs_only_its_in_flight_task() {
     assert!(report.releases >= 1, "the orphaned lease re-entered the frontier: {report:?}");
     assert_eq!(report.remote_workers, 2);
 
-    let events: Vec<EngineEvent> = rx.try_iter().collect();
+    events.extend(rx.try_iter());
     let joined = events.iter().filter(|e| matches!(e, EngineEvent::WorkerJoined { .. })).count();
     let expired: Vec<(usize, TaskKind)> = events
         .iter()

@@ -24,7 +24,7 @@ fn main() {
     );
 
     for detection in [DuplicateDetection::KeyCollision, DuplicateDetection::ZeroEr] {
-        let cleaner = duplicates::fit(detection, &data.dirty).expect("fit");
+        let (cleaner, cleaned, report) = duplicates::fit(detection, &data.dirty).expect("fit");
         let pairs = cleaner.detect_pairs(&data.dirty).expect("detect");
 
         // A detected pair is correct when at least one side is an injected
@@ -36,7 +36,6 @@ fn main() {
         let precision = if pairs.is_empty() { 1.0 } else { tp as f64 / pairs.len() as f64 };
         let recall = found.len() as f64 / injected.len().max(1) as f64;
 
-        let (cleaned, report) = cleaner.apply(&data.dirty).expect("apply");
         println!(
             "\n{:<14} pairs={:<4} precision={:.2} recall={:.2} fp={} rows {} -> {}",
             detection.name(),
