@@ -8,18 +8,18 @@
 //! bluntest instrument (it kills borderline effects BH/BY keep, paper's
 //! critique of it).
 
-use cleanml_bench::{banner, config_from_args, header, run_study_cli};
+use cleanml_bench::{banner, header, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 use cleanml_stats::Correction;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("ablation_corrections");
     banner("Ablation: FDR correction choice", &cfg);
     let error_type = ErrorType::MissingValues;
     // the engine study applies BY; we re-correct from the stored p-values.
-    let base = run_study_cli(&[error_type], &cfg);
+    let base = run_study_cli(&[error_type], &cfg, run);
 
     header(&format!("R1 flags for {} under each correction", error_type.name()));
     let mut rows = Vec::new();

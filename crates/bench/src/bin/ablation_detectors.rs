@@ -6,7 +6,7 @@
 //! precision/recall against the injected ground truth, and the flag of the
 //! downstream KNN experiment (the paper's most outlier-sensitive model).
 
-use cleanml_bench::{banner, config_from_args, fan_out, header};
+use cleanml_bench::{banner, fan_out, fan_out_cli, header};
 use cleanml_cleaning::outliers::{self, OutlierDetection, OutlierRepair};
 use cleanml_core::runner::evaluate_grid_with;
 use cleanml_core::schema::ErrorType;
@@ -36,7 +36,7 @@ fn detection_quality(
 }
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, workers) = fan_out_cli("ablation_detectors");
     banner("Ablation: outlier-detector aggressiveness", &cfg);
     let data = generate(spec_by_name("EEG").expect("known"), cfg.base_seed);
 
@@ -63,7 +63,7 @@ fn main() {
         ),
     ];
     // each detector sweep is independent: fan them out
-    let qualities = fan_out(&sweeps, |(_, det)| detection_quality(&data, *det));
+    let qualities = fan_out(&sweeps, workers, |(_, det)| detection_quality(&data, *det));
     for ((name, _), (cells, p, r)) in sweeps.iter().zip(&qualities) {
         println!("{name:<26} {cells:>9} {p:>10.2} {r:>8.2}");
     }

@@ -4,14 +4,14 @@
 //! under-power the t-tests: the same experiment's p-values and flags are
 //! recomputed at 5 / 10 / 20 / 40 splits.
 
-use cleanml_bench::{banner, config_from_args, fan_out, header};
+use cleanml_bench::{banner, fan_out, fan_out_cli, header};
 use cleanml_core::schema::{Detection, ErrorType, Repair, Scenario, Spec1};
 use cleanml_core::{run_r1_experiment, ExperimentConfig};
 use cleanml_datagen::{generate, spec_by_name};
 use cleanml_ml::ModelKind;
 
 fn main() {
-    let base_cfg = config_from_args();
+    let (base_cfg, workers) = fan_out_cli("ablation_splits");
     banner("Ablation: split count vs statistical power", &base_cfg);
     let data = generate(spec_by_name("EEG").expect("known"), base_cfg.base_seed);
     let spec = Spec1 {
@@ -28,7 +28,7 @@ fn main() {
     // the four split counts are independent experiments: fan them out
     // (per-split threads off — the outer fan-out is the parallelism here)
     let counts = [5usize, 10, 20, 40];
-    let outcomes = fan_out(&counts, |&n_splits| {
+    let outcomes = fan_out(&counts, workers, |&n_splits| {
         let cfg = ExperimentConfig { n_splits, parallel: false, ..base_cfg };
         run_r1_experiment(&data, &spec, &cfg).expect("experiment")
     });

@@ -13,12 +13,16 @@
 //! Flags: `--out FILE` (default `BENCH_quick.json`), `--splits N`
 //! (default 2), `--workers N`, `--errors LIST`, `--trace-out FILE`
 //! (records an extra traced cold run so tracing cost never pollutes the
-//! overhead measurement). A bad flag value exits with code 2.
+//! overhead measurement). Any other argument, or a bad value, exits with
+//! code 2.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cleanml_bench::{flag_value, or_exit, parse_error_types, splits_flag, text_value};
+use cleanml_bench::{
+    flag_value, parse_error_types, splits_flag, text_value, workers_flag, Cli, FlagDef,
+    WORKERS_FLAG,
+};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::ExperimentConfig;
 use cleanml_engine::{telemetry, Engine, EngineConfig, HistogramSummary, RunReport, TaskKind};
@@ -33,6 +37,24 @@ const OVERHEAD_BUDGET_PCT: f64 = 2.0;
 /// drift never lands on the same leg twice in a row.
 const MAX_ATTEMPTS: usize = 5;
 
+const CLI: Cli = Cli {
+    name: "cleanml-bench-trajectory",
+    positionals: &[],
+    groups: &[
+        &[
+            FlagDef::valued(
+                "--out",
+                "FILE",
+                "where the trajectory goes (default BENCH_quick.json)",
+            ),
+            FlagDef::valued("--trace-out", "FILE", "record an extra traced cold run's spans"),
+            FlagDef::valued("--splits", "N", "train/test splits, 2-1000 (default 2)"),
+            FlagDef::valued("--errors", "LIST", "comma-separated error types (default: all five)"),
+        ],
+        WORKERS_FLAG,
+    ],
+};
+
 /// A parsed command line.
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -44,13 +66,15 @@ struct Args {
     error_types: Vec<ErrorType>,
 }
 
-/// Parses the command line (program name excluded).
+/// Checks the command line (program name excluded) against [`CLI`] and
+/// parses it.
 fn parse_args(args: &[String]) -> Result<Args, String> {
+    CLI.check(args)?;
     Ok(Args {
         out: flag_value(args, "--out", "FILE", text_value)?
             .map_or_else(|| "BENCH_quick.json".into(), PathBuf::from),
         trace_out: flag_value(args, "--trace-out", "FILE", text_value)?.map(PathBuf::from),
-        workers: flag_value(args, "--workers", "a worker count", |v| v.parse().ok())?.unwrap_or(0),
+        workers: workers_flag(args)?,
         splits: splits_flag(args)?.unwrap_or(2),
         error_types: flag_value(args, "--errors", "error types", parse_error_types)?
             .unwrap_or_else(|| ErrorType::all().to_vec()),
@@ -103,9 +127,8 @@ fn ms(d: Duration) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let Args { out: out_path, trace_out, workers, splits, error_types } =
-        or_exit(parse_args(&args));
+        CLI.or_exit(parse_args(&std::env::args().skip(1).collect::<Vec<_>>()));
     let mut cfg = ExperimentConfig::quick();
     cfg.n_splits = splits;
 
@@ -405,6 +428,10 @@ mod tests {
             "--out",
             "--out --splits",
             "--trace-out",
+            "--quick",
+            "--splits 2 --splits 3",
+            "--workers",
+            "BENCH.json",
         ] {
             let err = parse(bad).unwrap_err();
             assert!(err.starts_with(bad.split(' ').next().unwrap()), "{bad}: {err}");

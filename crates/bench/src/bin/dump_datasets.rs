@@ -1,18 +1,28 @@
 //! Writes all 14 dataset stand-ins (dirty + ground truth) as CSV files.
 //!
 //! ```sh
-//! cargo run --release -p cleanml-bench --bin dump_datasets -- out_dir [seed]
+//! cargo run --release -p cleanml-bench --bin dump_datasets -- [out_dir] [seed]
 //! ```
 
 use std::path::PathBuf;
 
+use cleanml_bench::Cli;
 use cleanml_datagen::{generate, specs};
 use cleanml_dataset::csv::write_csv_file;
 
+const CLI: Cli = Cli { name: "dump_datasets", positionals: &["out_dir", "seed"], groups: &[] };
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let dir = PathBuf::from(args.next().unwrap_or_else(|| "datasets_out".into()));
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+    let (dir, seed) = CLI.parse(|_, positionals| {
+        let dir = PathBuf::from(positionals.first().copied().unwrap_or("datasets_out"));
+        let seed = match positionals.get(1) {
+            Some(s) => {
+                s.parse().map_err(|_| format!("seed expects an unsigned integer, got `{s}`"))?
+            }
+            None => 42u64,
+        };
+        Ok((dir, seed))
+    });
     std::fs::create_dir_all(&dir).expect("create output directory");
 
     println!("writing 14 datasets (seed {seed}) to {}", dir.display());

@@ -25,11 +25,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cleanml_bench::{
-    cache_stats_line, flag_value, or_exit, parse_config, parse_error_types, profile_name,
-    text_value,
+    cache_stats_line, connect_with_retry, flag_value, parse_config, parse_error_types,
+    profile_name, text_value, Cli, FlagDef, PROFILE_FLAGS,
 };
 use cleanml_core::schema::ErrorType;
 use cleanml_engine::telemetry::exposition_sample;
@@ -42,18 +42,21 @@ const PAGE_ROWS: usize = 10_000;
 /// How often the submission's status is polled.
 const POLL: Duration = Duration::from_millis(50);
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cleanml-query --connect HOST:PORT [--quick|--standard|--paper]\n\
-         \u{20}      [--splits N] [--seed N] [--errors LIST] [--cell D/DET/REP/MODEL]\n\
-         \u{20}      [--http-token TOK] [--cache-stats] [--retry SECS]\n\
-         submits a study (or one cell) to a cleanml-serve engine over HTTP and\n\
-         prints the CSVs; LIST is comma-separated error types (default: all\n\
-         five), a --cell names dataset/detection/repair/model and needs exactly\n\
-         one error type"
-    );
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    name: "cleanml-query",
+    positionals: &[],
+    groups: &[
+        &[FlagDef::valued("--connect", "HOST:PORT", "the cleanml-serve listener (required)")],
+        PROFILE_FLAGS,
+        &[
+            FlagDef::valued("--errors", "LIST", "comma-separated error types (default: all five)"),
+            FlagDef::valued("--cell", "D/DET/REP/MODEL", "one cell; needs exactly one error type"),
+            FlagDef::valued("--http-token", "TOK", "the gateway's bearer token"),
+            FlagDef::switch("--cache-stats", "print the server's accounting for this query"),
+            FlagDef::valued("--retry", "SECS", "how long to retry the connect (default 30)"),
+        ],
+    ],
+};
 
 /// A parsed command line.
 #[derive(Debug, PartialEq)]
@@ -66,11 +69,12 @@ struct Args {
     cache_stats: bool,
 }
 
-/// Parses the command line (program name excluded); `Ok(None)` without
-/// `--connect`.
-fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+/// Checks the command line (program name excluded) against [`CLI`] and
+/// parses it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    CLI.check(args)?;
     let Some(addr) = flag_value(args, "--connect", "HOST:PORT", text_value)? else {
-        return Ok(None);
+        return Err("--connect HOST:PORT is required".into());
     };
     let cfg = parse_config(args)?;
     let error_types = flag_value(args, "--errors", "error types", parse_error_types)?
@@ -92,7 +96,7 @@ fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
         }
         form.push_str(&format!("&cell={}", form_encode(&cell)));
     }
-    Ok(Some(Args {
+    Ok(Args {
         addr,
         form,
         token: flag_value(args, "--http-token", "a non-empty token", text_value)?,
@@ -100,7 +104,7 @@ fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
             flag_value(args, "--retry", "whole seconds", |v| v.parse().ok())?.unwrap_or(30),
         ),
         cache_stats: args.iter().any(|a| a == "--cache-stats"),
-    }))
+    })
 }
 
 /// Percent-encodes a form value: everything but unreserved characters.
@@ -184,22 +188,6 @@ impl Gateway {
     }
 }
 
-/// Waits up to `retry` for the server to accept connections: in a
-/// scripted launch the daemon may still be starting.
-fn await_server(addr: &str, retry: Duration) -> Result<(), String> {
-    let deadline = Instant::now() + retry;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(_) => return Ok(()),
-            Err(e) if Instant::now() < deadline => {
-                eprintln!("[query] {addr} not ready ({e}); retrying");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            Err(e) => return Err(format!("cannot connect to {addr}: {e}")),
-        }
-    }
-}
-
 /// Submits the study, follows it to completion and returns its CSV text.
 fn run(gw: &Gateway, form: &str) -> Result<String, String> {
     let created = gw.expect(201, "POST", "/studies", form)?;
@@ -245,10 +233,10 @@ fn run(gw: &Gateway, form: &str) -> Result<String, String> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(args) = or_exit(parse_args(&args)) else { usage() };
+    let args = CLI.or_exit(parse_args(&std::env::args().skip(1).collect::<Vec<_>>()));
     let gw = Gateway { addr: args.addr.clone(), token: args.token.clone() };
-    let outcome = await_server(&args.addr, args.retry).and_then(|()| {
+    // the connection only proves the server is up; each request opens its own
+    let outcome = connect_with_retry(&args.addr, args.retry, "query").and_then(|_| {
         let before = if args.cache_stats { Some(gw.scrape()?) } else { None };
         let csv = run(&gw, &args.form)?;
         print!("{csv}");
@@ -278,15 +266,13 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Option<Args>, String> {
+    fn parse(line: &str) -> Result<Args, String> {
         parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
     #[test]
     fn flags_build_the_submission_form() {
-        let args = parse("--connect 127.0.0.1:7401 --quick --splits 2 --errors outliers")
-            .unwrap()
-            .unwrap();
+        let args = parse("--connect 127.0.0.1:7401 --quick --splits 2 --errors outliers").unwrap();
         assert_eq!(args.addr, "127.0.0.1:7401");
         assert_eq!(args.form, "errors=Outliers&profile=quick&splits=2&seed=1");
         assert_eq!(
@@ -298,7 +284,6 @@ mod tests {
             "--connect h:1 --errors inconsistencies --cell University/OpenRefine/Merge/KNN \
              --http-token ci-secret --retry 5 --cache-stats --seed 9",
         )
-        .unwrap()
         .unwrap();
         assert_eq!(
             args.form,
@@ -309,9 +294,9 @@ mod tests {
         assert_eq!((args.retry, args.cache_stats), (Duration::from_secs(5), true));
 
         // every error type by default, names encoded
-        let all = parse("--connect h:1").unwrap().unwrap();
+        let all = parse("--connect h:1").unwrap();
         assert!(all.form.starts_with("errors=Missing%20Values%2COutliers%2C"), "{}", all.form);
-        assert_eq!(parse("--quick").unwrap(), None, "no --connect: usage");
+        assert!(parse("--quick").unwrap_err().starts_with("--connect"), "no --connect: usage");
     }
 
     #[test]
@@ -326,6 +311,11 @@ mod tests {
             "--connect h:1 --errors outliers,duplicates --cell a/b/c/d",
             "--connect h:1 --http-token",
             "--connect --quick",
+            "--connect h:1 --quik",
+            "--connect h:1 --workers 2",
+            "--connect h:1 --errors outliers --errors duplicates",
+            "--connect h:1 --cell",
+            "--connect h:1 h:2",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

@@ -29,20 +29,20 @@
 
 use std::time::Duration;
 
-use cleanml_bench::engine_from_args;
+use cleanml_bench::{parse_engine_config, Cli, ENGINE_FLAGS, WORKERS_FLAG};
 use cleanml_engine::Engine;
 
+const CLI: Cli =
+    Cli { name: "cleanml-serve", positionals: &[], groups: &[WORKERS_FLAG, ENGINE_FLAGS] };
+
 fn main() {
-    let cfg = engine_from_args();
-    if cfg.listen.is_none() {
-        eprintln!(
-            "usage: cleanml-serve --listen HOST:PORT [--workers N] [--cache-dir DIR]\n\
-             \u{20}      [--cache-max-bytes N[k|m|g]] [--lease-timeout SECS] [--http-token TOK]\n\
-             a resident engine serving the HTTP results gateway (/metrics, /studies)\n\
-             to clients such as cleanml-query, and cleanml-worker leases"
-        );
-        std::process::exit(2);
-    }
+    let cfg = CLI.parse(|args, _| {
+        let cfg = parse_engine_config(args)?;
+        match cfg.listen {
+            Some(_) => Ok(cfg),
+            None => Err("--listen HOST:PORT is required".into()),
+        }
+    });
     let http_auth = cfg.http_token.is_some();
     let engine = Engine::new(cfg);
     let addr = engine.remote_addr().expect("--listen was required above");

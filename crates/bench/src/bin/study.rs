@@ -5,9 +5,10 @@
 //!
 //! ```sh
 //! cargo run --release -p cleanml-bench --bin study -- \
-//!     [--quick|--paper] [--splits N] [--seed N] [--workers N] \
-//!     [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--cache-stats] \
-//!     [--listen ADDR] [--lease-timeout SECS] [--trace-out FILE] [out_dir]
+//!     [--quick|--standard|--paper] [--splits N] [--seed S] [--workers N] \
+//!     [--cache-dir DIR] [--cache-max-bytes N[k|m|g]] [--listen HOST:PORT] \
+//!     [--lease-timeout SECS] [--http-token TOK] [--cache-stats] \
+//!     [--trace-out FILE] [out_dir]
 //! ```
 //!
 //! With `--cache-dir`, a repeated or resumed invocation — including one
@@ -23,9 +24,13 @@
 
 use std::path::{Path, PathBuf};
 
-use cleanml_bench::{banner, config_from_args, header, run_study_cli};
+use cleanml_bench::{
+    banner, header, parse_config, parse_run_args, run_study_cli, Cli, STUDY_FLAGS,
+};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, Relation};
+
+const CLI: Cli = Cli { name: "study", positionals: &["out_dir"], groups: STUDY_FLAGS };
 
 /// Writes the relations in their canonical CSV form — the same renderers
 /// the serving layer ships over the wire, so a `cleanml-query` response
@@ -37,42 +42,12 @@ fn dump(db: &CleanMlDb, dir: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Flags whose next argument is their value, never the `out_dir`.
-const VALUE_FLAGS: [&str; 8] = [
-    "--splits",
-    "--seed",
-    "--workers",
-    "--cache-dir",
-    "--cache-max-bytes",
-    "--listen",
-    "--lease-timeout",
-    "--trace-out",
-];
-
-/// Positional `out_dir` among `args` (program name excluded): the first
-/// non-flag argument that is not a value of a preceding flag.
-fn out_dir(args: &[String]) -> PathBuf {
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            return PathBuf::from(a);
-        }
-    }
-    PathBuf::from("cleanml_db")
-}
-
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run, dir) = CLI.parse(|args, positionals| {
+        let dir = PathBuf::from(positionals.first().copied().unwrap_or("cleanml_db"));
+        Ok((parse_config(args)?, parse_run_args(args)?, dir))
+    });
     banner("Full CleanML study", &cfg);
-    let dir = out_dir(&std::env::args().skip(1).collect::<Vec<_>>());
     std::fs::create_dir_all(&dir).expect("create output directory");
 
     let all = [
@@ -82,7 +57,7 @@ fn main() {
         ErrorType::Inconsistencies,
         ErrorType::Mislabels,
     ];
-    let db = run_study_cli(&all, &cfg);
+    let db = run_study_cli(&all, &cfg, run);
     dump(&db, &dir).expect("write CSVs");
 
     header("CleanML database written");
@@ -103,28 +78,5 @@ fn main() {
             q1.render(cleanml_core::Flag::Insignificant),
             q1.render(cleanml_core::Flag::Negative),
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn scan(args: &[&str]) -> PathBuf {
-        out_dir(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn flag_values_are_not_the_out_dir() {
-        // the README's tracing invocation
-        assert_eq!(
-            scan(&["--quick", "--splits", "2", "--trace-out", "trace.json", "out/"]),
-            PathBuf::from("out/")
-        );
-        for flag in VALUE_FLAGS {
-            assert_eq!(scan(&[flag, "value", "out"]), PathBuf::from("out"), "{flag}");
-        }
-        assert_eq!(scan(&["--quick", "--cache-stats"]), PathBuf::from("cleanml_db"));
-        assert_eq!(scan(&["out", "--workers", "2"]), PathBuf::from("out"));
     }
 }

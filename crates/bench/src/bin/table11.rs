@@ -3,15 +3,15 @@
 //! Q1 over R1/R2/R3, Q4.2 (imputation method breakdown) over R1/R2, and Q5
 //! (per-dataset breakdown) over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, header, rows_of, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table11");
     banner("Table 11 (Missing Values)", &cfg);
-    let db = run_study_cli(&[ErrorType::MissingValues], &cfg);
+    let db = run_study_cli(&[ErrorType::MissingValues], &cfg, run);
 
     header("Q1 (E = Missing Values)");
     let rows = vec![

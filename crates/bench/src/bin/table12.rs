@@ -3,15 +3,15 @@
 //! Q1 over R1/R2/R3, Q3 (per-model) over R1, Q4.1 (detector) and Q4.2
 //! (repair) over R1/R2, Q5 (per-dataset) over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, header, rows_of, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table12");
     banner("Table 12 (Outliers)", &cfg);
-    let db = run_study_cli(&[ErrorType::Outliers], &cfg);
+    let db = run_study_cli(&[ErrorType::Outliers], &cfg, run);
 
     header("Q1 (E = Outliers)");
     let rows = vec![

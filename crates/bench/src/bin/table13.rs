@@ -3,15 +3,15 @@
 //! Q1, Q2 (scenario BD vs CD), Q3 (per-model) and Q5 (per-dataset-variant)
 //! over the 13 mislabel datasets (Clothing + 4 × {uniform, major, minor}).
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, header, rows_of, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table13");
     banner("Table 13 (Mislabels)", &cfg);
-    let db = run_study_cli(&[ErrorType::Mislabels], &cfg);
+    let db = run_study_cli(&[ErrorType::Mislabels], &cfg, run);
 
     header("Q1 (E = Mislabel)");
     let rows = vec![

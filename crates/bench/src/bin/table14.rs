@@ -2,15 +2,15 @@
 //!
 //! Q1 over R1 and R2&R3, Q5 (per-dataset) over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, header, rows_of, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table14");
     banner("Table 14 (Inconsistencies)", &cfg);
-    let db = run_study_cli(&[ErrorType::Inconsistencies], &cfg);
+    let db = run_study_cli(&[ErrorType::Inconsistencies], &cfg, run);
 
     header("Q1 (E = Inconsistencies)");
     let rows = vec![

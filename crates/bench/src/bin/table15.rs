@@ -2,15 +2,15 @@
 //!
 //! Q1 over R1/R2/R3, Q4.1 (ZeroER vs key collision) over R1/R2, Q5 over R1.
 
-use cleanml_bench::{banner, config_from_args, header, rows_of, run_study_cli};
+use cleanml_bench::{banner, header, rows_of, run_study_cli, study_cli};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table15");
     banner("Table 15 (Duplicates)", &cfg);
-    let db = run_study_cli(&[ErrorType::Duplicates], &cfg);
+    let db = run_study_cli(&[ErrorType::Duplicates], &cfg, run);
 
     header("Q1 (E = Duplicates)");
     let rows = vec![

@@ -9,7 +9,7 @@
 //! the same qualitative judgement the paper makes from its Q2/Q3/Q4/Q5
 //! tables.
 
-use cleanml_bench::{banner, config_from_args, header, run_study_cli};
+use cleanml_bench::{banner, header, run_study_cli, study_cli};
 use cleanml_core::database::{CleanMlDb, FlagDist};
 use cleanml_core::schema::ErrorType;
 use cleanml_core::Relation;
@@ -71,7 +71,7 @@ fn summarize(db: &CleanMlDb, et: ErrorType) -> [String; 5] {
 }
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, run) = study_cli("table16");
     banner("Table 16 (Summary of Empirical Findings)", &cfg);
     let all = [
         ErrorType::Duplicates,
@@ -80,7 +80,7 @@ fn main() {
         ErrorType::Mislabels,
         ErrorType::Outliers,
     ];
-    let db = run_study_cli(&all, &cfg);
+    let db = run_study_cli(&all, &cfg, run);
 
     header("Summary of Empirical Findings for Single Error Types");
     println!(

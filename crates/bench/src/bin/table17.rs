@@ -7,28 +7,37 @@
 //! types. `--cap N` bounds each error type's method catalogue inside the
 //! Cartesian product (default 3; `--paper` uses the full catalogue).
 
-use cleanml_bench::{banner, config_from_args, dist_of, grouped_flags, header};
+use cleanml_bench::{
+    banner, dist_of, flag_value, grouped_flags, header, parse_config, profile_name, workers_flag,
+    Cli, FlagDef, PROFILE_FLAGS, WORKERS_FLAG,
+};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::mixed::compare_mixed_vs_single;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::study::dataset_seed;
 use cleanml_datagen::{generate, spec_by_name};
 
-fn cap_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--paper") {
-        return usize::MAX;
-    }
-    args.iter()
-        .position(|a| a == "--cap")
-        .and_then(|p| args.get(p + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(3)
-}
+const CLI: Cli = Cli {
+    name: "table17",
+    positionals: &[],
+    groups: &[
+        PROFILE_FLAGS,
+        WORKERS_FLAG,
+        &[FlagDef::valued(
+            "--cap",
+            "N",
+            "method catalogue cap per error type (default 3; --paper: all)",
+        )],
+    ],
+};
 
 fn main() {
-    let cfg = config_from_args();
-    let cap = cap_from_args();
+    let (cfg, workers, cap) = CLI.parse(|args, _| {
+        let cap = flag_value(args, "--cap", "a method count", |v| v.parse().ok())?.unwrap_or(3);
+        // the paper runs the full catalogue
+        let cap = if profile_name(args) == "paper" { usize::MAX } else { cap };
+        Ok((parse_config(args)?, workers_flag(args)?, cap))
+    });
     banner("Table 17 (Mixed Error Types vs Single Error Type)", &cfg);
     println!("method catalogue cap per error type: {cap}");
 
@@ -46,7 +55,7 @@ fn main() {
     header("Cleaning Mixed Error Types vs. Single Error Type");
     // One job per (dataset, single error type): all comparisons run
     // concurrently on `--workers` threads.
-    let grouped = grouped_flags(&comparisons, |name, single| {
+    let grouped = grouped_flags(&comparisons, workers, |name, single| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));
         compare_mixed_vs_single(&data, single, cap, &cfg).expect("comparison").flag

@@ -9,7 +9,7 @@
 //!
 //! P = cleaning better than the robust model.
 
-use cleanml_bench::{banner, config_from_args, dist_of, fan_out, header};
+use cleanml_bench::{banner, dist_of, fan_out, fan_out_cli, header};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::robust::{compare_cleaning_vs_robust, table18_pool, RobustBaseline};
 use cleanml_core::schema::ErrorType;
@@ -21,19 +21,20 @@ fn run_row(
     lr_only: bool,
     baseline: RobustBaseline,
     cfg: &cleanml_core::ExperimentConfig,
+    workers: usize,
 ) -> (String, cleanml_core::FlagDist) {
     let pool = table18_pool(lr_only);
     // Generate eagerly (shared mislabel bases are built once), then fan the
     // per-dataset comparisons out.
     let datasets = generate_datasets_for(error_type, cfg.base_seed);
-    let flags = fan_out(&datasets, |data| {
+    let flags = fan_out(&datasets, workers, |data| {
         compare_cleaning_vs_robust(data, error_type, &pool, baseline, cfg).expect("comparison").flag
     });
     (label.to_owned(), dist_of(&flags))
 }
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, workers) = fan_out_cli("table18");
     banner("Table 18 (Robust ML vs Data Cleaning)", &cfg);
 
     header("Data Cleaning for ML vs Robust ML (P = cleaning better)");
@@ -44,6 +45,7 @@ fn main() {
             true,
             RobustBaseline::Nacl,
             &cfg,
+            workers,
         ),
         run_row(
             "Best Model + Best Cleaning vs NaCL | Missing Values",
@@ -51,6 +53,7 @@ fn main() {
             false,
             RobustBaseline::Nacl,
             &cfg,
+            workers,
         ),
         run_row(
             "Best Model + Best Cleaning vs MLP | Mislabel",
@@ -58,6 +61,7 @@ fn main() {
             false,
             RobustBaseline::Mlp,
             &cfg,
+            workers,
         ),
         run_row(
             "Best Model + Best Cleaning vs MLP | Inconsistency",
@@ -65,6 +69,7 @@ fn main() {
             false,
             RobustBaseline::Mlp,
             &cfg,
+            workers,
         ),
         run_row(
             "Best Model + Best Cleaning vs MLP | Outliers",
@@ -72,6 +77,7 @@ fn main() {
             false,
             RobustBaseline::Mlp,
             &cfg,
+            workers,
         ),
         run_row(
             "Best Model + Best Cleaning vs MLP | Duplicates",
@@ -79,6 +85,7 @@ fn main() {
             false,
             RobustBaseline::Mlp,
             &cfg,
+            workers,
         ),
     ];
     print!("{}", render_flag_table("per-dataset flags aggregated", &rows));

@@ -5,7 +5,7 @@
 //! the three inconsistency datasets' canonical spellings.
 //! P = human cleaning better than the best automatic method.
 
-use cleanml_bench::{banner, config_from_args, dist_of, grouped_flags, header};
+use cleanml_bench::{banner, dist_of, fan_out_cli, grouped_flags, header};
 use cleanml_core::analysis::render_flag_table;
 use cleanml_core::human::compare_human_vs_automatic;
 use cleanml_core::schema::ErrorType;
@@ -13,7 +13,7 @@ use cleanml_core::study::dataset_seed;
 use cleanml_datagen::{generate, spec_by_name};
 
 fn main() {
-    let cfg = config_from_args();
+    let (cfg, workers) = fan_out_cli("table19");
     banner("Table 19 (Automatic vs Human Cleaning)", &cfg);
 
     let comparisons: [(&[&str], ErrorType); 3] = [
@@ -24,7 +24,7 @@ fn main() {
 
     header("Automatic Cleaning vs Human Cleaning (P = human better)");
     // One job per (dataset, error type), all run concurrently.
-    let grouped = grouped_flags(&comparisons, |name, et| {
+    let grouped = grouped_flags(&comparisons, workers, |name, et| {
         let spec = spec_by_name(name).expect("known dataset");
         let data = generate(spec, dataset_seed(name, cfg.base_seed));
         compare_human_vs_automatic(&data, et, &cfg).expect("comparison").flag

@@ -17,19 +17,20 @@
 //! coordinator re-leases the orphaned work after `--lease-timeout`; start
 //! as many as the coordinator's study has parallel width.
 
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cleanml_bench::{flag_value, or_exit, text_value};
+use cleanml_bench::{connect_with_retry, flag_value, text_value, Cli, FlagDef};
 use cleanml_engine::remote::{run_worker, FaultPlan};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: cleanml-worker --connect HOST:PORT [--name NAME] [--retry SECS]\n\
-         connects to a study coordinator started with --listen"
-    );
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    name: "cleanml-worker",
+    positionals: &[],
+    groups: &[&[
+        FlagDef::valued("--connect", "HOST:PORT", "a coordinator's --listen address (required)"),
+        FlagDef::valued("--name", "NAME", "the worker's name (default: worker-<pid>)"),
+        FlagDef::valued("--retry", "SECS", "how long to retry the connect (default 30)"),
+    ]],
+};
 
 /// A parsed command line.
 #[derive(Debug, PartialEq)]
@@ -41,42 +42,33 @@ struct Args {
     retry: Duration,
 }
 
-/// Parses the command line (program name excluded); `Ok(None)` without
-/// `--connect`.
-fn parse_args(args: &[String]) -> Result<Option<Args>, String> {
+/// Checks the command line (program name excluded) against [`CLI`] and
+/// parses it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    CLI.check(args)?;
     let Some(addr) = flag_value(args, "--connect", "HOST:PORT", text_value)? else {
-        return Ok(None);
+        return Err("--connect HOST:PORT is required".into());
     };
-    Ok(Some(Args {
+    Ok(Args {
         addr,
         name: flag_value(args, "--name", "a worker name", text_value)?,
         retry: Duration::from_secs(
             flag_value(args, "--retry", "whole seconds", |v| v.parse().ok())?.unwrap_or(30),
         ),
-    }))
+    })
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(Args { addr, name, retry }) = or_exit(parse_args(&args)) else { usage() };
+    let Args { addr, name, retry } =
+        CLI.or_exit(parse_args(&std::env::args().skip(1).collect::<Vec<_>>()));
     let name = name.unwrap_or_else(|| format!("worker-{}", std::process::id()));
 
     // The coordinator may still be building its graph (or not be up yet in
     // a scripted launch): retry the connect for a bounded window.
-    let deadline = Instant::now() + retry;
-    let stream = loop {
-        match TcpStream::connect(&addr) {
-            Ok(stream) => break stream,
-            Err(e) if Instant::now() < deadline => {
-                eprintln!("[{name}] {addr} not ready ({e}); retrying");
-                std::thread::sleep(Duration::from_millis(250));
-            }
-            Err(e) => {
-                eprintln!("[{name}] cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
+    let stream = connect_with_retry(&addr, retry, &name).unwrap_or_else(|e| {
+        eprintln!("[{name}] {e}");
+        std::process::exit(1);
+    });
     eprintln!("[{name}] connected to {addr}");
 
     match run_worker(stream, &name, &FaultPlan::default()) {
@@ -100,19 +92,19 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn parse(line: &str) -> Result<Option<Args>, String> {
+    fn parse(line: &str) -> Result<Args, String> {
         parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
     }
 
     #[test]
     fn flags_parse_with_defaults() {
-        let args = parse("--connect 127.0.0.1:7401").unwrap().unwrap();
+        let args = parse("--connect 127.0.0.1:7401").unwrap();
         let defaults =
             Args { addr: "127.0.0.1:7401".into(), name: None, retry: Duration::from_secs(30) };
         assert_eq!(args, defaults);
-        let args = parse("--connect h:1 --name w1 --retry 5").unwrap().unwrap();
+        let args = parse("--connect h:1 --name w1 --retry 5").unwrap();
         assert_eq!((args.name.as_deref(), args.retry), (Some("w1"), Duration::from_secs(5)));
-        assert_eq!(parse("--name w1").unwrap(), None, "no --connect: usage");
+        assert!(parse("--name w1").unwrap_err().starts_with("--connect"), "no --connect: usage");
     }
 
     #[test]
@@ -124,6 +116,9 @@ mod tests {
             "--connect h:1 --name",
             "--connect h:1 --name --retry",
             "--connect --name",
+            "--connect h:1 --quick",
+            "--connect h:1 --name w1 --name w2",
+            "--connect h:1 h:2",
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }

@@ -1,7 +1,8 @@
 //! # cleanml-bench
 //!
 //! The reproduction harness: one binary per paper table (Tables 11–19),
-//! scientific ablation binaries, and Criterion micro-benchmarks.
+//! the scientific ablation binaries, `study`, and the serving daemon with
+//! its clients.
 //!
 //! Every `tableNN` binary regenerates the corresponding table of the paper's
 //! evaluation section from scratch — generate datasets, run the §IV protocol
@@ -11,29 +12,21 @@
 //! *Substitutions* section); the *shape* — which flags dominate, which
 //! methods/models/datasets deviate — is the reproduction target.
 //!
-//! All binaries accept a profile argument:
-//!
-//! * `--quick` — 6 splits, no tuning (seconds; CI smoke).
-//! * `--standard` — the default: paper's 20 splits, default hyper-parameters.
-//! * `--paper` — 20 splits with random search + 5-fold CV (slow).
-//!
-//! plus the engine flags:
-//!
-//! * `--workers N` — worker threads (default: all cores).
-//! * `--cache-dir DIR` — persistent artifact cache; a killed or repeated
-//!   run against a warm cache skips all finished cleaning and training.
-//! * `--cache-max-bytes N[k|m|g]` — byte budget for the cache directory;
-//!   least-recently-used artifacts are evicted to stay under it.
-//! * `--cache-stats` — print an end-of-run cache summary line (memory/disk
-//!   hits, misses, writes, evictions, store size, remote accounting).
-//! * `--listen ADDR` — accept remote `cleanml-worker` connections; remote
-//!   workers lease ready tasks and ship artifacts back over TCP.
-//! * `--lease-timeout SECS` — how long a leased worker may go silent
-//!   before its task is re-queued (default 5).
-//! * `--trace-out FILE` — record per-task spans and write them as Chrome
-//!   trace-event JSON on exit (load in `chrome://tracing` / Perfetto).
+//! Every binary checks its whole command line against one flag table
+//! ([`Cli`]) before it does any work: a flag outside the table, a flag
+//! given twice, a missing or unparsable value or an extra positional
+//! prints the error and the usage generated from the table, and exits 2.
+//! The tables are built from shared groups: [`PROFILE_FLAGS`],
+//! [`WORKERS_FLAG`], [`ENGINE_FLAGS`] and [`RUN_OUTPUT_FLAGS`]. `study`,
+//! Tables 11–16 and `ablation_corrections` take all four
+//! ([`STUDY_FLAGS`]); Tables 18 and 19, `ablation_detectors` and
+//! `ablation_splits` take the profile and `--workers` ([`FAN_OUT_FLAGS`]),
+//! and Table 17 also takes `--cap`.
 
+use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
@@ -43,9 +36,153 @@ use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot,
 use cleanml_parallel::ThreadBridge;
 use cleanml_stats::Flag;
 
-/// The command line without the program name.
-fn cli_args() -> Vec<String> {
-    std::env::args().skip(1).collect()
+/// One entry of a binary's flag table.
+#[derive(Debug)]
+pub struct FlagDef {
+    /// The flag as typed, e.g. `--splits`.
+    pub name: &'static str,
+    /// The value's placeholder in the usage text; `None` for a switch.
+    pub value: Option<&'static str>,
+    /// One line of help.
+    pub help: &'static str,
+}
+
+impl FlagDef {
+    /// A flag without a value.
+    pub const fn switch(name: &'static str, help: &'static str) -> Self {
+        FlagDef { name, value: None, help }
+    }
+
+    /// A flag whose value is the next argument.
+    pub const fn valued(name: &'static str, value: &'static str, help: &'static str) -> Self {
+        FlagDef { name, value: Some(value), help }
+    }
+}
+
+/// The profile: the protocol budget, the split count and the seed
+/// ([`parse_config`]).
+pub const PROFILE_FLAGS: &[FlagDef] = &[
+    FlagDef::switch("--quick", "6 splits, no tuning (seconds)"),
+    FlagDef::switch("--standard", "the default: 20 splits, default hyper-parameters"),
+    FlagDef::switch("--paper", "20 splits with random search + 5-fold CV (slow)"),
+    FlagDef::valued("--splits", "N", "train/test splits, 2-1000"),
+    FlagDef::valued("--seed", "S", "base seed"),
+];
+
+/// `--workers` ([`workers_flag`]).
+pub const WORKERS_FLAG: &[FlagDef] =
+    &[FlagDef::valued("--workers", "N", "worker threads (default 0: all cores)")];
+
+/// The engine flags besides `--workers` ([`parse_engine_config`]).
+pub const ENGINE_FLAGS: &[FlagDef] = &[
+    FlagDef::valued("--cache-dir", "DIR", "persistent artifact store"),
+    FlagDef::valued("--cache-max-bytes", "N[k|m|g]", "byte budget for the store (LRU eviction)"),
+    FlagDef::valued("--listen", "HOST:PORT", "serve cleanml-worker leases and HTTP clients"),
+    FlagDef::valued("--lease-timeout", "SECS", "silence before a remote lease is re-queued (5)"),
+    FlagDef::valued("--http-token", "TOK", "bearer token for the gateway's /studies routes"),
+];
+
+/// A study run's output beyond its relations ([`parse_run_args`]).
+pub const RUN_OUTPUT_FLAGS: &[FlagDef] = &[
+    FlagDef::switch("--cache-stats", "print an end-of-run cache and provenance summary"),
+    FlagDef::valued("--trace-out", "FILE", "write per-task spans as Chrome trace-event JSON"),
+];
+
+/// The table of a binary that runs a study through [`run_study_cli`]:
+/// `study`, Tables 11–16 and `ablation_corrections`.
+pub const STUDY_FLAGS: &[&[FlagDef]] =
+    &[PROFILE_FLAGS, WORKERS_FLAG, ENGINE_FLAGS, RUN_OUTPUT_FLAGS];
+
+/// The table of a binary that fans its own jobs out with [`fan_out`]:
+/// Tables 18 and 19, `ablation_detectors` and `ablation_splits`.
+pub const FAN_OUT_FLAGS: &[&[FlagDef]] = &[PROFILE_FLAGS, WORKERS_FLAG];
+
+/// A binary's command line: the flags it reads, as a list of groups, and
+/// the positionals it takes, all optional and in order.
+pub struct Cli {
+    /// The binary's name, as its usage line spells it.
+    pub name: &'static str,
+    pub positionals: &'static [&'static str],
+    pub groups: &'static [&'static [FlagDef]],
+}
+
+impl Cli {
+    fn flags(&self) -> impl Iterator<Item = &'static FlagDef> {
+        self.groups.iter().flat_map(|group| group.iter())
+    }
+
+    /// Checks `args` (program name excluded) against the table and returns
+    /// the positionals. A flag outside the table, a flag given twice, a
+    /// value flag without a value and a positional beyond the table's are
+    /// errors; each message starts with the argument at fault. Values are
+    /// parsed afterwards by their readers ([`flag_value`] and the like):
+    /// once this check passes, each flag appears at most once and no value
+    /// starts with `--`, so a reader finds a flag where this check saw it.
+    pub fn check<'a>(&self, args: &'a [String]) -> Result<Vec<&'a str>, String> {
+        let mut seen: Vec<&str> = Vec::new();
+        let mut positionals = Vec::new();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with('-') {
+                if positionals.len() == self.positionals.len() {
+                    return Err(format!("{arg}: unexpected argument"));
+                }
+                positionals.push(arg.as_str());
+                continue;
+            }
+            let Some(flag) = self.flags().find(|f| f.name == arg) else {
+                return Err(format!("{arg}: not a flag of {}", self.name));
+            };
+            if seen.contains(&flag.name) {
+                return Err(format!("{arg}: given more than once"));
+            }
+            seen.push(flag.name);
+            if let Some(what) = flag.value {
+                match rest.next() {
+                    Some(value) if !value.starts_with("--") => {}
+                    value => {
+                        let got = value.map_or("", String::as_str);
+                        return Err(format!("{arg} expects {what}, got `{got}`"));
+                    }
+                }
+            }
+        }
+        Ok(positionals)
+    }
+
+    /// The usage text: the synopsis, then one line per flag.
+    pub fn usage(&self) -> String {
+        let label = |f: &FlagDef| match f.value {
+            Some(value) => format!("{} {value}", f.name),
+            None => f.name.to_string(),
+        };
+        let width = self.flags().map(|f| label(f).len()).max().unwrap_or(0);
+        let mut text = format!("usage: {}", self.name);
+        if self.flags().next().is_some() {
+            text.push_str(" [flags]");
+        }
+        for p in self.positionals {
+            text.push_str(&format!(" [{p}]"));
+        }
+        for f in self.flags() {
+            text.push_str(&format!("\n  {:<width$}  {}", label(f), f.help));
+        }
+        text
+    }
+
+    /// Reads the process's command line (program name excluded) and
+    /// parses it with `parse`, which is handed the arguments and the
+    /// positionals of [`Cli::check`]. On any error prints it with the
+    /// usage and exits 2, before the binary does any work.
+    pub fn parse<T>(&self, parse: impl FnOnce(&[String], &[&str]) -> Result<T, String>) -> T {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        self.or_exit(self.check(&args).and_then(|positionals| parse(&args, &positionals)))
+    }
+
+    /// [`or_exit`], with the usage printed after the error.
+    pub fn or_exit<T>(&self, parsed: Result<T, String>) -> T {
+        or_exit(parsed.map_err(|e| format!("{e}\n{}", self.usage())))
+    }
 }
 
 /// Prints a flag error and exits with code 2, the CLI-misuse status.
@@ -116,16 +253,16 @@ pub fn splits_flag(args: &[String]) -> Result<Option<usize>, String> {
     })
 }
 
-/// Parses the common CLI profile flags; exits with code 2 on a bad value.
-pub fn config_from_args() -> ExperimentConfig {
-    or_exit(parse_config(&cli_args()))
+/// `--workers`: a worker count, `0` (the default) for all cores.
+pub fn workers_flag(args: &[String]) -> Result<usize, String> {
+    Ok(flag_value(args, "--workers", "a worker count", |v| v.parse().ok())?.unwrap_or(0))
 }
 
 /// The engine configuration `args` select (`--workers`, `--cache-dir`,
 /// `--cache-max-bytes`, `--listen`, `--lease-timeout`, `--http-token`).
 pub fn parse_engine_config(args: &[String]) -> Result<EngineConfig, String> {
     Ok(EngineConfig {
-        workers: flag_value(args, "--workers", "a worker count", |v| v.parse().ok())?.unwrap_or(0),
+        workers: workers_flag(args)?,
         cache_dir: flag_value(args, "--cache-dir", "DIR", text_value)?
             .map(std::path::PathBuf::from),
         cache_max_bytes: flag_value(args, "--cache-max-bytes", "N[k|m|g]", parse_byte_size)?,
@@ -138,9 +275,35 @@ pub fn parse_engine_config(args: &[String]) -> Result<EngineConfig, String> {
     })
 }
 
-/// Parses the engine CLI flags; exits with code 2 on a bad value.
-pub fn engine_from_args() -> EngineConfig {
-    or_exit(parse_engine_config(&cli_args()))
+/// What a study binary reads besides its profile: the engine
+/// configuration and the run-output flags.
+pub struct RunArgs {
+    pub engine: EngineConfig,
+    pub trace_out: Option<PathBuf>,
+    pub cache_stats: bool,
+}
+
+/// The [`RunArgs`] `args` select ([`STUDY_FLAGS`] beyond the profile).
+pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+    Ok(RunArgs {
+        engine: parse_engine_config(args)?,
+        trace_out: flag_value(args, "--trace-out", "FILE", text_value)?.map(PathBuf::from),
+        cache_stats: args.iter().any(|a| a == "--cache-stats"),
+    })
+}
+
+/// Checks and parses the command line of a study binary: the profile and
+/// the [`RunArgs`].
+pub fn study_cli(name: &'static str) -> (ExperimentConfig, RunArgs) {
+    let cli = Cli { name, positionals: &[], groups: STUDY_FLAGS };
+    cli.parse(|args, _| Ok((parse_config(args)?, parse_run_args(args)?)))
+}
+
+/// Checks and parses the command line of a fan-out binary: the profile
+/// and the `--workers` count for [`fan_out`].
+pub fn fan_out_cli(name: &'static str) -> (ExperimentConfig, usize) {
+    let cli = Cli { name, positionals: &[], groups: FAN_OUT_FLAGS };
+    cli.parse(|args, _| Ok((parse_config(args)?, workers_flag(args)?)))
 }
 
 /// Parses a byte size: a plain integer, optionally suffixed `k`/`m`/`g`
@@ -156,11 +319,17 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(1u64 << shift)
 }
 
-/// Applies `f` to every item on `--workers` threads (the caller and its
-/// helpers) and returns the results in input order, as a serial loop
-/// would. Kernels called inside `f`, or outside this call, stay serial.
-pub fn fan_out<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let helpers = engine_from_args().effective_workers().saturating_sub(1);
+/// Applies `f` to every item on `workers` threads (the caller and its
+/// helpers; `0` = all cores) and returns the results in input order, as a
+/// serial loop would. Kernels called inside `f`, or outside this call,
+/// stay serial.
+pub fn fan_out<T: Sync, U: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let helpers =
+        EngineConfig { workers, ..Default::default() }.effective_workers().saturating_sub(1);
     cleanml_parallel::install_bridge(Arc::new(ThreadBridge { helpers }));
     let out = cleanml_parallel::run_indexed(items.len(), |i| f(&items[i]));
     cleanml_parallel::clear_bridge();
@@ -183,17 +352,15 @@ pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
 }
 
 /// Runs a study through the engine with live progress on stderr — the
-/// shared entry point of every `tableNN` binary.
-pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> CleanMlDb {
-    let engine_cfg = engine_from_args();
+/// shared entry point of the study binaries ([`STUDY_FLAGS`]).
+pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: RunArgs) -> CleanMlDb {
+    let RunArgs { engine, trace_out, cache_stats } = run;
     let telemetry = cleanml_engine::telemetry::global();
-    let trace_out = or_exit(flag_value(&cli_args(), "--trace-out", "FILE", text_value))
-        .map(std::path::PathBuf::from);
     if trace_out.is_some() {
         telemetry.start_tracing();
     }
     let (tx, rx) = mpsc::channel();
-    let mut engine = Engine::new(engine_cfg).with_events(tx);
+    let mut engine = Engine::new(engine).with_events(tx);
     eprintln!("[engine] {} workers", engine.workers());
     if let Some(addr) = engine.remote_addr() {
         eprintln!("[engine] listening on {addr} (connect with: cleanml-worker --connect {addr})");
@@ -274,7 +441,7 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig) -> Clean
         store_line.unwrap_or_default(),
         remote_line,
     );
-    if std::env::args().any(|a| a == "--cache-stats") {
+    if cache_stats {
         // The line is derived from the metrics registry (snapshot delta
         // over the run), the same source `cleanml-query` reads over
         // `/metrics`.
@@ -363,9 +530,13 @@ pub fn slowest_tasks_field(slow: &[SlowTask]) -> String {
 }
 
 /// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out
-/// with [`fan_out`] and regroups the flags by comparison, preserving
-/// order.
-pub fn grouped_flags<F>(comparisons: &[(&[&str], ErrorType)], f: F) -> Vec<Vec<Flag>>
+/// on `workers` threads with [`fan_out`] and regroups the flags by
+/// comparison, preserving order.
+pub fn grouped_flags<F>(
+    comparisons: &[(&[&str], ErrorType)],
+    workers: usize,
+    f: F,
+) -> Vec<Vec<Flag>>
 where
     F: Fn(&str, ErrorType) -> Flag + Sync,
 {
@@ -374,7 +545,7 @@ where
         .enumerate()
         .flat_map(|(ci, (datasets, et))| datasets.iter().map(move |&d| (ci, d, *et)))
         .collect();
-    let flags = fan_out(&jobs, |&(_, name, et)| f(name, et));
+    let flags = fan_out(&jobs, workers, |&(_, name, et)| f(name, et));
     let mut grouped = vec![Vec::new(); comparisons.len()];
     for (&(ci, _, _), flag) in jobs.iter().zip(flags) {
         grouped[ci].push(flag);
@@ -382,10 +553,22 @@ where
     grouped
 }
 
-/// The canonical RFC-4180 field escaping lives beside the relation
-/// renderers in `cleanml_core::database`; re-exported here for the table
-/// binaries.
-pub use cleanml_core::database::csv_escape;
+/// Connects to `addr`, retrying every 250 ms for up to `retry`: in a
+/// scripted launch the server may still be starting. Each retry is noted
+/// on stderr under `who`.
+pub fn connect_with_retry(addr: &str, retry: Duration, who: &str) -> Result<TcpStream, String> {
+    let deadline = Instant::now() + retry;
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Ok(stream),
+            Err(e) if Instant::now() < deadline => {
+                eprintln!("[{who}] {addr} not ready ({e}); retrying");
+                std::thread::sleep(Duration::from_millis(250));
+            }
+            Err(e) => return Err(format!("cannot connect to {addr}: {e}")),
+        }
+    }
+}
 
 /// Prints a section header.
 pub fn header(title: &str) {
@@ -440,7 +623,7 @@ mod tests {
     fn grouped_flags_preserves_comparison_order() {
         let comparisons: [(&[&str], ErrorType); 2] =
             [(&["A", "B"], ErrorType::Outliers), (&["C"], ErrorType::Duplicates)];
-        let grouped = grouped_flags(&comparisons, |name, et| {
+        let grouped = grouped_flags(&comparisons, 2, |name, et| {
             if name == "B" || et == ErrorType::Duplicates {
                 Flag::Positive
             } else {
@@ -448,16 +631,6 @@ mod tests {
             }
         });
         assert_eq!(grouped, vec![vec![Flag::Insignificant, Flag::Positive], vec![Flag::Positive]]);
-    }
-
-    #[test]
-    fn csv_escaping_covers_rfc4180() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_escape("line\nbreak"), "\"line\nbreak\"");
-        assert_eq!(csv_escape("cr\rhere"), "\"cr\rhere\"");
-        assert_eq!(csv_escape(""), "");
     }
 
     #[test]
@@ -559,6 +732,49 @@ mod tests {
         assert_eq!(profile_name(&args("--quick --paper")), "paper");
         assert_eq!(profile_name(&args("--quick")), "quick");
         assert_eq!(profile_name(&[]), "standard");
+    }
+
+    #[test]
+    fn flag_values_are_not_the_out_dir() {
+        let study = Cli { name: "study", positionals: &["out_dir"], groups: STUDY_FLAGS };
+        let check = |line: &str| study.check(&args(line)).map(|p| p.join(" "));
+        // the README's tracing invocation
+        assert_eq!(check("--quick --splits 2 --trace-out trace.json out/").unwrap(), "out/");
+        for flag in study.flags().filter(|f| f.value.is_some()) {
+            assert_eq!(check(&format!("{} value out", flag.name)).unwrap(), "out", "{flag:?}");
+        }
+        assert_eq!(check("--quick --cache-stats").unwrap(), "");
+        assert_eq!(check("out --workers 2").unwrap(), "out");
+        assert_eq!(check("--seed -1").unwrap(), "", "a value may start with one dash");
+        for (bad, culprit) in [
+            ("--help", "--help: "),
+            ("--quik", "--quik: "),
+            ("-h", "-h: "),
+            ("--cap 2", "--cap: "),
+            ("--splits 2 --splits 3 out", "--splits: "),
+            ("--quick --quick", "--quick: "),
+            ("--splits", "--splits expects N"),
+            ("--trace-out --quick", "--trace-out expects FILE"),
+            ("a b", "b: "),
+            ("--workers 2 a --quick b", "b: "),
+        ] {
+            let err = check(bad).unwrap_err();
+            assert!(err.starts_with(culprit), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn usage_is_generated_from_the_table() {
+        let study = Cli { name: "study", positionals: &["out_dir"], groups: STUDY_FLAGS };
+        let usage = study.usage();
+        assert!(usage.starts_with("usage: study [flags] [out_dir]\n"), "{usage}");
+        assert_eq!(usage.lines().count(), 1 + study.flags().count());
+        assert!(usage.contains("\n  --splits N  "), "{usage}");
+        assert!(usage.contains("\n  --cache-stats  "), "{usage}");
+        let dump = Cli { name: "dump_datasets", positionals: &["out_dir", "seed"], groups: &[] };
+        assert_eq!(dump.check(&args("out 7")).unwrap(), ["out", "7"]);
+        assert!(dump.check(&args("out 7 8")).unwrap_err().starts_with("8: "));
+        assert_eq!(dump.usage(), "usage: dump_datasets [out_dir] [seed]");
     }
 
     #[test]

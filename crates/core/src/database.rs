@@ -238,7 +238,7 @@ impl CleanMlDb {
 
 /// Escapes one CSV field per RFC 4180: fields containing commas, quotes,
 /// newlines or carriage returns are quoted, with embedded quotes doubled.
-/// The single canonical implementation — `cleanml_bench` re-exports it —
+/// The single canonical implementation, behind every relation renderer,
 /// so the dumped files and the serving layer's wire CSV can never drift.
 pub fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
@@ -419,6 +419,16 @@ pub fn relation_columns(relation: Relation) -> (&'static [&'static str], usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn csv_escaping_covers_rfc4180() {
+        assert_eq!(csv_escape("plain"), "plain");
+        assert_eq!(csv_escape("a,b"), "\"a,b\"");
+        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(csv_escape("line\nbreak"), "\"line\nbreak\"");
+        assert_eq!(csv_escape("cr\rhere"), "\"cr\rhere\"");
+        assert_eq!(csv_escape(""), "");
+    }
 
     fn evidence(p: f64) -> Evidence {
         // direction: positive improvement with one-tailed p = p/2

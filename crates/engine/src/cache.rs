@@ -110,22 +110,6 @@ pub trait DiskCodec: Sized {
     }
 }
 
-/// Hit/miss counters, split by layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub memory_hits: usize,
-    pub disk_hits: usize,
-    pub misses: usize,
-    pub disk_writes: usize,
-    pub disk_evictions: usize,
-}
-
-impl CacheStats {
-    pub fn hits(&self) -> usize {
-        self.memory_hits + self.disk_hits
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     /// Entry payload size in bytes.
@@ -452,19 +436,14 @@ impl DiskStore {
         self.len() == 0
     }
 
-    /// Entries written since the last [`DiskStore::reset_counters`].
+    /// Entries written since the store was opened.
     pub fn writes(&self) -> usize {
         self.writes.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the byte cap since the last reset.
+    /// Entries evicted by the byte cap since the store was opened.
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    pub fn reset_counters(&self) {
-        self.writes.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 }
 
@@ -484,7 +463,6 @@ pub struct ArtifactCache<A> {
     /// it, so a resident engine's memo cannot grow without bound.
     memo_cap: usize,
     disk: Option<Arc<DiskStore>>,
-    pub stats: CacheStats,
 }
 
 /// Default entry cap for [`ArtifactCache`]'s in-memory layer. Generous —
@@ -505,13 +483,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
     /// Creates a cache over an existing (possibly shared, possibly
     /// size-capped) disk store.
     pub fn with_store(disk: Option<Arc<DiskStore>>) -> Self {
-        ArtifactCache {
-            memory: HashMap::new(),
-            clock: 0,
-            memo_cap: DEFAULT_MEMO_ENTRIES,
-            disk,
-            stats: CacheStats::default(),
-        }
+        ArtifactCache { memory: HashMap::new(), clock: 0, memo_cap: DEFAULT_MEMO_ENTRIES, disk }
     }
 
     /// Overrides the memo's entry cap.
@@ -550,14 +522,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
         self.disk.as_ref()
     }
 
-    /// Resets only the statistics (kept across runs otherwise).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-        if let Some(store) = &self.disk {
-            store.reset_counters();
-        }
-    }
-
     /// Number of artifacts resident in memory.
     pub fn len(&self) -> usize {
         self.memory.len()
@@ -578,7 +542,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
         let clock = self.clock;
         if let Some((a, access)) = self.memory.get_mut(&key) {
             *access = clock;
-            self.stats.memory_hits += 1;
             if t.enabled() {
                 t.cache_memory_hits.inc();
                 t.handle_shares.inc();
@@ -588,7 +551,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
         if let Some(store) = self.disk.clone() {
             if let Some(payload) = store.load(key) {
                 if let Some(a) = A::decode(&payload) {
-                    self.stats.disk_hits += 1;
                     if t.enabled() {
                         t.cache_disk_hits.inc();
                     }
@@ -602,7 +564,6 @@ impl<A: DiskCodec> ArtifactCache<A> {
                 store.remove(key);
             }
         }
-        self.stats.misses += 1;
         if t.enabled() {
             t.cache_misses.inc();
         }
@@ -613,9 +574,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
     /// a handle: the memo keeps a share of the caller's allocation.
     pub fn put(&mut self, key: CacheKey, artifact: &Arc<A>) {
         if let (Some(store), Some(payload)) = (&self.disk, artifact.encode()) {
-            if store.store(key, &payload) {
-                self.stats.disk_writes += 1;
-            }
+            store.store(key, &payload);
         }
         self.remember(key, Arc::clone(artifact));
     }
@@ -673,9 +632,7 @@ mod tests {
         assert!(c.get(k).is_none());
         c.put(k, &Arc::new(Blob(0.5)));
         assert_eq!(c.get(k).as_deref(), Some(&Blob(0.5)));
-        assert_eq!(c.stats.memory_hits, 1);
-        assert_eq!(c.stats.misses, 1);
-        assert_eq!(c.stats.disk_writes, 0);
+        assert!(c.store().is_none(), "no disk layer: the hit is a memory hit, nothing written");
     }
 
     #[test]
@@ -728,7 +685,6 @@ mod tests {
         assert!(weak.upgrade().is_none(), "the cache kept a heavy decode alive");
         assert!(c.is_empty());
         assert!(c.get(k).is_some(), "a later demand decodes again");
-        assert_eq!(c.stats.disk_hits, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -739,11 +695,11 @@ mod tests {
         {
             let mut c: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
             c.put(k, &Arc::new(Blob(std::f64::consts::PI)));
-            assert_eq!(c.stats.disk_writes, 1);
+            assert_eq!(c.store().expect("disk layer").writes(), 1);
         }
+        // a fresh cache's memo is empty: this hit comes from disk
         let mut fresh: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
         assert_eq!(fresh.get(k).as_deref(), Some(&Blob(std::f64::consts::PI)));
-        assert_eq!(fresh.stats.disk_hits, 1);
         // unframed (e.g. hex-text era) entries are discarded, not trusted
         let bad_path = dir.join(format!("{}.art", CacheKey::of("bad")));
         std::fs::write(&bad_path, "cell v1 3fe0000000000000").unwrap();

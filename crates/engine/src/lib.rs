@@ -61,7 +61,7 @@ pub mod study;
 pub(crate) mod subwork;
 pub mod telemetry;
 
-pub use cache::{ArtifactCache, CacheKey, CacheStats, DiskStore};
+pub use cache::{ArtifactCache, CacheKey, DiskStore};
 pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
 pub use pool::{Pool, RunReport, SubmissionHandle};

@@ -39,7 +39,7 @@ use cleanml_dataset::codec as dcodec;
 use cleanml_dataset::codec::Reader;
 use cleanml_dataset::{Encoder, FeatureMatrix};
 
-use crate::cache::{ArtifactCache, CacheKey, CacheStats, DiskCodec, DiskStore};
+use crate::cache::{ArtifactCache, CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
 use crate::pool::{LeasableHold, Pool, RunReport, SubmissionHandle};
@@ -451,18 +451,6 @@ impl Engine {
         self.inner.hub.as_ref().map(|h| h.local_addr())
     }
 
-    /// Cache counters since the last reset. Disk writes and evictions
-    /// come from the shared store, which also counts the artifacts the
-    /// worker pool persisted mid-run.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.inner.cache.lock().expect("cache lock").stats;
-        if let Some(store) = &self.inner.store {
-            stats.disk_writes = store.writes();
-            stats.disk_evictions = store.evictions();
-        }
-        stats
-    }
-
     /// Runs the full study for `error_types` through the scheduler and
     /// returns the populated, BY-corrected database — the parallel
     /// equivalent of [`cleanml_core::run_study`].
@@ -481,7 +469,6 @@ impl Engine {
         error_types: &[ErrorType],
         cfg: &ExperimentConfig,
     ) -> Result<(CleanMlDb, RunReport)> {
-        self.inner.cache.lock().expect("cache lock").reset_stats();
         self.submit_study(error_types, cfg).wait()
     }
 
