@@ -247,7 +247,7 @@ pub fn parse_config(args: &[String]) -> Result<ExperimentConfig, String> {
 }
 
 /// `--splits`: a split count within the gateway's `2..=MAX_SPLITS`.
-pub fn splits_flag(args: &[String]) -> Result<Option<usize>, String> {
+fn splits_flag(args: &[String]) -> Result<Option<usize>, String> {
     flag_value(args, "--splits", &format!("a split count in 2..={MAX_SPLITS}"), |v| {
         v.parse().ok().filter(|n| (2..=MAX_SPLITS).contains(n))
     })

@@ -332,10 +332,8 @@ impl DiskStore {
         state.dirty += 1;
         self.writes.fetch_add(1, Ordering::Relaxed);
         let t = crate::telemetry::global();
-        if t.enabled() {
-            t.store_writes.inc();
-            t.store_written_bytes.add(size);
-        }
+        t.store_writes.inc();
+        t.store_written_bytes.add(size);
         self.flush_if_due(state);
         true
     }
@@ -348,10 +346,8 @@ impl DiskStore {
         if let Some(entry) = state.entries.remove(&key) {
             state.dirty += 1;
             let t = crate::telemetry::global();
-            if t.enabled() {
-                t.store_gc.inc();
-                t.store_gc_bytes.add(entry.size);
-            }
+            t.store_gc.inc();
+            t.store_gc_bytes.add(entry.size);
         }
     }
 
@@ -374,10 +370,8 @@ impl DiskStore {
             state.dirty += 1;
             total -= victim.1;
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            if t.enabled() {
-                t.store_evictions.inc();
-                t.store_evicted_bytes.add(victim.1);
-            }
+            t.store_evictions.inc();
+            t.store_evicted_bytes.add(victim.1);
         }
     }
 
@@ -510,10 +504,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
                 .map(|(k, _)| *k)
                 .expect("len > cap >= 1 implies a victim");
             self.memory.remove(&victim);
-            let t = crate::telemetry::global();
-            if t.enabled() {
-                t.memo_evictions.inc();
-            }
+            crate::telemetry::global().memo_evictions.inc();
         }
     }
 
@@ -542,18 +533,14 @@ impl<A: DiskCodec> ArtifactCache<A> {
         let clock = self.clock;
         if let Some((a, access)) = self.memory.get_mut(&key) {
             *access = clock;
-            if t.enabled() {
-                t.cache_memory_hits.inc();
-                t.handle_shares.inc();
-            }
+            t.cache_memory_hits.inc();
+            t.handle_shares.inc();
             return Some(Arc::clone(a));
         }
         if let Some(store) = self.disk.clone() {
             if let Some(payload) = store.load(key) {
                 if let Some(a) = A::decode(&payload) {
-                    if t.enabled() {
-                        t.cache_disk_hits.inc();
-                    }
+                    t.cache_disk_hits.inc();
                     let a = Arc::new(a);
                     if a.promote_to_memory() {
                         self.remember(key, Arc::clone(&a));
@@ -564,9 +551,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
                 store.remove(key);
             }
         }
-        if t.enabled() {
-            t.cache_misses.inc();
-        }
+        t.cache_misses.inc();
         None
     }
 

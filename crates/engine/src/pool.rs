@@ -160,9 +160,9 @@ pub(crate) struct TaskEntry<A> {
     /// `(spec key, graph-local id)` per study spec that contains this
     /// task — the addressing plane remote workers lease by.
     pub(crate) spec_locals: Vec<(u64, u64)>,
-    /// When the entry last entered a deque; consumed at claim time to
-    /// feed the queue-wait histogram (telemetry only, `None` when
-    /// telemetry is disabled).
+    /// When the entry last entered a deque; taken when a local worker or
+    /// a remote lease claims it, to feed the queue-wait histogram. `None`
+    /// while the entry is not queued.
     queued_at: Option<Instant>,
 }
 
@@ -263,9 +263,7 @@ where
     fn enqueue(&self, st: &mut State<A>, gid: Gid, home: usize) {
         debug_assert_eq!(st.tasks[gid].phase, Phase::Waiting);
         st.tasks[gid].phase = Phase::Queued;
-        if crate::telemetry::global().enabled() {
-            st.tasks[gid].queued_at = Some(Instant::now());
-        }
+        st.tasks[gid].queued_at = Some(Instant::now());
         let ki = kind_index(st.tasks[gid].kind);
         let home = home % st.deques.len();
         let deque = &mut st.deques[home];
@@ -376,10 +374,8 @@ where
                 st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
                 st.tasks[gid].phase = Phase::Running;
                 if let Some(queued) = st.tasks[gid].queued_at.take() {
-                    let t = crate::telemetry::global();
-                    if t.enabled() {
-                        t.queue_seconds[kind_index(st.tasks[gid].kind)].observe(queued.elapsed());
-                    }
+                    crate::telemetry::global().queue_seconds[kind_index(st.tasks[gid].kind)]
+                        .observe(queued.elapsed());
                 }
                 let local = st.tasks[gid]
                     .spec_locals
@@ -401,10 +397,7 @@ where
         st.tasks[gid].phase = Phase::Waiting;
         let home = gid % st.deques.len();
         self.enqueue(st, gid, home);
-        let t = crate::telemetry::global();
-        if t.enabled() {
-            t.leases_reinjected.inc();
-        }
+        crate::telemetry::global().leases_reinjected.inc();
         if let Some(sid) = self.attribution(st, gid) {
             if let Some(sub) = st.subs.get_mut(&sid) {
                 sub.releases += 1;
@@ -443,7 +436,7 @@ where
         let kind = st.tasks[gid].kind;
         let id = local_id.map_or(gid, |l| l as usize);
         let label = st.tasks[gid].label.clone();
-        let queued_at = st.tasks[gid].queued_at.take();
+        let queued_at = st.tasks[gid].queued_at.take().expect("a claimed task was queued");
         let sub = self.attribution(st, gid);
         // the body first: TaskStarted is only emitted for tasks that will
         // also emit TaskFinished
@@ -459,10 +452,7 @@ where
                 )
             })
             .collect();
-        let t = crate::telemetry::global();
-        if t.enabled() && !inputs.is_empty() {
-            t.handle_shares.add(inputs.len() as u64);
-        }
+        crate::telemetry::global().handle_shares.add(inputs.len() as u64);
         let class = st.tasks[gid].class.clone();
         Some(Job { gid, kind, key: st.tasks[gid].key, label, class, run, inputs, queued_at, sub })
     }
@@ -508,10 +498,8 @@ where
             }
         }
         let t = crate::telemetry::global();
-        if t.enabled() {
-            let site = if remote { &t.tasks_remote } else { &t.tasks_local };
-            site[kind_index(kind)].inc();
-        }
+        let site = if remote { &t.tasks_remote } else { &t.tasks_local };
+        site[kind_index(kind)].inc();
         let demanding = st.tasks[gid].subs.clone();
         for sid in demanding {
             if let Some(sub) = st.subs.get_mut(&sid) {
@@ -565,10 +553,7 @@ where
         let kind = st.tasks[gid].kind;
         st.tasks[gid].phase = Phase::Failed;
         st.tasks[gid].run = None;
-        let t = crate::telemetry::global();
-        if t.enabled() {
-            t.tasks_failed.inc();
-        }
+        crate::telemetry::global().tasks_failed.inc();
         let id = local_id.map_or(gid, |l| l as usize);
         self.emit_to_subs(st, gid, EngineEvent::TaskFinished { id, kind, ok: false });
         for d in st.tasks[gid].deps.clone() {
@@ -709,8 +694,8 @@ struct Job<A> {
     class: Option<String>,
     run: TaskFn<A>,
     inputs: Vec<Arc<A>>,
-    /// When the entry entered the ready frontier (telemetry only).
-    queued_at: Option<Instant>,
+    /// When the entry last entered a deque, for the queue-wait histogram.
+    queued_at: Instant,
     /// Submission the execution is attributed to (trace-span labeling).
     sub: Option<SubId>,
 }
@@ -787,9 +772,8 @@ where
 
     /// Starts serving `hub`'s connections for the pool's lifetime:
     /// workers (`Hello`) lease tasks from the merged frontier; HTTP
-    /// connections hit the results gateway (`/studies` routes answer 503
-    /// if `gateway` is `None`, `/metrics` always serves).
-    pub fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: Option<HttpGateway>) {
+    /// connections hit `/metrics` and the results gateway.
+    pub fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: HttpGateway) {
         let handle = spawn_hub_service(Arc::clone(&self.inner), hub, gateway);
         self.services.push(handle);
     }
@@ -1228,7 +1212,7 @@ where
 
         let t = crate::telemetry::global();
         let started = Instant::now();
-        let queue_wait = queued_at.map(|q| started.duration_since(q));
+        let queue_wait = started.duration_since(queued_at);
         crate::subwork::set_current_task(&label, me as u64);
         let outcome = catch_unwind(AssertUnwindSafe(move || run(inputs)));
         crate::subwork::clear_current_task();
@@ -1260,38 +1244,27 @@ where
                     }
                 }
                 let persist_dur = persist_start.elapsed();
-                if t.enabled() {
-                    let ki = kind_index(kind);
-                    t.task_seconds[ki].observe(elapsed);
-                    t.record_slow_task(
-                        &label,
-                        kind.name(),
-                        class.as_deref().unwrap_or(""),
-                        elapsed,
-                    );
-                    if let Some(wait) = queue_wait {
-                        t.queue_seconds[ki].observe(wait);
-                    }
+                let ki = kind_index(kind);
+                t.task_seconds[ki].observe(elapsed);
+                t.record_slow_task(&label, kind.name(), class.as_deref().unwrap_or(""), elapsed);
+                t.queue_seconds[ki].observe(queue_wait);
+                if persisted {
+                    t.persist_seconds.observe(persist_dur);
+                }
+                if t.tracing_on() {
+                    let mut args: Vec<(&'static str, String)> = vec![
+                        ("kind", kind.name().to_string()),
+                        ("sub", sub.map_or_else(|| "-".into(), |s| s.to_string())),
+                        ("queue_ms", format!("{:.3}", queue_wait.as_secs_f64() * 1e3)),
+                    ];
                     if persisted {
-                        t.persist_seconds.observe(persist_dur);
+                        args.push((
+                            "persist_ms",
+                            format!("{:.3}", persist_dur.as_secs_f64() * 1e3),
+                        ));
                     }
-                    if t.tracing_on() {
-                        let mut args: Vec<(&'static str, String)> = vec![
-                            ("kind", kind.name().to_string()),
-                            ("sub", sub.map_or_else(|| "-".into(), |s| s.to_string())),
-                        ];
-                        if let Some(wait) = queue_wait {
-                            args.push(("queue_ms", format!("{:.3}", wait.as_secs_f64() * 1e3)));
-                        }
-                        if persisted {
-                            args.push((
-                                "persist_ms",
-                                format!("{:.3}", persist_dur.as_secs_f64() * 1e3),
-                            ));
-                        }
-                        let span_dur = elapsed + persist_dur;
-                        t.span(&label, kind.name(), started, span_dur, me as u64, args);
-                    }
+                    let span_dur = elapsed + persist_dur;
+                    t.span(&label, kind.name(), started, span_dur, me as u64, args);
                 }
                 let mut st = inner.state.lock().expect("state lock");
                 inner.complete_ok(&mut st, gid, Arc::new(artifact), me, false, None);

@@ -87,8 +87,7 @@ impl RemoteHub {
 }
 
 /// The engine's HTTP results-gateway backend, shared by every classified
-/// HTTP connection. `None` (pool-only deployments, tests) serves
-/// `/metrics` but answers `/studies` routes with 503.
+/// HTTP connection.
 pub type HttpGateway = Arc<dyn http::GatewayBackend>;
 
 /// Spawns the hub service: accepts `hub`'s connections in arrival order
@@ -96,7 +95,7 @@ pub type HttpGateway = Arc<dyn http::GatewayBackend>;
 pub(crate) fn spawn_hub_service<A>(
     inner: Arc<PoolInner<A>>,
     hub: Arc<RemoteHub>,
-    gateway: Option<HttpGateway>,
+    gateway: HttpGateway,
 ) -> JoinHandle<()>
 where
     A: Clone + Send + Sync + DiskCodec + 'static,
@@ -107,7 +106,7 @@ where
                 Ok((stream, _peer)) => {
                     let inner = Arc::clone(&inner);
                     let hub = Arc::clone(&hub);
-                    let gateway = gateway.clone();
+                    let gateway = Arc::clone(&gateway);
                     std::thread::spawn(move || classify(&inner, &hub, stream, gateway));
                 }
                 Err(_) => std::thread::sleep(POLL),
@@ -120,12 +119,8 @@ where
 /// worker lease loop, an HTTP `GET `/`POST` preamble to the bounded
 /// results gateway, and everything else dropped before it can touch the
 /// pool.
-fn classify<A>(
-    inner: &Arc<PoolInner<A>>,
-    hub: &RemoteHub,
-    stream: TcpStream,
-    gateway: Option<HttpGateway>,
-) where
+fn classify<A>(inner: &Arc<PoolInner<A>>, hub: &RemoteHub, stream: TcpStream, gateway: HttpGateway)
+where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     // The accepted stream must be blocking regardless of platform: BSD
@@ -167,7 +162,7 @@ fn classify<A>(
         }
     }
     if prefix == *b"GET " || prefix == *b"POST" {
-        http::serve_http(&**inner, gateway.as_ref(), stream);
+        http::serve_http(&**inner, &*gateway, stream);
         return;
     }
     if prefix != FRAME_MAGIC {
@@ -271,10 +266,8 @@ where
         inner.worker_joined(&mut st, spec_key, &name);
     }
     let t = telemetry::global();
-    if t.enabled() {
-        t.workers_joined.inc();
-        t.workers_connected.inc();
-    }
+    t.workers_joined.inc();
+    t.workers_connected.inc();
     let trace_tid = t.next_remote_tid();
 
     let lease_timeout = hub.lease_timeout();
@@ -299,9 +292,7 @@ where
         match poll_recv(&stream, Duration::from_millis(1)) {
             Polled::Pending => {}
             Polled::Msg(Message::Heartbeat) => {
-                if t.enabled() {
-                    t.heartbeats.inc();
-                }
+                t.heartbeats.inc();
                 continue;
             }
             Polled::Msg(_) | Polled::Closed => break,
@@ -340,10 +331,8 @@ where
             break;
         }
         let lease_start = Instant::now();
-        if t.enabled() {
-            t.leases_issued.inc();
-            t.leases_active.inc();
-        }
+        t.leases_issued.inc();
+        t.leases_active.inc();
 
         // The lease conversation: serve fetches, extend on traffic, and
         // either complete the task or declare the worker dead.
@@ -363,34 +352,24 @@ where
                 Polled::Closed => break LeaseOutcome::Dead,
                 Polled::Msg(msg) => {
                     deadline = Instant::now() + lease_timeout;
-                    if t.enabled() {
-                        t.leases_renewed.inc();
-                    }
+                    t.leases_renewed.inc();
                     match msg {
                         Message::Fetch { key } => {
                             let resp = serve_fetch(&**inner, key);
-                            if t.enabled() {
-                                if let Message::Artifact { payload, .. } = &resp {
-                                    t.fetch_bytes_out.add(payload.len() as u64);
-                                }
+                            if let Message::Artifact { payload, .. } = &resp {
+                                t.fetch_bytes_out.add(payload.len() as u64);
                             }
                             if proto::send(&mut &stream, &resp).is_err() {
                                 break LeaseOutcome::Dead;
                             }
                         }
-                        Message::Heartbeat => {
-                            if t.enabled() {
-                                t.heartbeats.inc();
-                            }
-                        }
+                        Message::Heartbeat => t.heartbeats.inc(),
                         Message::Done { id: done_id, payload } if done_id == local_id => {
                             // The payload must decode to a whole artifact
                             // before anything reaches the store or a slot:
                             // a truncated or corrupt shipment poisons the
                             // connection, not the run.
-                            if t.enabled() {
-                                t.fetch_bytes_in.add(payload.len() as u64);
-                            }
+                            t.fetch_bytes_in.add(payload.len() as u64);
                             match A::decode(&payload) {
                                 Some(artifact) => {
                                     // durability before progress, and
@@ -400,14 +379,12 @@ where
                                     }
                                     let home = gid % inner.n_workers;
                                     let mut st = inner.state.lock().expect("state lock");
-                                    if t.enabled() {
-                                        t.record_slow_task(
-                                            &label,
-                                            kind.name(),
-                                            st.tasks[gid].class.as_deref().unwrap_or(""),
-                                            lease_start.elapsed(),
-                                        );
-                                    }
+                                    t.record_slow_task(
+                                        &label,
+                                        kind.name(),
+                                        st.tasks[gid].class.as_deref().unwrap_or(""),
+                                        lease_start.elapsed(),
+                                    );
                                     inner.complete_ok(
                                         &mut st,
                                         gid,
@@ -438,22 +415,18 @@ where
                 }
             }
         };
-        if t.enabled() {
-            t.leases_active.dec();
-        }
+        t.leases_active.dec();
         match outcome {
             LeaseOutcome::Completed => {
-                if t.enabled() {
-                    let dur = lease_start.elapsed();
-                    t.lease_seconds.observe(dur);
-                    if t.tracing_on() {
-                        let args = vec![
-                            ("kind", kind.name().to_string()),
-                            ("site", "remote".to_string()),
-                            ("worker", name.clone()),
-                        ];
-                        t.span(&label, kind.name(), lease_start, dur, trace_tid, args);
-                    }
+                let dur = lease_start.elapsed();
+                t.lease_seconds.observe(dur);
+                if t.tracing_on() {
+                    let args = vec![
+                        ("kind", kind.name().to_string()),
+                        ("site", "remote".to_string()),
+                        ("worker", name.clone()),
+                    ];
+                    t.span(&label, kind.name(), lease_start, dur, trace_tid, args);
                 }
                 continue;
             }
@@ -464,9 +437,7 @@ where
             }
         }
     }
-    if t.enabled() {
-        t.workers_connected.dec();
-    }
+    t.workers_connected.dec();
     let st = inner.state.lock().expect("state lock");
     inner.emit_to_spec(&st, spec_key, EngineEvent::WorkerLeft { worker: name, completed });
 }
@@ -476,10 +447,7 @@ fn orphan<A>(inner: &Arc<PoolInner<A>>, gid: usize, local_id: u64, worker: &str)
 where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
-    let t = telemetry::global();
-    if t.enabled() {
-        t.leases_expired.inc();
-    }
+    telemetry::global().leases_expired.inc();
     let mut st = inner.state.lock().expect("state lock");
     inner.lease_expired(&st, gid, worker, local_id);
     inner.reinject(&mut st, gid);

@@ -187,9 +187,9 @@ struct HttpRequest {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Route {
     Metrics,
-    Studies(Format),
+    Studies,
     Submit,
-    Status(u64, Format),
+    Status(u64),
     Rows(u64, Relation, Format),
 }
 
@@ -205,9 +205,9 @@ impl Route {
     fn telemetry_index(self) -> usize {
         match self {
             Route::Metrics => 0,
-            Route::Studies(_) => 1,
+            Route::Studies => 1,
             Route::Submit => 2,
-            Route::Status(..) => 3,
+            Route::Status(_) => 3,
             Route::Rows(..) => 4,
         }
     }
@@ -223,7 +223,7 @@ impl Route {
 /// Serves one already-classified HTTP connection end to end.
 pub(crate) fn serve_http<A>(
     inner: &PoolInner<A>,
-    gateway: Option<&Arc<dyn GatewayBackend>>,
+    gateway: &dyn GatewayBackend,
     mut stream: TcpStream,
 ) {
     let t = telemetry::global();
@@ -240,7 +240,7 @@ pub(crate) fn serve_http<A>(
     // Auth before anything route-specific runs — a bad token must be
     // refused before the registry or the pool sees the request.
     if route.needs_auth() {
-        if let Some(expected) = gateway.and_then(|g| g.token()) {
+        if let Some(expected) = gateway.token() {
             if !token_matches(&expected, req.bearer.as_deref()) {
                 t.http_unauthorized.inc();
                 respond_with_headers(
@@ -259,9 +259,9 @@ pub(crate) fn serve_http<A>(
     let started = Instant::now();
     match route {
         Route::Metrics => serve_metrics(inner, &mut stream),
-        Route::Studies(format) => serve_studies(gateway, &req, format, &mut stream),
+        Route::Studies => serve_studies(gateway, &req, &mut stream),
         Route::Submit => serve_submit(gateway, &req, &mut stream),
-        Route::Status(id, format) => serve_status(gateway, id, &req, format, &mut stream),
+        Route::Status(id) => serve_status(gateway, id, &req, &mut stream),
         Route::Rows(id, relation, format) => {
             serve_rows(gateway, id, relation, &req, format, &mut stream)
         }
@@ -284,16 +284,7 @@ fn serve_metrics<A>(inner: &PoolInner<A>, stream: &mut TcpStream) {
     respond(stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body);
 }
 
-fn serve_studies(
-    gateway: Option<&Arc<dyn GatewayBackend>>,
-    req: &HttpRequest,
-    _format: Format,
-    stream: &mut TcpStream,
-) {
-    let Some(gateway) = gateway else {
-        json_error(stream, "503 Service Unavailable", "results gateway unavailable");
-        return;
-    };
+fn serve_studies(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut TcpStream) {
     match parse_query(&req.query) {
         Some(pairs) if pairs.is_empty() => {}
         _ => {
@@ -312,15 +303,7 @@ fn serve_studies(
     respond(stream, "200 OK", "application/json", &body);
 }
 
-fn serve_submit(
-    gateway: Option<&Arc<dyn GatewayBackend>>,
-    req: &HttpRequest,
-    stream: &mut TcpStream,
-) {
-    let Some(gateway) = gateway else {
-        json_error(stream, "503 Service Unavailable", "results gateway unavailable");
-        return;
-    };
+fn serve_submit(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut TcpStream) {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         json_error(stream, "400 Bad Request", "body is not UTF-8");
         return;
@@ -352,17 +335,7 @@ fn serve_submit(
     }
 }
 
-fn serve_status(
-    gateway: Option<&Arc<dyn GatewayBackend>>,
-    id: u64,
-    req: &HttpRequest,
-    _format: Format,
-    stream: &mut TcpStream,
-) {
-    let Some(gateway) = gateway else {
-        json_error(stream, "503 Service Unavailable", "results gateway unavailable");
-        return;
-    };
+fn serve_status(gateway: &dyn GatewayBackend, id: u64, req: &HttpRequest, stream: &mut TcpStream) {
     if parse_query(&req.query).is_none() {
         json_error(stream, "400 Bad Request", "malformed query string");
         return;
@@ -377,17 +350,13 @@ fn serve_status(
 }
 
 fn serve_rows(
-    gateway: Option<&Arc<dyn GatewayBackend>>,
+    gateway: &dyn GatewayBackend,
     id: u64,
     relation: Relation,
     req: &HttpRequest,
     format: Format,
     stream: &mut TcpStream,
 ) {
-    let Some(gateway) = gateway else {
-        json_error(stream, "503 Service Unavailable", "results gateway unavailable");
-        return;
-    };
     let Some(pairs) = parse_query(&req.query) else {
         json_error(stream, "400 Bad Request", "malformed query string");
         return;
@@ -583,10 +552,11 @@ fn parse_route(method: HttpMethod, path: &str) -> Option<Route> {
     let mut segs = path.strip_prefix('/')?.split('/');
     let route = match (method, segs.next()?, segs.next(), segs.next()) {
         (HttpMethod::Get, "metrics", None, None) if format.is_none() => Route::Metrics,
-        (HttpMethod::Get, "studies", None, None) => Route::Studies(format.unwrap_or(Format::Json)),
+        // `/studies` and `/studies/:id` answer only in JSON
+        (HttpMethod::Get, "studies", None, None) if format != Some(Format::Csv) => Route::Studies,
         (HttpMethod::Post, "studies", None, None) if format.is_none() => Route::Submit,
-        (HttpMethod::Get, "studies", Some(id), None) => {
-            Route::Status(parse_id(id)?, format.unwrap_or(Format::Json))
+        (HttpMethod::Get, "studies", Some(id), None) if format != Some(Format::Csv) => {
+            Route::Status(parse_id(id)?)
         }
         (HttpMethod::Get, "studies", Some(id), Some(table)) => {
             if segs.next().is_some() {
@@ -1122,16 +1092,11 @@ mod tests {
     #[test]
     fn routes_parse_and_reject() {
         assert_eq!(parse_route(HttpMethod::Get, "/metrics"), Some(Route::Metrics));
-        assert_eq!(parse_route(HttpMethod::Get, "/studies"), Some(Route::Studies(Format::Json)));
-        assert_eq!(
-            parse_route(HttpMethod::Get, "/studies.json"),
-            Some(Route::Studies(Format::Json))
-        );
+        assert_eq!(parse_route(HttpMethod::Get, "/studies"), Some(Route::Studies));
+        assert_eq!(parse_route(HttpMethod::Get, "/studies.json"), Some(Route::Studies));
         assert_eq!(parse_route(HttpMethod::Post, "/studies"), Some(Route::Submit));
-        assert_eq!(
-            parse_route(HttpMethod::Get, "/studies/7"),
-            Some(Route::Status(7, Format::Json))
-        );
+        assert_eq!(parse_route(HttpMethod::Get, "/studies/7"), Some(Route::Status(7)));
+        assert_eq!(parse_route(HttpMethod::Get, "/studies/7.json"), Some(Route::Status(7)));
         assert_eq!(
             parse_route(HttpMethod::Get, "/studies/7/r1"),
             Some(Route::Rows(7, Relation::R1, Format::Csv))
@@ -1150,6 +1115,8 @@ mod tests {
         assert_eq!(parse_route(HttpMethod::Get, "/studies/x/r1"), None);
         assert_eq!(parse_route(HttpMethod::Get, "/studies/7/r1/extra"), None);
         assert_eq!(parse_route(HttpMethod::Get, "/metrics.json"), None);
+        assert_eq!(parse_route(HttpMethod::Get, "/studies.csv"), None);
+        assert_eq!(parse_route(HttpMethod::Get, "/studies/7.csv"), None);
         assert_eq!(parse_route(HttpMethod::Get, "/"), None);
         assert_eq!(parse_route(HttpMethod::Get, "/studies/99999999999999999/r1"), None);
     }

@@ -409,7 +409,7 @@ impl Engine {
             if let Some(hub) = &hub {
                 let gateway: crate::remote::HttpGateway =
                     Arc::new(EngineGateway { engine: weak.clone(), token: cfg.http_token.clone() });
-                pool.serve_hub(Arc::clone(hub), Some(gateway));
+                pool.serve_hub(Arc::clone(hub), gateway);
             }
             EngineInner {
                 cache: Mutex::new(ArtifactCache::with_store(store.clone())),
@@ -481,16 +481,6 @@ impl Engine {
         cfg: &ExperimentConfig,
     ) -> StudySubmission {
         let events = self.inner.events.lock().expect("events lock").clone();
-        EngineInner::submit_study(&self.inner, error_types, cfg, events)
-    }
-
-    /// [`Engine::submit_study`] with a submission-private event sink.
-    pub fn submit_study_with_events(
-        &self,
-        error_types: &[ErrorType],
-        cfg: &ExperimentConfig,
-        events: Option<EventSink>,
-    ) -> StudySubmission {
         EngineInner::submit_study(&self.inner, error_types, cfg, events)
     }
 

@@ -114,7 +114,7 @@ impl SubworkShared {
                 batch.run_one(i);
                 ran += 1;
             }
-            if ran > 0 && t.enabled() {
+            if ran > 0 {
                 t.subtasks_executed.add(ran);
                 if t.tracing_on() {
                     t.span(
@@ -164,9 +164,7 @@ impl SubworkBridge for PoolBridge {
         self.shared.queue.lock().expect("subwork lock").push(Arc::clone(&batch));
         (self.notify)();
         let t = crate::telemetry::global();
-        if t.enabled() {
-            t.subwork_batches.inc();
-        }
+        t.subwork_batches.inc();
         // Self-drive: the opener claims alongside any helpers, so the
         // batch completes even if no worker ever goes idle — a claimed
         // lease never waits on pool capacity.
@@ -175,9 +173,7 @@ impl SubworkBridge for PoolBridge {
             batch.run_one(i);
             ran += 1;
         }
-        if ran > 0 && t.enabled() {
-            t.subtasks_executed.add(ran);
-        }
+        t.subtasks_executed.add(ran);
         self.shared.queue.lock().expect("subwork lock").retain(|b| !Arc::ptr_eq(b, &batch));
         batch.done.wait_until(|| batch.counters.is_done());
         if batch.poisoned.load(Ordering::SeqCst) {

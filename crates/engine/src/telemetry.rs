@@ -3,10 +3,9 @@
 //!
 //! Everything here is zero-dependency and cheap enough for the hot path:
 //! a counter bump is one relaxed `fetch_add`, a histogram observation is
-//! a linear scan over ten bounds plus two `fetch_add`s. Instrumentation
-//! sites gate on [`Telemetry::enabled`], so a no-telemetry run (used by
-//! `cleanml-bench-trajectory` to measure instrumentation overhead)
-//! executes none of it.
+//! a linear scan over the bucket bounds plus three `fetch_add`s. The
+//! registry is always on; what it costs is part of every run the
+//! benchmark times.
 //!
 //! Two outputs hang off the same registry:
 //!
@@ -49,11 +48,10 @@ pub const NROUTES: usize = HTTP_ROUTES.len();
 
 /// Histogram bucket upper bounds, in seconds. Fixed at compile time so
 /// observation is a branch-free-ish scan; chosen to straddle the repo's
-/// task-cost spread — the 100 µs / 250 µs / 500 µs buckets resolve the
-/// sub-millisecond kinds (Evaluate, Reduce) whose quantiles a 1 ms floor
-/// would flatten to a meaningless "1.0", and the 150 ms – 750 ms ladder
-/// resolves the Clean/Train tail that a bare 0.1 → 0.5 → 1.0 jump
-/// quantized to exactly "100.0" / "1000.0" in `BENCH_quick.json`.
+/// task-cost spread — the 100 µs / 250 µs / 500 µs buckets separate the
+/// sub-millisecond kinds (Evaluate, Reduce) that a 1 ms floor would put
+/// in one bucket, and the 150 ms – 750 ms ladder separates the
+/// Clean/Train tail that a bare 0.1 → 0.5 → 1.0 jump would lump together.
 pub const BUCKET_BOUNDS_SECS: [f64; 17] = [
     0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.15, 0.25, 0.35, 0.5, 0.75, 1.0, 5.0,
     10.0, 60.0,
@@ -130,24 +128,11 @@ impl Default for Histogram {
     }
 }
 
-/// Point summary of a histogram, for `BENCH_quick.json`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Observation count and total of a histogram.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSummary {
     pub count: u64,
     pub sum_micros: u64,
-    pub p50_ms: f64,
-    pub p90_ms: f64,
-    pub p99_ms: f64,
-}
-
-impl HistogramSummary {
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_micros as f64 / self.count as f64 / 1000.0
-        }
-    }
 }
 
 impl Histogram {
@@ -185,33 +170,8 @@ impl Histogram {
         cum
     }
 
-    /// Upper-bound quantile estimate from the buckets: the smallest
-    /// bucket bound covering rank `q`. Observations past the last bound
-    /// fall back to max(last bound, mean).
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q * total as f64).ceil()).max(1.0) as u64;
-        let cum = self.cumulative();
-        for (i, &c) in cum.iter().enumerate() {
-            if c >= rank {
-                return BUCKET_BOUNDS_SECS[i] * 1000.0;
-            }
-        }
-        let mean_ms = self.sum_micros() as f64 / total as f64 / 1000.0;
-        f64::max(BUCKET_BOUNDS_SECS[NBUCKETS - 1] * 1000.0, mean_ms)
-    }
-
     pub fn summary(&self) -> HistogramSummary {
-        HistogramSummary {
-            count: self.count(),
-            sum_micros: self.sum_micros(),
-            p50_ms: self.quantile_ms(0.50),
-            p90_ms: self.quantile_ms(0.90),
-            p99_ms: self.quantile_ms(0.99),
-        }
+        HistogramSummary { count: self.count(), sum_micros: self.sum_micros() }
     }
 }
 
@@ -286,8 +246,6 @@ impl StatsSnapshot {
 /// The registry. One instance per process ([`global`]); tests that need
 /// isolation construct their own.
 pub struct Telemetry {
-    enabled: AtomicBool,
-
     // Task plane (pool.rs).
     pub(crate) tasks_local: [Counter; NKINDS],
     pub(crate) tasks_remote: [Counter; NKINDS],
@@ -342,7 +300,7 @@ pub struct Telemetry {
     pub(crate) subwork_batches: Counter,
 
     /// Top-[`SLOW_TABLE_LEN`] slowest completed tasks, descending by
-    /// duration. Reset per run by the CLI/bench harness.
+    /// duration. Reset per run by the study CLI (`run_study_cli`).
     slow: Mutex<Vec<SlowTask>>,
 
     // Trace-span buffer.
@@ -362,7 +320,6 @@ impl Default for Telemetry {
 impl Telemetry {
     pub fn new() -> Telemetry {
         Telemetry {
-            enabled: AtomicBool::new(true),
             tasks_local: std::array::from_fn(|_| Counter::default()),
             tasks_remote: std::array::from_fn(|_| Counter::default()),
             tasks_failed: Counter::default(),
@@ -415,26 +372,9 @@ impl Telemetry {
         }
     }
 
-    /// Whether instrumentation sites should record. Checked (relaxed)
-    /// at every hot-path site; flipping it off yields the no-telemetry
-    /// baseline for overhead measurement.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Per-kind execute-latency summary (local executions only).
     pub fn task_latency(&self, kind: TaskKind) -> HistogramSummary {
         self.task_seconds[kind_index(kind)].summary()
-    }
-
-    /// Tasks executed for `kind`, `(local, remote)`.
-    pub fn tasks_executed(&self, kind: TaskKind) -> (u64, u64) {
-        let i = kind_index(kind);
-        (self.tasks_local[i].get(), self.tasks_remote[i].get())
     }
 
     pub fn stats_snapshot(&self) -> StatsSnapshot {
@@ -469,9 +409,6 @@ impl Telemetry {
         class: &str,
         dur: Duration,
     ) {
-        if !self.enabled() {
-            return;
-        }
         let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
         let mut slow = self.slow.lock().expect("slow lock");
         if slow.len() == SLOW_TABLE_LEN && slow.last().is_some_and(|t| t.dur_us >= dur_us) {
@@ -931,30 +868,17 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_report_bucket_upper_bounds() {
-        let h = Histogram::default();
-        for _ in 0..99 {
-            h.observe(ms(2)); // le=0.005 bucket
-        }
-        h.observe(ms(800)); // le=1 bucket
-        assert_eq!(h.quantile_ms(0.5), 5.0);
-        assert_eq!(h.quantile_ms(0.99), 5.0);
-        assert_eq!(h.quantile_ms(1.0), 1000.0);
-        let empty = Histogram::default();
-        assert_eq!(empty.quantile_ms(0.5), 0.0);
-    }
-
-    #[test]
     fn bucket_ladder_resolves_the_100ms_to_1s_tail() {
-        // Pre-widening, everything between 100 ms and 500 ms reported
-        // "500.0" and everything between 500 ms and 1 s reported "1000.0";
-        // the 150/250/350/500/750 ms ladder separates the Clean/Train tail.
-        for (obs_ms, want_ms) in
-            [(120, 150.0), (180, 250.0), (300, 350.0), (400, 500.0), (600, 750.0), (900, 1000.0)]
+        // A bare 0.1 -> 0.5 -> 1.0 ladder would put 120-400 ms in one
+        // bucket and 600-900 ms in another; the 150/250/350/500/750 ms
+        // bounds give each of these observations its own bucket.
+        for (obs_ms, le_secs) in
+            [(120, 0.15), (180, 0.25), (300, 0.35), (400, 0.5), (600, 0.75), (900, 1.0)]
         {
             let h = Histogram::default();
             h.observe(ms(obs_ms));
-            assert_eq!(h.quantile_ms(0.99), want_ms, "{obs_ms} ms observation");
+            let bucket = h.cumulative().iter().position(|&c| c == 1).expect("observation bucketed");
+            assert_eq!(BUCKET_BOUNDS_SECS[bucket], le_secs, "{obs_ms} ms observation");
         }
     }
 
@@ -1123,10 +1047,6 @@ mod tests {
         }
         assert_eq!(slow.last().map(|s| s.dur_us), Some(5000), "fastest four dropped");
         t.reset_slow_tasks();
-        assert!(t.slowest_tasks().is_empty());
-        // disabled registries record nothing
-        t.set_enabled(false);
-        t.record_slow_task("x", "clean", "", Duration::from_secs(9));
         assert!(t.slowest_tasks().is_empty());
     }
 

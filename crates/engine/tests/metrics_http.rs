@@ -2,7 +2,8 @@
 //!
 //! * a plain HTTP `GET /metrics` against a live engine's hub returns
 //!   Prometheus text — `# TYPE` lines, per-kind task-latency histograms
-//!   with cumulative buckets, cache hit/miss counters;
+//!   with cumulative buckets, a queue wait for every executed task,
+//!   cache hit/miss counters;
 //! * hostile first contact fails closed: garbage magic, malformed
 //!   request lines and oversized request heads are dropped without a
 //!   panic and without touching the task pool, while well-formed
@@ -20,7 +21,7 @@ use std::time::Duration;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{run_study, ExperimentConfig};
 use cleanml_dataset::codec::{push_bytes, push_tag, seal_frame};
-use cleanml_engine::{Engine, EngineConfig, StudySpec};
+use cleanml_engine::{Engine, EngineConfig, StudySpec, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
@@ -59,7 +60,7 @@ fn metrics_scrape_returns_prometheus_text_with_task_histograms() {
 
     // Execute real work first so the scrape shows a live registry, not
     // an all-zero one.
-    engine.run_study_with_report(&ets, &cfg).expect("study run");
+    let (_db, report) = engine.run_study_with_report(&ets, &cfg).expect("study run");
 
     let response = http_get(addr, "/metrics");
     let (head, body) = response.split_once("\r\n\r\n").expect("HTTP head/body split");
@@ -96,6 +97,18 @@ fn metrics_scrape_returns_prometheus_text_with_task_histograms() {
     let value = |l: &str| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap();
     assert_eq!(value(inf), value(count), "+Inf bucket vs count");
     assert!(value(count) > 0, "the study trained; the histogram must have observations");
+
+    // Every locally executed task waited in a deque first, so the
+    // queue-wait family has at least one observation per train task the
+    // run executed. At least, not equal: the registry is process-wide and
+    // other tests in this binary run studies too.
+    let queued = body
+        .lines()
+        .find(|l| l.starts_with(r#"cleanml_task_queue_seconds_count{kind="train"}"#))
+        .expect("train queue-wait count sample");
+    let trained = report.executed(TaskKind::Train) as u64;
+    assert!(trained > 0, "a cold study trains");
+    assert!(value(queued) >= trained, "queue waits {} < trains {trained}", value(queued));
 
     // The scrape itself is counted.
     let again = http_get(addr, "/metrics");
