@@ -36,7 +36,7 @@ impl LogisticParams {
         LogisticParams { l2: 10f64.powf(log_l2), ..Default::default() }
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.l2.is_nan() || self.l2 < 0.0 {
             return Err(MlError::InvalidParam { param: "l2", message: format!("{}", self.l2) });
         }
@@ -54,11 +54,11 @@ impl LogisticParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Logistic {
     /// `n_classes × n_features` weight matrix, row-major by class.
-    weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// Per-class intercepts.
-    bias: Vec<f64>,
-    n_features: usize,
-    n_classes: usize,
+    pub(crate) bias: Vec<f64>,
+    pub(crate) n_features: usize,
+    pub(crate) n_classes: usize,
 }
 
 /// Numerically stable in-place softmax.
@@ -87,59 +87,57 @@ impl Logistic {
         let mut weights = vec![0.0; k * d];
         let mut bias = vec![0.0; k];
 
-        // Preallocated scratch, reused across epochs: raw per-example
-        // logit sums and softmax errors (both `n × k`).
+        // Preallocated scratch, reused across epochs and class-major
+        // (`k × n`): class `c`'s raw logit sums and softmax errors are the
+        // contiguous rows `logits[c*n..(c+1)*n]` and `errs[c*n..(c+1)*n]`.
+        let labels = data.labels();
         let mut probs = vec![0.0; k];
-        let mut logits = vec![0.0; n * k];
-        let mut errs = vec![0.0; n * k];
+        let mut logits = vec![0.0; k * n];
+        let mut errs = vec![0.0; k * n];
         let mut grad_w = vec![0.0; k * d];
         let mut grad_b = vec![0.0; k];
 
         for epoch in 0..params.epochs {
-            grad_w.iter_mut().for_each(|g| *g = 0.0);
-            grad_b.iter_mut().for_each(|g| *g = 0.0);
-
-            // Pass 1 — logits, swept per (class, feature) over contiguous
-            // column slices. Each `logits[i,c]` accumulator receives its
-            // feature terms in ascending-`j` order starting from zero
-            // (matching a row-major dot product term for term), with the
-            // bias added afterwards.
-            logits.iter_mut().for_each(|z| *z = 0.0);
-            for c in 0..k {
-                for j in 0..d {
-                    let wcj = weights[c * d + j];
-                    let col = data.col(j);
-                    for (i, &xij) in col.iter().enumerate() {
-                        logits[i * k + c] += wcj * xij;
+            // Pass 1 — logits, one AXPY per (class, feature) over a
+            // contiguous column. Each `logits[c,i]` accumulator receives
+            // its feature terms in ascending-`j` order starting from zero
+            // (a row-major dot product term for term), with the bias added
+            // afterwards. The elements are independent, so vectorizing the
+            // AXPY changes no bit.
+            logits.fill(0.0);
+            for (c, zs) in logits.chunks_exact_mut(n).enumerate() {
+                for (j, &wcj) in weights[c * d..(c + 1) * d].iter().enumerate() {
+                    for (z, &xij) in zs.iter_mut().zip(data.col(j)) {
+                        *z += wcj * xij;
                     }
                 }
             }
-            // Softmax + error per example (same per-row order as before).
-            for i in 0..n {
-                for c in 0..k {
-                    probs[c] = bias[c] + logits[i * k + c];
+            // Softmax + error per example.
+            for (i, &y) in labels.iter().enumerate() {
+                for (c, p) in probs.iter_mut().enumerate() {
+                    *p = bias[c] + logits[c * n + i];
                 }
                 softmax(&mut probs);
-                let y = data.labels()[i];
-                for c in 0..k {
-                    errs[i * k + c] = probs[c] - if c == y { 1.0 } else { 0.0 };
+                for (c, &p) in probs.iter().enumerate() {
+                    errs[c * n + i] = p - if c == y { 1.0 } else { 0.0 };
                 }
             }
-            // Pass 2 — gradients, swept per (class, feature) over column
-            // slices; each `grad_w[c,j]` accumulates its examples in
-            // ascending-`i` order, exactly as the row-major loop did.
-            for c in 0..k {
-                for j in 0..d {
-                    let g = &mut grad_w[c * d + j];
-                    let col = data.col(j);
-                    for (i, &xij) in col.iter().enumerate() {
-                        *g += errs[i * k + c] * xij;
+            // Pass 2 — gradients, each a sweep of one class's contiguous
+            // errors; every `grad_w[c,j]` and `grad_b[c]` sums its examples
+            // in ascending-`i` order starting from zero.
+            for (c, es) in errs.chunks_exact(n).enumerate() {
+                for (j, g) in grad_w[c * d..(c + 1) * d].iter_mut().enumerate() {
+                    let mut sum = 0.0;
+                    for (&e, &xij) in es.iter().zip(data.col(j)) {
+                        sum += e * xij;
                     }
+                    *g = sum;
                 }
-                let gb = &mut grad_b[c];
-                for i in 0..n {
-                    *gb += errs[i * k + c];
+                let mut sum = 0.0;
+                for &e in es {
+                    sum += e;
                 }
+                grad_b[c] = sum;
             }
 
             let lr = params.lr / (1.0 + epoch as f64 / 50.0);

@@ -1,13 +1,16 @@
-//! Test oracle for the tree kernels: the builders as they were before the
-//! splitter arena, and properties asserting that every tree family encodes
-//! to the same bytes through either path.
+//! Test oracle for the tree and logistic-regression kernels: the fit paths
+//! as they were before the splitter arena and the class-major LR scratch,
+//! and properties asserting that every family encodes to the same bytes
+//! through either path.
 //!
 //! The reference CART and GBDT builders move each node's membership into
 //! freshly allocated per-child `Vec`s. The reference forest copies every
 //! bootstrap with `select_rows` and fits the copy with unit weights, so each
-//! tree sorts its own copy. The matrices are tie-heavy on purpose (0/1
-//! one-hot columns, small integer grids, duplicated rows): ties are where a
-//! multiplicity bootstrap or an in-place partition could reorder a sum.
+//! tree sorts its own copy. The reference logistic regression keeps its
+//! logits and softmax errors row-major (`n × k`, stride k). The matrices
+//! are tie-heavy on purpose (0/1 one-hot columns, small integer grids,
+//! duplicated rows): ties are where a multiplicity bootstrap or an in-place
+//! partition could reorder a sum.
 
 use std::sync::Arc;
 
@@ -21,6 +24,7 @@ use crate::adaboost::{AdaBoost, AdaBoostParams};
 use crate::error::MlError;
 use crate::forest::{ForestParams, RandomForest};
 use crate::gbdt::{score, Gbdt, GbdtParams, GradCtx, RNode, RegTree};
+use crate::logistic::{softmax, Logistic, LogisticParams};
 use crate::tree::{gini, DecisionTree, Node, TreeParams};
 use crate::{codec, FittedModel, Result};
 
@@ -302,6 +306,77 @@ fn build_reg_node(
     idx
 }
 
+// ---- reference logistic regression: row-major `n × k` scratch ------------
+
+/// The reference `Logistic::fit`.
+fn fit_logistic(params: &LogisticParams, data: &FeatureMatrix) -> Result<Logistic> {
+    params.validate()?;
+    let n = data.n_rows();
+    if n == 0 {
+        return Err(MlError::EmptyTrainingSet);
+    }
+    let d = data.n_cols();
+    let k = data.n_classes();
+    let mut weights = vec![0.0; k * d];
+    let mut bias = vec![0.0; k];
+
+    let mut probs = vec![0.0; k];
+    let mut logits = vec![0.0; n * k];
+    let mut errs = vec![0.0; n * k];
+    let mut grad_w = vec![0.0; k * d];
+    let mut grad_b = vec![0.0; k];
+
+    for epoch in 0..params.epochs {
+        grad_w.iter_mut().for_each(|g| *g = 0.0);
+        grad_b.iter_mut().for_each(|g| *g = 0.0);
+
+        logits.iter_mut().for_each(|z| *z = 0.0);
+        for c in 0..k {
+            for j in 0..d {
+                let wcj = weights[c * d + j];
+                let col = data.col(j);
+                for (i, &xij) in col.iter().enumerate() {
+                    logits[i * k + c] += wcj * xij;
+                }
+            }
+        }
+        for i in 0..n {
+            for c in 0..k {
+                probs[c] = bias[c] + logits[i * k + c];
+            }
+            softmax(&mut probs);
+            let y = data.labels()[i];
+            for c in 0..k {
+                errs[i * k + c] = probs[c] - if c == y { 1.0 } else { 0.0 };
+            }
+        }
+        for c in 0..k {
+            for j in 0..d {
+                let g = &mut grad_w[c * d + j];
+                let col = data.col(j);
+                for (i, &xij) in col.iter().enumerate() {
+                    *g += errs[i * k + c] * xij;
+                }
+            }
+            let gb = &mut grad_b[c];
+            for i in 0..n {
+                *gb += errs[i * k + c];
+            }
+        }
+
+        let lr = params.lr / (1.0 + epoch as f64 / 50.0);
+        let scale = lr / n as f64;
+        for (w, g) in weights.iter_mut().zip(&grad_w) {
+            *w -= scale * g + lr * params.l2 * *w;
+        }
+        for (b, g) in bias.iter_mut().zip(&grad_b) {
+            *b -= scale * g;
+        }
+    }
+
+    Ok(Logistic { weights, bias, n_features: d, n_classes: k })
+}
+
 // ---- properties ----------------------------------------------------------
 
 /// A tie-heavy matrix of `n` rows, `d` columns and `k` classes. Each
@@ -337,6 +412,16 @@ fn tie_matrix(n: usize, d: usize, k: usize, seed: u64) -> FeatureMatrix {
 fn arb_ties() -> impl Strategy<Value = FeatureMatrix> {
     (2usize..64, 1usize..7, 2usize..5, any::<u64>())
         .prop_map(|(n, d, k, seed)| tie_matrix(n, d, k, seed))
+}
+
+/// `(n, d)` for the logistic property: a free shape, a single feature, or
+/// fewer rows (1–6) than features (7–16).
+fn arb_lr_shape() -> impl Strategy<Value = (usize, usize)> {
+    (1usize..64, 1usize..11, 0usize..3).prop_map(|(n, d, shape)| match shape {
+        0 => (n, d),
+        1 => (n, 1),
+        _ => (1 + n % 6, 6 + d),
+    })
 }
 
 fn bytes(model: FittedModel) -> Vec<u8> {
@@ -444,6 +529,26 @@ proptest! {
         let got = Gbdt::fit(&params, &m, 0).expect("fit");
         let want = Gbdt::fit_with(&params, &m, grow_reg_tree).expect("reference fit");
         prop_assert_eq!(bytes(FittedModel::Gbdt(got)), bytes(FittedModel::Gbdt(want)));
+    }
+
+    /// Class-major logistic regression encodes exactly as the reference's
+    /// row-major loop for 2, 3 and 4 classes on one tie-heavy matrix
+    /// shape: free, one feature, or fewer rows than features.
+    #[test]
+    fn logistic_matches_reference(
+        shape in arb_lr_shape(),
+        log_l2 in -5.0f64..0.0,
+        epochs in 1usize..151,
+        seed in any::<u64>(),
+    ) {
+        let (n, d) = shape;
+        let params = LogisticParams { l2: 10f64.powf(log_l2), epochs, ..Default::default() };
+        for k in 2..5 {
+            let m = tie_matrix(n, d, k, seed);
+            let got = Logistic::fit(&params, &m).expect("fit");
+            let want = fit_logistic(&params, &m).expect("reference fit");
+            prop_assert_eq!(bytes(FittedModel::Logistic(got)), bytes(FittedModel::Logistic(want)));
+        }
     }
 }
 

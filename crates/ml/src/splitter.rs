@@ -20,6 +20,12 @@
 //! partitions would, and a tree build allocates its O(d·m) buffers once
 //! instead of once per node. A split whose children will both be leaves
 //! partitions only the row buffer (the leaves never sweep).
+//!
+//! The partition and the bootstrap filter of [`Arena::drawn`] are
+//! branchless: each member is stored to every output it could go to, and
+//! only the cursor its flag selects advances. A row's goes-left or drawn
+//! flag follows no pattern a branch predictor could learn, so a branch on
+//! it mispredicts often; the order of every list is the same either way.
 
 /// Per-tree row and sorted-index buffers; see the [module docs](self).
 pub(crate) struct Arena {
@@ -31,7 +37,7 @@ pub(crate) struct Arena {
     m: usize,
     /// Goes-left flag per matrix row, set by the last row partition.
     goes_left: Vec<bool>,
-    /// Right-child staging for the stable partitions.
+    /// Right-child staging for the stable partitions, `m` slots.
     scratch: Vec<u32>,
 }
 
@@ -43,7 +49,7 @@ impl Arena {
             lists: sorted.concat(),
             m: n_rows,
             goes_left: vec![false; n_rows],
-            scratch: Vec::with_capacity(n_rows),
+            scratch: vec![0; n_rows],
         }
     }
 
@@ -51,20 +57,17 @@ impl Arena {
     /// sidecar column filtered to those rows. Filtering keeps the sidecar's
     /// order, so a bootstrap tree needs no sort of its own.
     pub(crate) fn drawn(sorted: &[Vec<u32>], counts: &[u32]) -> Self {
-        let drawn = |r: &u32| counts[*r as usize] > 0;
-        let rows: Vec<u32> = (0..counts.len() as u32).filter(drawn).collect();
+        let n = counts.len();
+        let mut rows = Vec::with_capacity(n);
+        push_drawn(&mut rows, 0..n as u32, counts);
         let m = rows.len();
-        let mut lists = Vec::with_capacity(sorted.len() * m);
+        // `push_drawn` grows by a whole column before cutting back, so the
+        // last column needs n slots, not m.
+        let mut lists = Vec::with_capacity(sorted.len() * m + (n - m));
         for col in sorted {
-            lists.extend(col.iter().copied().filter(drawn));
+            push_drawn(&mut lists, col.iter().copied(), counts);
         }
-        Arena {
-            rows,
-            lists,
-            m,
-            goes_left: vec![false; counts.len()],
-            scratch: Vec::with_capacity(m),
-        }
+        Arena { rows, lists, m, goes_left: vec![false; n], scratch: vec![0; m] }
     }
 
     /// Rows in the tree; the root node is `[0, n_rows())`.
@@ -108,20 +111,38 @@ impl Arena {
 
 /// Moves the members of `seg` flagged in `goes_left` to its front and the
 /// rest behind them, each side keeping its order; returns the left count.
-fn stable_partition(seg: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
-    scratch.clear();
-    let mut w = 0;
+///
+/// Branchless: every member is stored both at the left cursor `w` in place
+/// and at the right cursor `s` in `scratch` (which holds at least
+/// `seg.len()` slots), and only the cursor its flag selects advances.
+/// `w` never passes the read position, so a left store only overwrites a
+/// member already read.
+fn stable_partition(seg: &mut [u32], goes_left: &[bool], scratch: &mut [u32]) -> usize {
+    let (mut w, mut s) = (0, 0);
     for i in 0..seg.len() {
         let x = seg[i];
-        if goes_left[x as usize] {
-            seg[w] = x;
-            w += 1;
-        } else {
-            scratch.push(x);
-        }
+        let left = usize::from(goes_left[x as usize]);
+        seg[w] = x;
+        scratch[s] = x;
+        w += left;
+        s += 1 - left;
     }
-    seg[w..].copy_from_slice(scratch);
+    seg[w..].copy_from_slice(&scratch[..s]);
     w
+}
+
+/// Appends the members of `src` with a nonzero count to `out`, in order.
+/// Branchless like [`stable_partition`]: `out` grows by all of `src`, every
+/// member is stored at the cursor, the cursor moves past the drawn ones
+/// only, and `out` is cut back to the cursor.
+fn push_drawn(out: &mut Vec<u32>, src: impl ExactSizeIterator<Item = u32>, counts: &[u32]) {
+    let mut w = out.len();
+    out.resize(w + src.len(), 0);
+    for r in src {
+        out[w] = r;
+        w += usize::from(counts[r as usize] > 0);
+    }
+    out.truncate(w);
 }
 
 #[cfg(test)]
@@ -164,5 +185,85 @@ mod tests {
         assert_eq!(arena.n_rows(), 3);
         assert_eq!(arena.rows(0, 3), &[0, 2, 3]);
         assert_eq!(arena.list(0, 0, 3), &[3, 0, 2]);
+    }
+
+    /// Splits node `[lo, hi)` of `arena` by `left` and checks its rows and
+    /// every list against per-node `Vec` partitions of the node's members,
+    /// and that the rest of every buffer is untouched.
+    fn check_split(arena: &mut Arena, lo: usize, hi: usize, left: &[bool]) {
+        let before_rows = arena.rows.clone();
+        let before_lists = arena.lists.clone();
+        let mid = arena.partition_rows(lo, hi, |r| left[r]);
+        arena.partition_lists(lo, hi);
+        let (l, r) = split_vec(&before_rows[lo..hi], left);
+        assert_eq!(mid - lo, l.len());
+        assert_eq!((arena.rows(lo, mid), arena.rows(mid, hi)), (&l[..], &r[..]));
+        let m = arena.m;
+        for f in 0..before_lists.len() / m.max(1) {
+            let (l, r) = split_vec(&before_lists[f * m + lo..f * m + hi], left);
+            assert_eq!((arena.list(f, lo, mid), arena.list(f, mid, hi)), (&l[..], &r[..]));
+        }
+        for (i, (&a, &b)) in arena.rows.iter().zip(&before_rows).enumerate() {
+            assert!((lo..hi).contains(&i) || a == b, "row slot {i} moved");
+        }
+        for (i, (&a, &b)) in arena.lists.iter().zip(&before_lists).enumerate() {
+            assert!((lo..hi).contains(&(i % m)) || a == b, "list slot {i} moved");
+        }
+    }
+
+    /// Every row left (the left cursor ends at the segment's end), every
+    /// row right (so does the right cursor), and exactly one row left or
+    /// right in each position, over the root and over an inner node.
+    #[test]
+    fn boundary_masks_match_per_node_vecs() {
+        let sorted = vec![vec![3u32, 0, 4, 1, 2], vec![1, 2, 0, 4, 3], vec![4, 3, 2, 1, 0]];
+        let mut masks = vec![[true; 5], [false; 5]];
+        for one in 0..5 {
+            let mut mask = [false; 5];
+            mask[one] = true;
+            masks.push(mask);
+            masks.push(mask.map(|b| !b));
+        }
+        for mask in &masks {
+            check_split(&mut Arena::all_rows(&sorted, 5), 0, 5, mask);
+            // an inner node: split the root, then its right child [2, 5)
+            let mut arena = Arena::all_rows(&sorted, 5);
+            check_split(&mut arena, 0, 5, &[true, false, false, true, false]);
+            check_split(&mut arena, 2, 5, mask);
+        }
+    }
+
+    /// Every row drawn, counts above 1, a single row drawn (first, last and
+    /// inner in row order and in each list), and undrawn rows at the ends
+    /// of the lists, where the filter's last store lands past the kept
+    /// members; each arena then splits like per-node `Vec`s.
+    #[test]
+    fn drawn_boundaries_match_a_plain_filter() {
+        let sorted = vec![vec![3u32, 0, 4, 1, 2], vec![1, 2, 0, 4, 3]];
+        let counts: [[u32; 5]; 8] = [
+            [1, 1, 1, 1, 1],
+            [2, 3, 1, 4, 5],
+            [5, 0, 0, 0, 0],
+            [0, 0, 0, 0, 5],
+            [0, 0, 0, 2, 0],
+            [0, 0, 1, 0, 0],
+            [3, 1, 0, 2, 0],
+            [0, 2, 1, 0, 1],
+        ];
+        for counts in &counts {
+            let drawn = |r: &u32| counts[*r as usize] > 0;
+            let rows: Vec<u32> = (0..5).filter(drawn).collect();
+            let m = rows.len();
+            let arena = Arena::drawn(&sorted, counts);
+            assert_eq!((arena.n_rows(), arena.rows(0, m)), (m, &rows[..]));
+            assert_eq!(arena.lists.len(), sorted.len() * m);
+            for (f, col) in sorted.iter().enumerate() {
+                let want: Vec<u32> = col.iter().copied().filter(drawn).collect();
+                assert_eq!(arena.list(f, 0, m), &want[..]);
+            }
+            for mask in [[true; 5], [false; 5], [false, true, false, true, true]] {
+                check_split(&mut Arena::drawn(&sorted, counts), 0, m, &mask);
+            }
+        }
     }
 }
