@@ -26,10 +26,9 @@ fn main() {
     header("EEG / IQR+Mean / LR / BD at increasing split counts");
     println!("{:>7} {:>10} {:>10} {:>12} {:>6}", "splits", "mean B", "mean D", "p(two)", "flag");
     // the four split counts are independent experiments: fan them out
-    // (per-split threads off — the outer fan-out is the parallelism here)
     let counts = [5usize, 10, 20, 40];
     let outcomes = fan_out(&counts, workers, |&n_splits| {
-        let cfg = ExperimentConfig { n_splits, parallel: false, ..base_cfg };
+        let cfg = ExperimentConfig { n_splits, ..base_cfg };
         run_r1_experiment(&data, &spec, &cfg).expect("experiment")
     });
     for (n_splits, out) in counts.iter().zip(&outcomes) {

@@ -23,9 +23,13 @@
 //! `ablation_splits` take the profile and `--workers` ([`FAN_OUT_FLAGS`]),
 //! and Table 17 also takes `--cap`.
 
+#![forbid(unsafe_code)]
+
 use std::net::TcpStream;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use cleanml_core::database::FlagDist;
@@ -33,7 +37,6 @@ use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::http::MAX_SPLITS;
 use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot, TaskKind};
-use cleanml_parallel::ThreadBridge;
 use cleanml_stats::Flag;
 
 /// One entry of a binary's flag table.
@@ -319,21 +322,47 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     digits.parse::<u64>().ok()?.checked_mul(1u64 << shift)
 }
 
-/// Applies `f` to every item on `workers` threads (the caller and its
-/// helpers; `0` = all cores) and returns the results in input order, as a
-/// serial loop would. Kernels called inside `f`, or outside this call,
-/// stay serial.
+/// Applies `f` to every item on at most `workers` threads (the caller and
+/// `workers − 1` helpers; `0` = all cores) and returns the results in input
+/// order, as a serial loop would. Each thread claims the next unclaimed
+/// item until none is left. A panic in `f` stops the claims and reaches
+/// the caller with its original payload once every thread has stopped.
 pub fn fan_out<T: Sync, U: Send>(
     items: &[T],
     workers: usize,
     f: impl Fn(&T) -> U + Sync,
 ) -> Vec<U> {
-    let helpers =
-        EngineConfig { workers, ..Default::default() }.effective_workers().saturating_sub(1);
-    cleanml_parallel::install_bridge(Arc::new(ThreadBridge { helpers }));
-    let out = cleanml_parallel::run_indexed(items.len(), |i| f(&items[i]));
-    cleanml_parallel::clear_bridge();
-    out
+    let helpers = EngineConfig { workers, ..Default::default() }
+        .effective_workers()
+        .min(items.len())
+        .saturating_sub(1);
+    let next = AtomicUsize::new(0);
+    let drive = || {
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break done };
+                done.push((i, f(item)));
+            }
+        }))
+        .inspect_err(|_| next.store(items.len(), Ordering::Relaxed))
+    };
+    // Helpers are joined by hand: left to the scope, a helper's panic
+    // would surface as a generic "a scoped thread panicked".
+    let driven = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (0..helpers).map(|_| scope.spawn(drive)).collect();
+        let mut driven = vec![drive()];
+        driven.extend(helpers.into_iter().map(|h| h.join().unwrap_or_else(Err)));
+        driven
+    });
+    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    for done in driven {
+        for (i, out) in done.unwrap_or_else(|payload| resume_unwind(payload)) {
+            slots[i] = Some(out);
+        }
+    }
+    slots.into_iter().map(|out| out.expect("every item ran")).collect()
 }
 
 /// Parses one error-type name, tolerant of case, spaces and underscores
@@ -617,6 +646,54 @@ mod tests {
         m.insert("EEG".to_string(), FlagDist { p: 1, s: 0, n: 0 });
         let rows = rows_of(&m);
         assert_eq!(rows[0].0, "EEG");
+    }
+
+    #[test]
+    fn fan_out_matches_serial_order() {
+        // a permutation, with uneven work, so completion order differs
+        // from input order; and no items at all
+        let permuted: Vec<u64> = (0..97).map(|i| (i * 37) % 97).collect();
+        let f = |&x: &u64| {
+            for _ in 0..x % 7 {
+                std::thread::yield_now();
+            }
+            x.wrapping_mul(0x9E37_79B9)
+        };
+        for items in [&permuted[..], &[]] {
+            let serial: Vec<u64> = items.iter().map(f).collect();
+            for workers in [1, 2, 8] {
+                let n = items.len();
+                assert_eq!(fan_out(items, workers, f), serial, "{n} items, workers={workers}");
+            }
+        }
+    }
+
+    /// A helper's panic reaches the caller with its original payload, not
+    /// the scope's generic "a scoped thread panicked". Only helpers panic
+    /// here: the caller holds its first item until one of them has run.
+    #[test]
+    fn helper_panics_reach_the_caller_with_their_payload() {
+        use std::sync::atomic::AtomicBool;
+        let items: Vec<usize> = (0..64).collect();
+        for helpers in [1, 7] {
+            let caller = std::thread::current().id();
+            let helper_ran = AtomicBool::new(false);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fan_out(&items, helpers + 1, |&i| {
+                    if std::thread::current().id() != caller {
+                        helper_ran.store(true, Ordering::Release);
+                        panic!("helper boom at item {i}");
+                    }
+                    while !helper_ran.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            }));
+            let payload = caught.expect_err("a panicking item must propagate");
+            let msg = payload.downcast_ref::<String>().expect("the original String payload");
+            assert!(msg.starts_with("helper boom at item "), "helpers={helpers}: {msg}");
+        }
     }
 
     #[test]

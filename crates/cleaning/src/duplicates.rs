@@ -151,35 +151,16 @@ impl PairFeaturizer {
         }
     }
 
-    /// The similarity vectors of `pairs`, one matrix row per pair. The
-    /// sweep fans out in contiguous chunks, each filling a column-major
-    /// block of its own; the blocks land in chunk order, so the matrix is
-    /// the one a serial loop builds.
+    /// The similarity vectors of `pairs`, one matrix row per pair.
     fn sim_matrix(&self, pairs: &[(usize, usize)]) -> SimMatrix {
-        let dim = self.dim();
-        let chunks = pair_chunks(pairs.len());
-        let blocks: Vec<SimMatrix> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
-            let range = chunks[ci].clone();
-            let mut block = SimMatrix::zeroed(range.len(), dim);
-            let mut feat = vec![0.0; dim];
-            for (j, &(a, b)) in pairs[range].iter().enumerate() {
-                self.features_into(a, b, &mut feat);
-                block.set_row(j, &feat);
-            }
-            block
-        });
-        let mut points = SimMatrix::zeroed(pairs.len(), dim);
-        for (chunk, block) in chunks.iter().zip(&blocks) {
-            points.copy_block(chunk.start, block);
+        let mut points = SimMatrix::zeroed(pairs.len(), self.dim());
+        let mut feat = vec![0.0; self.dim()];
+        for (i, &(a, b)) in pairs.iter().enumerate() {
+            self.features_into(a, b, &mut feat);
+            points.set_row(i, &feat);
         }
         points
     }
-}
-
-/// Upper bound on subwork chunks for a pair sweep: enough to keep every
-/// helper busy, few enough that per-chunk dispatch stays invisible.
-fn pair_chunks(n_pairs: usize) -> Vec<std::ops::Range<usize>> {
-    cleanml_parallel::chunk_ranges(n_pairs, n_pairs.div_ceil(2048))
 }
 
 /// Candidate pairs: all pairs for small tables, token-blocked pairs above
@@ -261,24 +242,17 @@ pub(crate) fn fit_zeroer(train: &Table) -> (Option<PairGmm>, Vec<(usize, usize)>
 }
 
 /// The pairs whose similarity vector (row `i` of `points` for `pairs[i]`)
-/// the mixture matches: ZeroER's one match filter, for the training matrix
-/// and for every table the cleaner is applied to. The sweep fans out in
-/// contiguous chunks; chunk-order concatenation keeps the list identical
-/// to the serial filter's.
+/// the mixture matches, in `pairs` order: ZeroER's one match filter, for
+/// the training matrix and for every table the cleaner is applied to.
 fn matches(gmm: &PairGmm, points: &SimMatrix, pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let chunks = pair_chunks(pairs.len());
-    let matched: Vec<Vec<(usize, usize)>> = cleanml_parallel::run_indexed(chunks.len(), |ci| {
-        let mut row = vec![0.0; points.dim()];
-        chunks[ci]
-            .clone()
-            .filter(|&i| {
-                points.read_row(i, &mut row);
-                gmm.posterior_match(&row) > MATCH_THRESHOLD
-            })
-            .map(|i| pairs[i])
-            .collect()
-    });
-    matched.concat()
+    let mut row = vec![0.0; points.dim()];
+    (0..pairs.len())
+        .filter(|&i| {
+            points.read_row(i, &mut row);
+            gmm.posterior_match(&row) > MATCH_THRESHOLD
+        })
+        .map(|i| pairs[i])
+        .collect()
 }
 
 /// Minimal union–find over row indices.

@@ -23,6 +23,8 @@
 //! learning) are documented in the README's *Substitutions* section; each
 //! keeps the algorithmic core of the original system.
 
+#![forbid(unsafe_code)]
+
 pub mod duplicates;
 pub mod error;
 pub mod holoclean;

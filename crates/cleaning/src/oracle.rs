@@ -432,21 +432,14 @@ proptest! {
 }
 
 /// Above [`BLOCK_ABOVE`] rows `candidate_pairs` token-blocks; the kernel
-/// still reproduces the reference there, serially and with the pair
-/// sweeps fanned out over a thread bridge.
+/// still reproduces the reference there.
 #[test]
-fn blocked_tables_match_reference_serial_and_bridged() {
+fn blocked_tables_match_reference() {
     for (seed, numeric) in [(1u64, true), (2, false)] {
         let t = blocked_table(seed, numeric);
         assert!(t.n_rows() > BLOCK_ABOVE);
         let pairs = candidate_pairs(&t);
         assert!(pairs.len() < t.n_rows() * (t.n_rows() - 1) / 2, "blocking must prune pairs");
-        check_against_oracle(&t, &t).expect("serial");
-        cleanml_parallel::install_bridge(std::sync::Arc::new(cleanml_parallel::ThreadBridge {
-            helpers: 3,
-        }));
-        let bridged = check_against_oracle(&t, &t);
-        cleanml_parallel::clear_bridge();
-        bridged.expect("bridged");
+        check_against_oracle(&t, &t).expect("blocked table");
     }
 }

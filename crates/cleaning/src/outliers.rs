@@ -117,13 +117,12 @@ pub fn fit(
         });
     }
 
-    // Per-column detector fits are independent (the isolation-forest seed
-    // is derived from the column *index*, not a shared stream), so heavy
-    // detections fan out onto idle pool workers; index-ordered collection
-    // keeps the fitted state identical to the serial loop.
-    let fitted = cleanml_parallel::run_indexed(cols.len(), |i| -> Result<ColumnDetector> {
-        let c = train.column(cols[i])?;
-        Ok(match detection {
+    // Each column's isolation-forest seed is derived from the column's
+    // position in `cols`, not from a shared stream.
+    let mut detectors = HashMap::new();
+    for (i, &col) in cols.iter().enumerate() {
+        let c = train.column(col)?;
+        let detector = match detection {
             OutlierDetection::Sd { n_sigmas } => {
                 let mean = cleanml_dataset::stats::mean(c).unwrap_or(0.0);
                 let sd = cleanml_dataset::stats::std_dev(c).unwrap_or(0.0);
@@ -147,11 +146,8 @@ pub fn fit(
                 };
                 ColumnDetector::Forest { forest, threshold }
             }
-        })
-    });
-    let mut detectors = HashMap::new();
-    for (i, det) in fitted.into_iter().enumerate() {
-        detectors.insert(cols[i], det?);
+        };
+        detectors.insert(col, detector);
     }
 
     // Repair statistics over the *non-outlying* training values.

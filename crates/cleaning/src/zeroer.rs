@@ -57,16 +57,6 @@ impl SimMatrix {
         }
     }
 
-    /// Copies `block`'s rows into rows `start..start + block.n_rows()`,
-    /// one contiguous column slice per dimension.
-    pub(crate) fn copy_block(&mut self, start: usize, block: &SimMatrix) {
-        assert_eq!(block.dim, self.dim, "similarity vector width mismatch");
-        for d in 0..self.dim {
-            let at = d * self.n + start;
-            self.data[at..at + block.n].copy_from_slice(block.col(d));
-        }
-    }
-
     /// Gathers pair `i`'s similarity vector into `out`.
     pub fn read_row(&self, i: usize, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim, "similarity vector width mismatch");

@@ -16,8 +16,6 @@ pub struct ExperimentConfig {
     pub alpha: f64,
     /// Base seed; split `s` uses `base_seed + s`.
     pub base_seed: u64,
-    /// Run splits on multiple threads.
-    pub parallel: bool,
 }
 
 impl ExperimentConfig {
@@ -29,7 +27,6 @@ impl ExperimentConfig {
             search: SearchBudget { n_candidates: 1, cv_folds: 2 },
             alpha: cleanml_stats::ALPHA,
             base_seed: 1,
-            parallel: true,
         }
     }
 

@@ -212,7 +212,7 @@ mod tests {
     fn comparison_runs_on_variant() {
         let base = generate(spec_by_name("Titanic").unwrap(), 2);
         let variant = inject_mislabel_variant(&base, MislabelStrategy::Uniform, 7);
-        let cfg = ExperimentConfig { n_splits: 3, parallel: false, ..ExperimentConfig::quick() };
+        let cfg = ExperimentConfig { n_splits: 3, ..ExperimentConfig::quick() };
         let cmp = compare_human_vs_automatic(&variant, ErrorType::Mislabels, &cfg).unwrap();
         assert_eq!(cmp.error_type, ErrorType::Mislabels);
         assert_eq!(cmp.evidence.n_splits, 3);

@@ -25,6 +25,8 @@
 //! * [`human`] — ground-truth ("human") cleaning vs. the best automatic
 //!   method (§VII-C, Table 19).
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod config;
 pub mod database;

@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn credit_comparison_runs() {
         let data = generate(spec_by_name("Credit").unwrap(), 3);
-        let cfg = ExperimentConfig { n_splits: 3, parallel: false, ..ExperimentConfig::quick() };
+        let cfg = ExperimentConfig { n_splits: 3, ..ExperimentConfig::quick() };
         let cmp = compare_mixed_vs_single(&data, ErrorType::Outliers, 1, &cfg).unwrap();
         assert_eq!(cmp.dataset, "Credit");
         assert_eq!(cmp.single_type, ErrorType::Outliers);

@@ -149,7 +149,7 @@ mod tests {
     use cleanml_datagen::{generate, spec_by_name};
 
     fn quick_cfg() -> ExperimentConfig {
-        ExperimentConfig { n_splits: 3, parallel: false, ..ExperimentConfig::quick() }
+        ExperimentConfig { n_splits: 3, ..ExperimentConfig::quick() }
     }
 
     #[test]

@@ -164,24 +164,9 @@ pub fn evaluate_grid_with(
     }
     let ctx = tasks::dataset_context(data)?;
 
-    let cells: Vec<Vec<Vec<CellEval>>> = if cfg.parallel && cfg.n_splits > 1 {
-        // One thread per split; the paper's 20 splits are comfortably within
-        // OS scheduling limits and each is CPU-bound and independent.
-        let results: Vec<Result<Vec<Vec<CellEval>>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..cfg.n_splits)
-                .map(|s| {
-                    let ctx = &ctx;
-                    scope.spawn(move || eval_split(data, error_type, methods, models, ctx, cfg, s))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("split thread panicked")).collect()
-        });
-        results.into_iter().collect::<Result<Vec<_>>>()?
-    } else {
-        (0..cfg.n_splits)
-            .map(|s| eval_split(data, error_type, methods, models, &ctx, cfg, s))
-            .collect::<Result<Vec<_>>>()?
-    };
+    let cells = (0..cfg.n_splits)
+        .map(|s| eval_split(data, error_type, methods, models, &ctx, cfg, s))
+        .collect::<Result<Vec<_>>>()?;
 
     Ok(EvalGrid {
         dataset: data.name.clone(),
@@ -480,7 +465,7 @@ mod tests {
     use cleanml_datagen::{generate, spec_by_name};
 
     fn quick_cfg() -> ExperimentConfig {
-        ExperimentConfig { n_splits: 4, parallel: false, ..ExperimentConfig::quick() }
+        ExperimentConfig { n_splits: 4, ..ExperimentConfig::quick() }
     }
 
     #[test]
@@ -566,20 +551,6 @@ mod tests {
         let g1 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &cfg).unwrap();
         let g2 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &cfg).unwrap();
         for s in 0..cfg.n_splits {
-            assert_eq!(g1.cell(s, 0, 0), g2.cell(s, 0, 0));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let data = generate(spec_by_name("Sensor").unwrap(), 9);
-        let methods = [CleaningMethod::catalogue(ErrorType::Outliers)[0]];
-        let models = [ModelKind::NaiveBayes];
-        let seq = ExperimentConfig { parallel: false, ..quick_cfg() };
-        let par = ExperimentConfig { parallel: true, ..quick_cfg() };
-        let g1 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &seq).unwrap();
-        let g2 = evaluate_grid_with(&data, ErrorType::Outliers, &methods, &models, &par).unwrap();
-        for s in 0..seq.n_splits {
             assert_eq!(g1.cell(s, 0, 0), g2.cell(s, 0, 0));
         }
     }

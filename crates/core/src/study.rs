@@ -192,7 +192,7 @@ mod tests {
     /// three relations with the right cardinalities.
     #[test]
     fn tiny_study_populates_relations() {
-        let cfg = ExperimentConfig { n_splits: 3, parallel: true, ..ExperimentConfig::quick() };
+        let cfg = ExperimentConfig { n_splits: 3, ..ExperimentConfig::quick() };
         let db = run_study(&[ErrorType::Inconsistencies], &cfg).unwrap();
         // 4 datasets × 1 method × 7 models × 2 scenarios
         assert_eq!(db.r1.len(), 56);

@@ -134,8 +134,7 @@ pub struct TrainedModel {
 /// The Train body builds one [`FoldPlan`] for its `(n_rows, cv_folds,
 /// seed)` key and scores every search candidate against it, so the fold
 /// matrices (and their argsort sidecars) are materialized once per Train
-/// task instead of once per candidate, and the `(candidate, fold)` grid can
-/// drain onto idle pool workers through the engine's subwork bridge.
+/// task instead of once per candidate.
 pub fn fit_scored(
     kind: ModelKind,
     data: &FeatureMatrix,

@@ -27,6 +27,8 @@
 //! assert_eq!(data.clean_cells.n_missing_cells(), 0); // ground truth retained
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod inject;
 pub mod model;
 pub mod registry;

@@ -39,6 +39,8 @@
 //! assert_eq!(t.column(0).unwrap().n_missing(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod column;
 pub mod csv;

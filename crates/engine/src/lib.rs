@@ -11,7 +11,9 @@
 //!    `Train(model, variant)`, `Evaluate(cell)`, `Reduce(grid)` — built
 //!    from the pure task units of [`cleanml_core::tasks`] ([`graph`]);
 //! 2. **schedules** independent tasks across all datasets and error types
-//!    on a work-stealing worker pool ([`pool`]);
+//!    on a work-stealing worker pool ([`pool`]). The pool's workers are
+//!    the engine's only compute threads: each task body runs to the end
+//!    on the worker that claimed it;
 //! 3. **remembers** finished work in a content-addressed artifact cache —
 //!    an in-memory layer that deduplicates shared work inside a run, and an
 //!    optional on-disk layer under a run directory that lets repeated or
@@ -52,13 +54,14 @@
 //! println!("{} R1 rows", db.r1.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod event;
 pub mod graph;
 pub mod pool;
 pub mod remote;
 pub mod study;
-pub(crate) mod subwork;
 pub mod telemetry;
 
 pub use cache::{ArtifactCache, CacheKey, DiskStore};

@@ -230,9 +230,6 @@ pub(crate) struct PoolInner<A> {
     pub(crate) shutdown: AtomicBool,
     pub(crate) persist: Option<Arc<DiskStore>>,
     pub(crate) n_workers: usize,
-    /// Open intra-task subwork batches; idle workers drain them between
-    /// frontier checks (multi-worker pools only).
-    pub(crate) subwork: Arc<crate::subwork::SubworkShared>,
     /// Live [`LeasableHold`]s: while any is held, local workers leave
     /// leasable tasks to remote workers.
     leasable_holds: AtomicUsize,
@@ -738,29 +735,12 @@ where
             shutdown: AtomicBool::new(false),
             persist,
             n_workers: workers,
-            subwork: Arc::new(crate::subwork::SubworkShared::new()),
             leasable_holds: AtomicUsize::new(0),
         });
         let threads = (0..workers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
-                std::thread::spawn(move || {
-                    // Nested parallelism only pays when there is more
-                    // than one worker; a single-worker pool keeps the
-                    // bit-identical serial path with zero queue traffic.
-                    if inner.n_workers > 1 {
-                        let weak = Arc::downgrade(&inner);
-                        let notify = Box::new(move || {
-                            if let Some(pool) = weak.upgrade() {
-                                pool.work.notify_all();
-                            }
-                        });
-                        cleanml_parallel::install_bridge(Arc::new(
-                            crate::subwork::PoolBridge::new(Arc::clone(&inner.subwork), notify),
-                        ));
-                    }
-                    worker_loop(&inner, w)
-                })
+                std::thread::spawn(move || worker_loop(&inner, w))
             })
             .collect();
         Pool { inner, workers: threads, services: Vec::new() }
@@ -1184,28 +1164,19 @@ where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     loop {
-        let job = 'job: loop {
-            {
-                let mut st = inner.state.lock().expect("state lock");
-                loop {
-                    if inner.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if let Some(gid) = inner.pop_or_steal(&mut st, me) {
-                        break 'job inner.prepare(&mut st, gid, None);
-                    }
-                    // No runnable pool task: before parking, drain any
-                    // open subwork batch (with the state lock released
-                    // — helping must never stall the scheduler).
-                    if inner.subwork.has_work() {
-                        break;
-                    }
-                    let (guard, _) =
-                        inner.work.wait_timeout(st, Duration::from_millis(50)).expect("condvar");
-                    st = guard;
+        let job = {
+            let mut st = inner.state.lock().expect("state lock");
+            loop {
+                if inner.shutdown.load(Ordering::Acquire) {
+                    return;
                 }
+                if let Some(gid) = inner.pop_or_steal(&mut st, me) {
+                    break inner.prepare(&mut st, gid, None);
+                }
+                let (guard, _) =
+                    inner.work.wait_timeout(st, Duration::from_millis(50)).expect("condvar");
+                st = guard;
             }
-            inner.subwork.help();
         };
         let Some(job) = job else { continue };
         let Job { gid, kind, key, label, class, run, inputs, queued_at, sub } = job;
@@ -1213,9 +1184,7 @@ where
         let t = crate::telemetry::global();
         let started = Instant::now();
         let queue_wait = started.duration_since(queued_at);
-        crate::subwork::set_current_task(&label, me as u64);
         let outcome = catch_unwind(AssertUnwindSafe(move || run(inputs)));
-        crate::subwork::clear_current_task();
         let elapsed = started.elapsed();
         let outcome = match outcome {
             Ok(r) => r,

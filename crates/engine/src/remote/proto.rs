@@ -51,8 +51,9 @@ use crate::event::TaskKind;
 /// Version history: 1 — initial worker + serving planes; 2 — `Status`
 /// and `ServeReport` grew a trailing `dropped_events` count; 3 — the
 /// serving messages (`Submit`/`Status`/`ResultCsv`/`Cancel`/`ServeError`)
-/// are gone, clients use the HTTP gateway.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// are gone, clients use the HTTP gateway; 4 — `StudySpec` lost its
+/// trailing `parallel` tag (the experiment configuration no longer has one).
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a single message payload. The largest legitimate payload
 /// is one artifact (a split's tables for the biggest dataset — a few MiB);
@@ -121,7 +122,6 @@ impl StudySpec {
         push_usize(&mut out, self.cfg.search.cv_folds);
         push_f64(&mut out, self.cfg.alpha);
         push_u64(&mut out, self.cfg.base_seed);
-        push_tag(&mut out, self.cfg.parallel as u8);
         out
     }
 
@@ -141,11 +141,6 @@ impl StudySpec {
         let cv_folds = take_usize(&mut r)?;
         let alpha = take_f64(&mut r)?;
         let base_seed = take_u64(&mut r)?;
-        let parallel = match take_tag(&mut r)? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
         let spec = StudySpec {
             error_types,
             cfg: ExperimentConfig {
@@ -154,7 +149,6 @@ impl StudySpec {
                 search: SearchBudget { n_candidates, cv_folds },
                 alpha,
                 base_seed,
-                parallel,
             },
         };
         r.is_empty().then_some(spec)

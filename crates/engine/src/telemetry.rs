@@ -294,10 +294,8 @@ pub struct Telemetry {
     pub(crate) http_route_requests: [Counter; NROUTES],
     pub(crate) http_route_seconds: [Histogram; NROUTES],
 
-    // Zero-copy artifact plane (cache.rs) and nested subwork (pool.rs).
+    // Zero-copy artifact plane (cache.rs).
     pub(crate) handle_shares: Counter,
-    pub(crate) subtasks_executed: Counter,
-    pub(crate) subwork_batches: Counter,
 
     /// Top-[`SLOW_TABLE_LEN`] slowest completed tasks, descending by
     /// duration. Reset per run by the study CLI (`run_study_cli`).
@@ -361,8 +359,6 @@ impl Telemetry {
             http_route_requests: std::array::from_fn(|_| Counter::default()),
             http_route_seconds: std::array::from_fn(|_| Histogram::default()),
             handle_shares: Counter::default(),
-            subtasks_executed: Counter::default(),
-            subwork_batches: Counter::default(),
             slow: Mutex::new(Vec::new()),
             epoch: Instant::now(),
             tracing: AtomicBool::new(false),
@@ -627,8 +623,6 @@ impl Telemetry {
         counter(&mut o, "cleanml_trace_events_dropped_total", &self.trace_overflow);
 
         counter(&mut o, "cleanml_handle_shares_total", &self.handle_shares);
-        counter(&mut o, "cleanml_subtasks_executed_total", &self.subtasks_executed);
-        counter(&mut o, "cleanml_subwork_batches_total", &self.subwork_batches);
 
         // CV fold plane (bridged from the process-wide `cleanml-ml`
         // counters: the ml crate cannot depend on the engine registry).

@@ -10,7 +10,7 @@ use cleanml_core::{run_study, CleanMlDb, ExperimentConfig};
 use cleanml_engine::{CellQuery, Engine, EngineConfig, EngineEvent, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn assert_identical(a: &CleanMlDb, b: &CleanMlDb, what: &str) {

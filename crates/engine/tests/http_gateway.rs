@@ -24,7 +24,7 @@ use cleanml_engine::{parse_query, Engine, EngineConfig, Select};
 const TOKEN: &str = "integration-s3cret";
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn gateway_engine(workers: usize) -> Engine {

@@ -24,7 +24,7 @@ use cleanml_dataset::codec::{push_bytes, push_tag, seal_frame};
 use cleanml_engine::{Engine, EngineConfig, StudySpec, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn hub_engine(workers: usize) -> Engine {

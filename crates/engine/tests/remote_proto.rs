@@ -119,7 +119,6 @@ proptest! {
         n_splits in 0usize..1000,
         n_candidates in 0usize..100,
         cv_folds in 0usize..100,
-        parallel in any::<bool>(),
         et_picks in prop::collection::vec(0usize..5, 0..8),
     ) {
         let all = ErrorType::all();
@@ -131,7 +130,6 @@ proptest! {
                 search: cleanml_ml::cv::SearchBudget { n_candidates, cv_folds },
                 alpha,
                 base_seed,
-                parallel,
             },
         };
         let back = StudySpec::decode(&spec.encode()).expect("spec decode");
@@ -142,7 +140,6 @@ proptest! {
         prop_assert_eq!(back.cfg.search.n_candidates, n_candidates);
         prop_assert_eq!(back.cfg.search.cv_folds, cv_folds);
         prop_assert_eq!(back.cfg.base_seed, base_seed);
-        prop_assert_eq!(back.cfg.parallel, parallel);
 
         // and a truncated spec inside a Welcome still fails closed
         let bytes = spec.encode();
@@ -168,5 +165,5 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
 #[test]
 fn hello_version_is_current() {
     // a reminder to bump PROTOCOL_VERSION on any wire-visible change
-    assert_eq!(PROTOCOL_VERSION, 3);
+    assert_eq!(PROTOCOL_VERSION, 4);
 }

@@ -22,7 +22,7 @@ use cleanml_engine::remote::{run_worker, FaultPlan, WorkerSummary};
 use cleanml_engine::{Engine, EngineConfig, EngineEvent, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -22,7 +22,7 @@ use cleanml_core::{run_study, CleanMlDb, ExperimentConfig};
 use cleanml_engine::{Engine, EngineConfig, RunReport, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
-    ExperimentConfig { n_splits: 2, parallel: false, ..ExperimentConfig::quick() }
+    ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
 }
 
 /// The canonical CSV rendering (headers included) — exactly what the

@@ -14,11 +14,9 @@
 //! *same* `Arc`'d fold matrices, so their argsort sidecars
 //! ([`FeatureMatrix::sorted_cols`] / `sorted_cols_chained`) are built once
 //! per fold rather than once per candidate. The `(candidate, fold)` grid
-//! fans out through [`cleanml_parallel::run_indexed`]; fit seeds depend only
-//! on the fold index and candidate specs are pre-sampled serially from the
-//! single RNG stream, so each grid cell is a pure function of its index and
-//! the fixed-order reduction below keeps scores, tie-breaking and f64
-//! accumulation byte-identical to the naive serial loop.
+//! runs candidate-major: fit seeds depend only on the fold index and
+//! candidate specs are sampled up front from the single RNG stream, so
+//! scores, tie-breaking and f64 accumulation are the naive loop's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -270,20 +268,15 @@ pub fn random_search(
 /// search seed: the candidate RNG stream is `seed ^ 0xC0FF_EE00`, exactly
 /// as before; callers pass the same seed the plan was keyed with).
 ///
-/// The `(candidate, fold)` grid runs through
-/// [`cleanml_parallel::run_indexed`] — serial without a bridge, fanned to
-/// idle pool workers under the engine — and is reduced in fixed
-/// (candidate-major, fold-minor) order:
+/// The `(candidate, fold)` grid runs candidate-major, fold-minor:
 ///
-/// * candidate specs are sampled *serially* from the single RNG stream
-///   before the fan-out, so spec sequences never depend on scheduling;
+/// * candidate specs are sampled from the single RNG stream before the
+///   first fit;
 /// * a cell's fit seed is `plan.seed() + fold`, independent of the
-///   candidate, so each cell is a pure function of its index;
+///   candidate;
 /// * per-candidate scores accumulate in fold order and candidates compare
-///   in sample order (`>` keeps the earliest on exact ties), byte-for-byte
-///   the naive loop's arithmetic;
-/// * on error, the first failing cell in grid order is reported, matching
-///   the serial loop's early exit.
+///   in sample order (`>` keeps the earliest on exact ties);
+/// * the first failing cell in grid order ends the search with its error.
 pub fn random_search_with_plan(
     kind: ModelKind,
     plan: &FoldPlan<'_>,
@@ -304,32 +297,19 @@ pub fn random_search_with_plan(
             })
             .collect();
 
-    let k = plan.n_folds();
-    let cells: Vec<Result<Option<f64>>> = cleanml_parallel::run_indexed(n_candidates * k, |idx| {
-        let (c, fold_id) = (idx / k, idx % k);
-        let Some((train, val)) = plan.fold(fold_id) else {
-            return Ok(None);
-        };
-        let model = specs[c].fit(train, plan.seed().wrapping_add(fold_id as u64))?;
-        plan.note_fit();
-        let preds = model.predict(val)?;
-        Ok(Some(metric.score(val.labels(), &preds)))
-    });
-
     let mut best: Option<SearchResult> = None;
-    let mut cells = cells.into_iter();
     for spec in specs {
         let mut total = 0.0;
         let mut used = 0usize;
-        for _ in 0..k {
-            match cells.next().expect("grid covers candidates × folds") {
-                Ok(Some(score)) => {
-                    total += score;
-                    used += 1;
-                }
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
+        for fold_id in 0..plan.n_folds() {
+            let Some((train, val)) = plan.fold(fold_id) else {
+                continue;
+            };
+            let model = spec.fit(train, plan.seed().wrapping_add(fold_id as u64))?;
+            plan.note_fit();
+            let preds = model.predict(val)?;
+            total += metric.score(val.labels(), &preds);
+            used += 1;
         }
         if used == 0 {
             return Err(plan.no_usable_folds());
@@ -544,33 +524,6 @@ mod tests {
         assert_eq!(plan.fits(), 9, "3 candidates × 3 folds");
         // candidate 0 builds the 3 folds; candidates 1–2 reuse them
         assert_eq!(plan.reuses(), 6);
-    }
-
-    #[test]
-    fn search_with_plan_matches_wrapper_under_thread_bridge() {
-        let data = blobs(44);
-        let serial = random_search(
-            ModelKind::RandomForest,
-            &data,
-            SearchBudget::small(),
-            17,
-            Metric::Accuracy,
-        )
-        .unwrap();
-        cleanml_parallel::install_bridge(std::sync::Arc::new(cleanml_parallel::ThreadBridge {
-            helpers: 3,
-        }));
-        let parallel = random_search(
-            ModelKind::RandomForest,
-            &data,
-            SearchBudget::small(),
-            17,
-            Metric::Accuracy,
-        )
-        .unwrap();
-        cleanml_parallel::clear_bridge();
-        assert_eq!(serial.spec, parallel.spec);
-        assert_eq!(serial.val_score.to_bits(), parallel.val_score.to_bits());
     }
 
     #[test]

@@ -69,31 +69,23 @@ impl RandomForest {
             max_features: Some(max_features),
         };
 
-        // Bootstrap draws stay on the single shared RNG stream (the draw
-        // sequence is part of the model's content address), so they are
-        // drawn up front, each tree's as per-row counts. Every tree then
-        // grows on this matrix with the counts as weights, reading the
-        // shared sidecar: no tree copies the matrix or sorts it. The fits
-        // are pure functions of (counts, per-tree seed) and fan out onto
-        // idle pool workers via the subwork bridge; slot-ordered
-        // collection keeps the forest byte-identical to the serial loop at
-        // any worker count.
+        // Each tree's bootstrap is drawn as per-row counts from one shared
+        // RNG stream (the draw sequence is part of the model's content
+        // address); the tree's own splits draw from a per-tree seed. Every
+        // tree grows on this matrix with the counts as weights, reading the
+        // shared sidecar: no tree copies the matrix or sorts it.
         let mut rng = StdRng::seed_from_u64(seed);
-        let draws: Vec<Vec<u32>> = (0..params.n_trees)
-            .map(|_| {
-                let mut counts = vec![0u32; n];
+        let mut counts = vec![0u32; n];
+        let trees = (0..params.n_trees)
+            .map(|t| {
+                counts.fill(0);
                 for _ in 0..n {
                     counts[rng.random_range(0..n)] += 1;
                 }
-                counts
+                let tree_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t as u64);
+                DecisionTree::fit_bootstrap(&tree_params, data, &counts, tree_seed)
             })
-            .collect();
-        let trees = cleanml_parallel::run_indexed(params.n_trees, |t| {
-            let tree_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(t as u64);
-            DecisionTree::fit_bootstrap(&tree_params, data, &draws[t], tree_seed)
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
+            .collect::<Result<Vec<_>>>()?;
         Ok(RandomForest { trees, n_features: d, n_classes: data.n_classes() })
     }
 
@@ -205,25 +197,6 @@ mod tests {
         let p1 = f1.predict_proba(&data).unwrap();
         let p2 = f2.predict_proba(&data).unwrap();
         assert!(p1 != p2, "bootstrap should vary with the seed");
-    }
-
-    #[test]
-    fn nested_parallel_fit_is_byte_identical() {
-        // The same fit through a real multi-thread subwork bridge must
-        // reproduce the serial forest exactly — trees, structure, floats.
-        let data = two_moons_like(120);
-        let serial = RandomForest::fit(&ForestParams::default(), &data, 42).unwrap();
-        cleanml_parallel::install_bridge(std::sync::Arc::new(cleanml_parallel::ThreadBridge {
-            helpers: 3,
-        }));
-        let parallel = RandomForest::fit(&ForestParams::default(), &data, 42).unwrap();
-        cleanml_parallel::clear_bridge();
-        assert_eq!(serial, parallel);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        serial.encode_into(&mut a);
-        parallel.encode_into(&mut b);
-        assert_eq!(a, b, "encoded forests must be byte-identical");
     }
 
     #[test]

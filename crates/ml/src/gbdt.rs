@@ -253,12 +253,10 @@ fn build_reg_node(
     }
 
     // Best split by structure gain: one contiguous sweep per feature over
-    // the node's sorted arena list. Each feature's sweep is a pure
-    // function of (order, grad, hess), so wide nodes fan the per-feature
-    // sweeps onto idle pool workers; the reduction walks features in
-    // ascending order with the same strictly-greater comparison as the
-    // serial loop, so the chosen split (first feature, first threshold to
-    // reach the maximum) is bit-identical at any worker count.
+    // the node's sorted arena list, features in ascending order, with a
+    // strictly-greater comparison both within and across features, so the
+    // chosen split is the first feature and first threshold to reach the
+    // maximum.
     let d = ctx.data.n_cols();
     let parent_score = score(g_total, h_total, lambda);
     let gain_floor = ctx.params.gamma.max(1e-12);
@@ -292,18 +290,10 @@ fn build_reg_node(
         fbest
     };
 
-    // Fanning out only pays above a work floor; below it the serial sweep
-    // wins (and both produce identical results by construction).
-    const PAR_MIN_CELLS: usize = 1 << 14;
-    let candidates: Vec<Option<(f64, f64)>> = if (hi - lo).saturating_mul(d) >= PAR_MIN_CELLS {
-        cleanml_parallel::run_indexed(d, sweep_feature)
-    } else {
-        (0..d).map(sweep_feature).collect()
-    };
     let mut best: Option<(usize, f64)> = None;
     let mut best_gain = gain_floor;
-    for (f, cand) in candidates.into_iter().enumerate() {
-        if let Some((gain, split)) = cand {
+    for f in 0..d {
+        if let Some((gain, split)) = sweep_feature(f) {
             if gain > best_gain {
                 best_gain = gain;
                 best = Some((f, split));
@@ -463,32 +453,6 @@ mod tests {
         let a_short = accuracy(data.labels(), &short.predict(&data).unwrap());
         let a_long = accuracy(data.labels(), &long.predict(&data).unwrap());
         assert!(a_long >= a_short);
-    }
-
-    #[test]
-    fn nested_parallel_split_search_is_byte_identical() {
-        // Wide enough that the root node crosses the parallel work floor
-        // (rows × cols ≥ 2^14), so the bridge path actually runs; the
-        // fitted model must still equal the serial one bit for bit.
-        let n = 3000;
-        let d = 6;
-        let mut data = Vec::with_capacity(n * d);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            for f in 0..d {
-                data.push(((i * (f + 3)) as f64 * 0.137).sin());
-            }
-            labels.push(i % 2);
-        }
-        let m = FeatureMatrix::from_parts(data, n, d, labels, 2);
-        let params = GbdtParams { n_rounds: 2, max_depth: 3, ..Default::default() };
-        let serial = Gbdt::fit(&params, &m, 0).unwrap();
-        cleanml_parallel::install_bridge(std::sync::Arc::new(cleanml_parallel::ThreadBridge {
-            helpers: 3,
-        }));
-        let parallel = Gbdt::fit(&params, &m, 0).unwrap();
-        cleanml_parallel::clear_bridge();
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! uses. Model selection (the paper's R2 relation) compares the trained
 //! models' validation scores in `cleanml-core` (`EvalGrid::r2_rows`).
 
+#![forbid(unsafe_code)]
+
 pub mod adaboost;
 pub mod codec;
 pub mod cv;

@@ -12,8 +12,6 @@
 //! duplicated rows): ties are where a multiplicity bootstrap or an in-place
 //! partition could reorder a sum.
 
-use std::sync::Arc;
-
 use cleanml_dataset::FeatureMatrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -428,14 +426,6 @@ fn bytes(model: FittedModel) -> Vec<u8> {
     codec::encode_model(&model)
 }
 
-/// Runs `f` with a real three-thread subwork bridge installed.
-fn bridged<T>(f: impl FnOnce() -> T) -> T {
-    cleanml_parallel::install_bridge(Arc::new(cleanml_parallel::ThreadBridge { helpers: 2 }));
-    let out = f();
-    cleanml_parallel::clear_bridge();
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -466,8 +456,7 @@ proptest! {
         }
     }
 
-    /// The multiplicity bootstrap encodes exactly as `select_rows` copies,
-    /// serially and with the trees fanned out over a thread bridge.
+    /// The multiplicity bootstrap encodes exactly as `select_rows` copies.
     #[test]
     fn random_forest_matches_reference(
         m in arb_ties(),
@@ -483,11 +472,9 @@ proptest! {
             min_samples_leaf,
             max_features: (max_features > 0).then_some(max_features),
         };
-        let want = bytes(FittedModel::Forest(fit_forest(&params, &m, seed).expect("reference")));
-        let serial = RandomForest::fit(&params, &m, seed).expect("fit");
-        prop_assert_eq!(&bytes(FittedModel::Forest(serial)), &want);
-        let parallel = bridged(|| RandomForest::fit(&params, &m, seed)).expect("fit");
-        prop_assert_eq!(&bytes(FittedModel::Forest(parallel)), &want);
+        let got = RandomForest::fit(&params, &m, seed).expect("fit");
+        let want = fit_forest(&params, &m, seed).expect("reference fit");
+        prop_assert_eq!(bytes(FittedModel::Forest(got)), bytes(FittedModel::Forest(want)));
     }
 
     /// SAMME over arena stumps and shallow trees encodes exactly as over
@@ -552,13 +539,13 @@ proptest! {
     }
 }
 
-/// Wide enough that GBDT's root sweeps cross the parallel work floor, so
-/// the bridged arena path is compared too.
+/// The widest GBDT input in the suite (3000 rows × 6 columns, tie-heavy,
+/// three classes), far past `arb_ties`' 64 rows.
 #[test]
-fn bridged_gbdt_on_a_wide_tie_matrix_matches_reference() {
+fn gbdt_on_a_wide_tie_matrix_matches_reference() {
     let m = tie_matrix(3000, 6, 3, 11);
     let params = GbdtParams { n_rounds: 2, max_depth: 4, ..GbdtParams::default() };
     let want = bytes(FittedModel::Gbdt(Gbdt::fit_with(&params, &m, grow_reg_tree).unwrap()));
-    let got = bridged(|| Gbdt::fit(&params, &m, 0)).unwrap();
+    let got = Gbdt::fit(&params, &m, 0).unwrap();
     assert_eq!(bytes(FittedModel::Gbdt(got)), want);
 }

@@ -10,6 +10,8 @@
 //!   path, so failures reproduce without a persistence file. Set
 //!   `PROPTEST_CASES` to change the case count globally.
 
+#![forbid(unsafe_code)]
+
 use std::fmt::Debug;
 use std::ops::Range;
 

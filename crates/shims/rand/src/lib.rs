@@ -8,6 +8,8 @@
 //! `StdRng` for simulation purposes; the streams differ, which is fine
 //! because every consumer seeds its own generator.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// A type that can be seeded from a `u64`.

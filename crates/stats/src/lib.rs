@@ -27,6 +27,8 @@
 //! assert_eq!(flag_from_tests(&t, ALPHA), Flag::Positive);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod descriptive;
 pub mod fdr;
 pub mod flag;

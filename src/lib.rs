@@ -46,6 +46,8 @@
 //! println!("flag = {:?}", outcome.flag);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cleanml_cleaning as cleaning;
 pub use cleanml_core as core;
 pub use cleanml_datagen as datagen;
