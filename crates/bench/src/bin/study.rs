@@ -48,7 +48,6 @@ fn main() {
         Ok((parse_config(args)?, parse_run_args(args)?, dir))
     });
     banner("Full CleanML study", &cfg);
-    std::fs::create_dir_all(&dir).expect("create output directory");
 
     let all = [
         ErrorType::MissingValues,
@@ -57,7 +56,10 @@ fn main() {
         ErrorType::Inconsistencies,
         ErrorType::Mislabels,
     ];
+    // the engine opens its store (and fails on an unusable one) first, so
+    // a run that stops there leaves no output directory behind
     let db = run_study_cli(&all, &cfg, run);
+    std::fs::create_dir_all(&dir).expect("create output directory");
     dump(&db, &dir).expect("write CSVs");
 
     header("CleanML database written");

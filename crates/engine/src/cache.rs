@@ -14,7 +14,8 @@
 //!   contexts, splits, cleaned matrices and trained models), so a *resumed
 //!   or repeated* study skips all finished work, at task granularity.
 //!
-//! The disk layer is a real store, not a directory of loose files:
+//! The disk layer is a real store, and its directory holds nothing but
+//! its entries:
 //!
 //! * **framed binary entries** — every `.art` file is a
 //!   [`cleanml_dataset::codec`] binary payload wrapped in the versioned,
@@ -23,31 +24,36 @@
 //!   decoder sees a single byte: truncated, corrupt, legacy-version or
 //!   foreign files are deleted and reported as misses — the task simply
 //!   re-runs — never a crash or a mangled artifact;
-//! * **atomic writes** — artifacts are written to a process-unique temp
-//!   file and `rename`d into place, so a concurrent reader (a second
-//!   process sharing `--cache-dir`) can never observe a torn entry;
-//! * **an index file** (`index.v2`) — the artifact format version plus
-//!   sizes and logical last-access times per entry, rebuilt from a
-//!   directory scan when stale or missing (e.g. after a kill), flushed
-//!   atomically itself; a sidecar from another format generation is
-//!   discarded wholesale;
+//! * **atomic writes** — artifacts are written to a temp file unique to
+//!   the process and the write, and `rename`d into place, so a concurrent
+//!   reader (a second process sharing `--cache-dir`) can never observe a
+//!   torn entry;
+//! * **the directory is the index** — [`DiskStore::open`] scans the
+//!   `<key>.art` files once for their sizes and LRU order (mtime, oldest
+//!   first), so there is no sidecar to go stale after a kill; temp files
+//!   of a crashed writer and the sidecars of earlier store generations
+//!   (`index.v1`, `index.v2`) are deleted on open;
 //! * **size-capped LRU eviction** — with a byte budget configured
 //!   (`--cache-max-bytes`), entries are touched on read and the
 //!   oldest-accessed are deleted before a new write would exceed the cap,
 //!   so the run directory stays bounded for arbitrarily long studies
 //!   (per writing process: concurrent capped processes can combine to
-//!   overshoot transiently, healed at the next open).
+//!   overshoot transiently, healed at the next open). A touch also sets
+//!   the file's mtime, so the LRU order survives a restart.
 //!
 //! Floats are serialized via their raw IEEE-754 bit patterns, so a warm
 //! run reproduces byte-identical relations.
 
-use cleanml_dataset::codec::{open_frame, seal_frame, FORMAT_VERSION};
+use cleanml_dataset::codec::{open_frame, seal_frame};
 
 use std::collections::HashMap;
 use std::fmt;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 /// 128-bit content address (two independent FNV-1a passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,9 +118,10 @@ pub trait DiskCodec: Sized {
 
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
-    /// Entry payload size in bytes.
+    /// Framed file size in bytes.
     size: u64,
-    /// Logical last-access time (monotonic per store, persisted).
+    /// Logical last-use time: the open ranks the files by mtime, and every
+    /// later read or store moves an entry to the newest slot.
     access: u64,
 }
 
@@ -123,8 +130,6 @@ struct IndexState {
     entries: HashMap<CacheKey, IndexEntry>,
     /// Logical clock; strictly increases across loads, stores and touches.
     clock: u64,
-    /// Mutations since the last flush.
-    dirty: usize,
 }
 
 impl IndexState {
@@ -137,18 +142,28 @@ impl IndexState {
         let clock = self.clock;
         if let Some(e) = self.entries.get_mut(&key) {
             e.access = clock;
-            self.dirty += 1;
         }
     }
 }
 
-/// Mutations accumulated before the index file is rewritten. Touches lost
-/// in a crash only age LRU ordering; the entry list itself is rebuilt from
-/// a directory scan on the next open.
-const FLUSH_EVERY: usize = 32;
+/// Per-process sequence for temp-file names: two stores of one process
+/// writing the same key never share a temp file.
+static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+fn tmp_path(dir: &Path, stem: impl fmt::Display) -> PathBuf {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!("{stem}.tmp-{}-{seq}", std::process::id()))
+}
+
+/// Stamps `file` as just used, so the next open ranks it newest. A failure
+/// (a file another user owns, in a shared directory) only ages it.
+fn mark_used(file: &File) {
+    let _ = file.set_modified(SystemTime::now());
+}
 
 /// The persistent, thread-safe artifact layer: one directory of
-/// content-addressed `<key>.art` files plus an `index.v2` sidecar.
+/// content-addressed `<key>.art` files, which is also its only index —
+/// sizes come from the files and the LRU order from their mtimes.
 ///
 /// Shared (via `Arc`) between the [`ArtifactCache`] front-end and the
 /// worker pool, which persists artifacts the moment tasks finish so a
@@ -167,88 +182,51 @@ pub struct DiskStore {
     state: Mutex<IndexState>,
     writes: AtomicUsize,
     evictions: AtomicUsize,
-    tmp_seq: AtomicUsize,
 }
 
 impl DiskStore {
-    const INDEX: &'static str = "index.v2";
+    /// Opens (or creates) the store under `dir`, indexing it from one
+    /// directory scan: every `<key>.art` file is an entry, ranked oldest
+    /// first by mtime (ties by key) for LRU eviction. Temp files of a
+    /// crashed writer and the `index.v1`/`index.v2` sidecars of earlier
+    /// store generations are deleted. Fails when `dir` cannot be created,
+    /// read or written to: every store would fail silently after that.
+    pub fn open(dir: PathBuf, max_bytes: Option<u64>) -> io::Result<Arc<DiskStore>> {
+        std::fs::create_dir_all(&dir)?;
+        let mut files: Vec<(Option<SystemTime>, CacheKey, u64)> = Vec::new();
+        for entry in std::fs::read_dir(&dir)?.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if let Some(key) = name.strip_suffix(".art").and_then(CacheKey::parse) {
+                if let Ok(meta) = entry.metadata() {
+                    files.push((meta.modified().ok(), key, meta.len()));
+                    continue;
+                }
+            }
+            if name.contains(".tmp-") || name == "index.v1" || name == "index.v2" {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
+        let probe = tmp_path(&dir, "open");
+        std::fs::write(&probe, b"")?;
+        let _ = std::fs::remove_file(&probe);
 
-    /// First line of the index sidecar; records the artifact format
-    /// version, so an index written by a different format generation is
-    /// discarded wholesale (its entries would describe undecodable files).
-    fn index_magic() -> String {
-        format!("cleanml-artifact-index v2 format {FORMAT_VERSION}")
-    }
-
-    /// Opens (or creates) the store under `dir`. A stale or missing index
-    /// — the normal state after a killed run — is reconciled against a
-    /// directory scan: entries without a file are dropped, files without
-    /// an entry are adopted with the oldest possible access time. A
-    /// sidecar left by the hex-text era (`index.v1`) is deleted outright.
-    pub fn open(dir: PathBuf, max_bytes: Option<u64>) -> Arc<DiskStore> {
-        let _ = std::fs::create_dir_all(&dir);
-        let _ = std::fs::remove_file(dir.join("index.v1"));
-        let mut state = Self::load_index(&dir.join(Self::INDEX)).unwrap_or_default();
-        Self::reconcile(&dir, &mut state);
+        files.sort_unstable();
+        let mut state = IndexState::default();
+        for (_, key, size) in files {
+            state.clock += 1;
+            state.entries.insert(key, IndexEntry { size, access: state.clock });
+        }
         let store = DiskStore {
             dir,
             max_bytes,
             state: Mutex::new(state),
             writes: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
-            tmp_seq: AtomicUsize::new(0),
         };
         // A fresh cap may be tighter than what a previous run left behind.
-        store.enforce_cap_for(0);
-        store.flush();
-        Arc::new(store)
-    }
-
-    fn load_index(path: &Path) -> Option<IndexState> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let mut lines = text.lines();
-        if lines.next()? != Self::index_magic() {
-            return None;
-        }
-        let clock: u64 = lines.next()?.strip_prefix("clock ")?.parse().ok()?;
-        let mut entries = HashMap::new();
-        for line in lines {
-            let mut f = line.split_whitespace();
-            let key = CacheKey::parse(f.next()?)?;
-            let size: u64 = f.next()?.parse().ok()?;
-            let access: u64 = f.next()?.parse().ok()?;
-            entries.insert(key, IndexEntry { size, access });
-        }
-        Some(IndexState { entries, clock, dirty: 0 })
-    }
-
-    /// Brings the index in line with the files actually present.
-    fn reconcile(dir: &Path, state: &mut IndexState) {
-        let mut present: HashMap<CacheKey, u64> = HashMap::new();
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                let path = entry.path();
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(stem) = name.strip_suffix(".art") {
-                    if let (Some(key), Ok(meta)) = (CacheKey::parse(stem), entry.metadata()) {
-                        present.insert(key, meta.len());
-                        continue;
-                    }
-                }
-                // leftover temp file from a crashed writer
-                if name.contains(".tmp-") {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
-        state.entries.retain(|k, _| present.contains_key(k));
-        for (key, size) in present {
-            // adopt unindexed files (written after the last index flush)
-            // as least-recently-used, and trust the filesystem for sizes
-            state.entries.entry(key).or_insert(IndexEntry { size, access: 0 }).size = size;
-        }
-        state.dirty += 1;
+        store.evict_until_fits(&mut store.state.lock().expect("index lock"), 0);
+        Ok(Arc::new(store))
     }
 
     fn art_path(&self, key: CacheKey) -> PathBuf {
@@ -261,28 +239,23 @@ impl DiskStore {
     /// is *deleted* (GC'd) and reported as a miss — the demanding task
     /// simply re-runs and overwrites it.
     pub fn load(&self, key: CacheKey) -> Option<Vec<u8>> {
-        match std::fs::read(self.art_path(key)) {
-            Ok(mut bytes) => match open_frame(&bytes) {
-                Some(_) => {
-                    // strip the validated header in place — no second
-                    // allocation on the warm-resume hot path
-                    bytes.drain(..cleanml_dataset::codec::FRAME_HEADER_LEN);
-                    let mut state = self.state.lock().expect("index lock");
-                    state.touch(key);
-                    self.flush_if_due(state);
-                    Some(bytes)
-                }
-                None => {
-                    self.remove(key);
-                    None
-                }
-            },
-            Err(_) => {
-                let mut state = self.state.lock().expect("index lock");
-                state.entries.remove(&key);
-                None
-            }
+        let mut bytes = Vec::new();
+        let read = File::open(self.art_path(key))
+            .and_then(|mut file| file.read_to_end(&mut bytes).map(|_| file));
+        let Ok(file) = read else {
+            self.state.lock().expect("index lock").entries.remove(&key);
+            return None;
+        };
+        if open_frame(&bytes).is_none() {
+            self.remove(key);
+            return None;
         }
+        // strip the validated header in place — no second allocation on
+        // the warm-resume hot path
+        bytes.drain(..cleanml_dataset::codec::FRAME_HEADER_LEN);
+        mark_used(&file);
+        self.state.lock().expect("index lock").touch(key);
+        Some(bytes)
     }
 
     /// Persists the framed `payload` under `key` atomically (temp file +
@@ -304,7 +277,9 @@ impl DiskStore {
         let mut state = self.state.lock().expect("index lock");
         if state.entries.contains_key(&key) {
             state.touch(key);
-            self.flush_if_due(state);
+            if let Ok(file) = File::open(self.art_path(key)) {
+                mark_used(&file);
+            }
             return false;
         }
         self.evict_until_fits(&mut state, size);
@@ -315,11 +290,7 @@ impl DiskStore {
         let framed = seal_frame(payload);
         // Unique temp name per process *and* per write: two processes (or
         // threads) racing on the same key each rename a complete file.
-        let tmp = self.dir.join(format!(
-            "{key}.tmp-{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
+        let tmp = tmp_path(&self.dir, key);
         let ok = std::fs::write(&tmp, &framed).is_ok()
             && std::fs::rename(&tmp, self.art_path(key)).is_ok();
         if !ok {
@@ -329,12 +300,10 @@ impl DiskStore {
         state.clock += 1;
         let access = state.clock;
         state.entries.insert(key, IndexEntry { size, access });
-        state.dirty += 1;
         self.writes.fetch_add(1, Ordering::Relaxed);
         let t = crate::telemetry::global();
         t.store_writes.inc();
         t.store_written_bytes.add(size);
-        self.flush_if_due(state);
         true
     }
 
@@ -344,7 +313,6 @@ impl DiskStore {
         let _ = std::fs::remove_file(self.art_path(key));
         let mut state = self.state.lock().expect("index lock");
         if let Some(entry) = state.entries.remove(&key) {
-            state.dirty += 1;
             let t = crate::telemetry::global();
             t.store_gc.inc();
             t.store_gc_bytes.add(entry.size);
@@ -352,8 +320,8 @@ impl DiskStore {
     }
 
     /// Evicts oldest-accessed entries until `incoming` more bytes fit under
-    /// the cap. Ties (e.g. freshly adopted files) break by key, so two
-    /// processes sharing the directory evict in the same order.
+    /// the cap. Ties (e.g. files with one mtime at open) break by key, so
+    /// two processes sharing the directory evict in the same order.
     fn evict_until_fits(&self, state: &mut IndexState, incoming: u64) {
         let Some(cap) = self.max_bytes else { return };
         let t = crate::telemetry::global();
@@ -367,52 +335,10 @@ impl DiskStore {
                 .expect("non-empty");
             let _ = std::fs::remove_file(self.art_path(victim.0));
             state.entries.remove(&victim.0);
-            state.dirty += 1;
             total -= victim.1;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             t.store_evictions.inc();
             t.store_evicted_bytes.add(victim.1);
-        }
-    }
-
-    fn enforce_cap_for(&self, incoming: u64) {
-        let mut state = self.state.lock().expect("index lock");
-        self.evict_until_fits(&mut state, incoming);
-    }
-
-    fn flush_if_due(&self, state: std::sync::MutexGuard<'_, IndexState>) {
-        if state.dirty >= FLUSH_EVERY {
-            self.flush_locked(state);
-        }
-    }
-
-    /// Atomically rewrites the index file.
-    pub fn flush(&self) {
-        let state = self.state.lock().expect("index lock");
-        self.flush_locked(state);
-    }
-
-    fn flush_locked(&self, mut state: std::sync::MutexGuard<'_, IndexState>) {
-        use std::fmt::Write as _;
-        let mut text = format!("{}\nclock {}\n", Self::index_magic(), state.clock);
-        let mut keys: Vec<&CacheKey> = state.entries.keys().collect();
-        keys.sort(); // deterministic file content
-        for key in keys {
-            let e = state.entries[key];
-            let _ = writeln!(text, "{key} {} {}", e.size, e.access);
-        }
-        let tmp = self.dir.join(format!(
-            "{}.tmp-{}-{}",
-            Self::INDEX,
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        if std::fs::write(&tmp, text).is_ok()
-            && std::fs::rename(&tmp, self.dir.join(Self::INDEX)).is_ok()
-        {
-            state.dirty = 0;
-        } else {
-            let _ = std::fs::remove_file(&tmp);
         }
     }
 
@@ -441,12 +367,6 @@ impl DiskStore {
     }
 }
 
-impl Drop for DiskStore {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
 /// The memo in front of the optional disk store. In-memory hits hand out
 /// `Arc` handles: a hit is a refcount bump, never a deep copy of the
 /// artifact.
@@ -469,9 +389,10 @@ pub const DEFAULT_MEMO_ENTRIES: usize = 65_536;
 
 impl<A: DiskCodec> ArtifactCache<A> {
     /// Creates a cache; `disk` enables an uncapped persistent layer under
-    /// that directory.
+    /// that directory. Panics if the directory is unusable.
+    #[cfg(test)]
     pub fn new(disk: Option<PathBuf>) -> Self {
-        Self::with_store(disk.map(|d| DiskStore::open(d, None)))
+        Self::with_store(disk.map(|d| DiskStore::open(d, None).expect("usable cache directory")))
     }
 
     /// Creates a cache over an existing (possibly shared, possibly
@@ -488,7 +409,8 @@ impl<A: DiskCodec> ArtifactCache<A> {
         self
     }
 
-    fn remember(&mut self, key: CacheKey, artifact: Arc<A>) {
+    /// Keeps an artifact in the memo only (the pool persisted it already).
+    pub(crate) fn remember(&mut self, key: CacheKey, artifact: Arc<A>) {
         self.clock += 1;
         let clock = self.clock;
         self.memory.insert(key, (artifact, clock));
@@ -568,7 +490,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cleanml_dataset::codec::{push_f64, take_f64, Reader, FRAME_HEADER_LEN};
+    use cleanml_dataset::codec::{push_f64, take_f64, Reader, FORMAT_VERSION, FRAME_HEADER_LEN};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Blob(f64);
@@ -693,7 +615,7 @@ mod tests {
         // a well-framed payload that fails the *codec* is also discarded
         let undecodable = dir.join(format!("{}.art", CacheKey::of("undec")));
         std::fs::write(&undecodable, seal_frame(b"not a blob")).unwrap();
-        let fresh2 = DiskStore::open(dir.clone(), None);
+        let fresh2 = DiskStore::open(dir.clone(), None).unwrap();
         let mut c: ArtifactCache<Blob> = ArtifactCache::with_store(Some(fresh2));
         assert!(c.get(CacheKey::of("undec")).is_none());
         assert!(!undecodable.exists(), "undecodable payload GC'd");
@@ -703,7 +625,7 @@ mod tests {
     #[test]
     fn corrupt_and_legacy_version_frames_are_misses_and_gced() {
         let dir = temp_dir("frames");
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
         let k = CacheKey::of("entry");
         assert!(store.store(k, b"payload bytes"));
         let path = dir.join(format!("{k}.art"));
@@ -736,7 +658,7 @@ mod tests {
     #[test]
     fn writes_are_atomic_via_rename() {
         let dir = temp_dir("atomic");
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
         store.store(CacheKey::of("a"), b"payload");
         // no temp residue after a completed write
         let leftovers: Vec<String> = std::fs::read_dir(&dir)
@@ -754,18 +676,19 @@ mod tests {
         let dir = temp_dir("rebuild");
         let (ka, kb) = (CacheKey::of("a"), CacheKey::of("b"));
         {
-            let store = DiskStore::open(dir.clone(), None);
+            let store = DiskStore::open(dir.clone(), None).unwrap();
             store.store(ka, b"aaaa");
             store.store(kb, b"bbbbbb");
-        } // drop flushes the index
-          // simulate a kill after more writes than index flushes: an
-          // unindexed file appears, an indexed one disappears
+        }
+        // between two runs (a kill, a second process sharing the
+        // directory) one entry's file disappears, an unseen file appears
+        // and a crashed writer leaves its temp file behind
         std::fs::remove_file(dir.join(format!("{kb}.art"))).unwrap();
         let kc = CacheKey::of("c");
         std::fs::write(dir.join(format!("{kc}.art")), seal_frame(b"cc")).unwrap();
         std::fs::write(dir.join(format!("{kc}.tmp-999-0")), "torn").unwrap();
 
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
         assert_eq!(store.len(), 2, "a kept, b dropped, c adopted");
         assert_eq!(store.total_bytes(), framed(4) + framed(2));
         assert!(store.load(kb).is_none());
@@ -777,9 +700,10 @@ mod tests {
     #[test]
     fn hex_text_era_directory_degrades_to_cold_cache() {
         // A run directory left by the v1 (hex-text) store: loose token
-        // files and an index.v1 sidecar. Opening the v2 store must neither
-        // crash nor serve any of it — every entry is a miss, GC'd on first
-        // touch, and the stale sidecar is deleted.
+        // files and an index.v1 sidecar, plus the index.v2 sidecar of the
+        // binary store's index era. Opening the store must neither crash
+        // nor serve any of it — every entry is a miss, GC'd on first
+        // touch, and both stale sidecars are deleted.
         let dir = temp_dir("legacy");
         std::fs::create_dir_all(&dir).unwrap();
         let k = CacheKey::of("legacy-split");
@@ -789,9 +713,15 @@ mod tests {
             format!("cleanml-artifact-index v1\nclock 3\n{k} 24 3\n"),
         )
         .unwrap();
+        std::fs::write(
+            dir.join("index.v2"),
+            format!("cleanml-artifact-index v2 format {FORMAT_VERSION}\nclock 3\n{k} 24 3\n"),
+        )
+        .unwrap();
 
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
         assert!(!dir.join("index.v1").exists(), "v1 sidecar deleted");
+        assert!(!dir.join("index.v2").exists(), "v2 sidecar deleted");
         assert_eq!(store.len(), 1, "file adopted by the scan");
         assert!(store.load(k).is_none(), "legacy entry must be a miss");
         assert_eq!(store.len(), 0, "legacy entry GC'd on load");
@@ -803,7 +733,7 @@ mod tests {
     fn lru_eviction_respects_cap_and_touch_on_read() {
         let dir = temp_dir("lru");
         let cap = framed(4) * 2 + 2; // room for two entries, not three
-        let store = DiskStore::open(dir.clone(), Some(cap));
+        let store = DiskStore::open(dir.clone(), Some(cap)).unwrap();
         let (ka, kb, kc) = (CacheKey::of("a"), CacheKey::of("b"), CacheKey::of("c"));
         assert!(store.store(ka, b"aaaa"));
         assert!(store.store(kb, b"bbbb"));
@@ -822,16 +752,35 @@ mod tests {
     }
 
     #[test]
+    fn lru_order_survives_a_reopen() {
+        let dir = temp_dir("reopen-lru");
+        let (ka, kb) = (CacheKey::of("a"), CacheKey::of("b"));
+        {
+            let store = DiskStore::open(dir.clone(), None).unwrap();
+            assert!(store.store(ka, b"aaaa"));
+            assert!(store.store(kb, b"bbbb"));
+            // reading `a` leaves `b` the least recently used entry
+            assert_eq!(store.load(ka).as_deref(), Some(&b"aaaa"[..]));
+        }
+        // room for one entry: the reopen evicts `b` and keeps `a`
+        let store = DiskStore::open(dir.clone(), Some(framed(4))).unwrap();
+        assert_eq!(store.len(), 1);
+        assert!(store.load(kb).is_none(), "the least recently used entry survived");
+        assert_eq!(store.load(ka).as_deref(), Some(&b"aaaa"[..]), "the read entry was evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn reopening_with_tighter_cap_shrinks_directory() {
         let dir = temp_dir("shrink");
         {
-            let store = DiskStore::open(dir.clone(), None);
+            let store = DiskStore::open(dir.clone(), None).unwrap();
             for i in 0..8 {
                 store.store(CacheKey::of(&format!("k{i}")), &[b'y'; 8]);
             }
             assert_eq!(store.total_bytes(), 8 * framed(8));
         }
-        let store = DiskStore::open(dir.clone(), Some(3 * framed(8)));
+        let store = DiskStore::open(dir.clone(), Some(3 * framed(8))).unwrap();
         assert!(store.total_bytes() <= 3 * framed(8));
         assert!(store.len() <= 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -852,9 +801,21 @@ mod tests {
     }
 
     #[test]
+    fn unusable_directory_fails_to_open() {
+        let dir = temp_dir("unusable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("regular");
+        std::fs::write(&file, b"not a directory").unwrap();
+        assert!(DiskStore::open(file.join("sub"), None).is_err(), "a path under a regular file");
+        assert!(DiskStore::open(file.clone(), None).is_err(), "a regular file");
+        assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn store_is_idempotent_per_key() {
         let dir = temp_dir("idem");
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
         let k = CacheKey::of("once");
         assert!(store.store(k, b"v"));
         assert!(!store.store(k, b"v"), "second write is a touch, not a write");

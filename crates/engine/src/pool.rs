@@ -23,11 +23,11 @@
 //!
 //! Local workers keep the work-stealing discipline (LIFO own deque, FIFO
 //! steals) under one scheduler lock; remote lease threads
-//! ([`crate::remote::coordinator`]) claim from the same deques, guided by
-//! per-deque kind-count summaries instead of a full frontier scan. Ready
-//! tasks are ordered heaviest-first by their kind's static
-//! [`TaskKind::cost_weight`].
+//! ([`crate::remote::coordinator`]) claim from the same deques, taking the
+//! heaviest leasable task of their spec. Ready tasks are ordered
+//! heaviest-first by their kind's static [`TaskKind::cost_weight`].
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -166,20 +166,6 @@ pub(crate) struct TaskEntry<A> {
     queued_at: Option<Instant>,
 }
 
-/// One worker's deque plus per-kind occupancy counts, maintained on every
-/// push and pop, so a lease thread picks its victim deque from `NKINDS`
-/// integers instead of walking the whole ready frontier.
-pub(crate) struct DequeState {
-    pub(crate) q: VecDeque<Gid>,
-    pub(crate) counts: [usize; NKINDS],
-}
-
-impl DequeState {
-    fn new() -> Self {
-        DequeState { q: VecDeque::new(), counts: [0; NKINDS] }
-    }
-}
-
 struct SpecEntry {
     key: u64,
     bytes: Vec<u8>,
@@ -212,7 +198,8 @@ struct SubEntry {
 pub(crate) struct State<A> {
     pub(crate) tasks: Vec<TaskEntry<A>>,
     pub(crate) by_key: HashMap<CacheKey, Gid>,
-    pub(crate) deques: Vec<DequeState>,
+    /// One ready deque per local worker.
+    pub(crate) deques: Vec<VecDeque<Gid>>,
     subs: HashMap<SubId, SubEntry>,
     specs: Vec<SpecEntry>,
     next_sub: SubId,
@@ -261,18 +248,14 @@ where
         debug_assert_eq!(st.tasks[gid].phase, Phase::Waiting);
         st.tasks[gid].phase = Phase::Queued;
         st.tasks[gid].queued_at = Some(Instant::now());
-        let ki = kind_index(st.tasks[gid].kind);
         let home = home % st.deques.len();
-        let deque = &mut st.deques[home];
-        deque.counts[ki] += 1;
-        deque.q.push_back(gid);
+        st.deques[home].push_back(gid);
     }
 
     /// Pops the newest entry of deque `di` that is still claimable,
     /// dropping stale ids (entries orphaned while queued) on the way.
     fn pop_back_runnable(&self, st: &mut State<A>, di: usize) -> Option<Gid> {
-        while let Some(gid) = st.deques[di].q.pop_back() {
-            st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
+        while let Some(gid) = st.deques[di].pop_back() {
             if st.tasks[gid].phase == Phase::Queued {
                 return Some(gid);
             }
@@ -282,8 +265,7 @@ where
 
     /// Steals the oldest claimable entry from deque `di`'s front.
     fn pop_front_runnable(&self, st: &mut State<A>, di: usize) -> Option<Gid> {
-        while let Some(gid) = st.deques[di].q.pop_front() {
-            st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
+        while let Some(gid) = st.deques[di].pop_front() {
             if st.tasks[gid].phase == Phase::Queued {
                 return Some(gid);
             }
@@ -316,74 +298,48 @@ where
     fn pop_unleasable(&self, st: &mut State<A>) -> Option<Gid> {
         for di in 0..st.deques.len() {
             let tasks = &st.tasks;
-            let found = st.deques[di].q.iter().rposition(|&g| {
+            let found = st.deques[di].iter().rposition(|&g| {
                 tasks[g].phase == Phase::Queued && !crate::remote::leasable(tasks[g].kind)
             });
             if let Some(pos) = found {
-                let gid = st.deques[di].q.remove(pos).expect("position just found");
-                st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
-                return Some(gid);
+                return st.deques[di].remove(pos);
             }
         }
         None
     }
 
     /// Claims the heaviest leasable ready task whose spec map contains
-    /// `spec_key`, for a remote lease thread.
-    ///
-    /// The victim deque is chosen from the per-deque kind-count summaries
-    /// — `O(workers × kinds)` integers — replacing the old full scan of
-    /// every deque's contents. Only the chosen deque is then walked to
-    /// extract the matching element; a miss there (stale ids, or entries
-    /// of a different spec) falls through to the next-best deque.
+    /// `spec_key`, for a remote lease thread. Among equal weights it takes
+    /// the lowest deque, then that deque's newest entry, mirroring local
+    /// LIFO pops; stale ids are skipped and stay for the pops to drop.
     pub(crate) fn claim_leasable(&self, st: &mut State<A>, spec_key: u64) -> Option<(Gid, u64)> {
-        let mut order: Vec<(u32, usize)> = st
+        let tasks = &st.tasks;
+        let (_, Reverse(di), pos) = st
             .deques
             .iter()
             .enumerate()
-            .filter_map(|(di, d)| {
-                TaskKind::ALL
-                    .iter()
-                    .filter(|&&k| crate::remote::leasable(k) && d.counts[kind_index(k)] > 0)
-                    .map(|&k| k.cost_weight())
-                    .max()
-                    .map(|w| (w, di))
+            .flat_map(|(di, q)| q.iter().enumerate().map(move |(pos, &gid)| (di, pos, gid)))
+            .filter(|&(_, _, gid)| {
+                let t = &tasks[gid];
+                t.phase == Phase::Queued
+                    && crate::remote::leasable(t.kind)
+                    && t.spec_locals.iter().any(|&(k, _)| k == spec_key)
             })
-            .collect();
-        order.sort_by_key(|&(w, di)| (std::cmp::Reverse(w), di));
-        for (_, di) in order {
-            // pick the heaviest matching element; prefer the newest (the
-            // back) within a weight class, mirroring local LIFO pops
-            let best = st.deques[di]
-                .q
-                .iter()
-                .enumerate()
-                .filter(|&(_, &gid)| {
-                    let t = &st.tasks[gid];
-                    t.phase == Phase::Queued
-                        && crate::remote::leasable(t.kind)
-                        && t.spec_locals.iter().any(|&(k, _)| k == spec_key)
-                })
-                .max_by_key(|&(pos, &gid)| (st.tasks[gid].kind.cost_weight(), pos))
-                .map(|(pos, _)| pos);
-            if let Some(pos) = best {
-                let gid = st.deques[di].q.remove(pos).expect("position just found");
-                st.deques[di].counts[kind_index(st.tasks[gid].kind)] -= 1;
-                st.tasks[gid].phase = Phase::Running;
-                if let Some(queued) = st.tasks[gid].queued_at.take() {
-                    crate::telemetry::global().queue_seconds[kind_index(st.tasks[gid].kind)]
-                        .observe(queued.elapsed());
-                }
-                let local = st.tasks[gid]
-                    .spec_locals
-                    .iter()
-                    .find(|&&(k, _)| k == spec_key)
-                    .map(|&(_, id)| id)
-                    .expect("spec filter matched");
-                return Some((gid, local));
-            }
+            .map(|(di, pos, gid)| (tasks[gid].kind.cost_weight(), Reverse(di), pos))
+            .max()?;
+        let gid = st.deques[di].remove(pos).expect("position just found");
+        st.tasks[gid].phase = Phase::Running;
+        if let Some(queued) = st.tasks[gid].queued_at.take() {
+            crate::telemetry::global().queue_seconds[kind_index(st.tasks[gid].kind)]
+                .observe(queued.elapsed());
         }
-        None
+        let local = st.tasks[gid]
+            .spec_locals
+            .iter()
+            .find(|&&(k, _)| k == spec_key)
+            .map(|&(_, id)| id)
+            .expect("spec filter matched");
+        Some((gid, local))
     }
 
     /// Returns an orphaned lease's task to the frontier and wakes
@@ -524,7 +480,7 @@ where
         }
         // Heaviest kind first: sorted descending, then pushed in reverse
         // so the home deque's LIFO pop starts with the heaviest.
-        released.sort_by_key(|&g| (std::cmp::Reverse(st.tasks[g].kind.cost_weight()), g));
+        released.sort_by_key(|&g| (Reverse(st.tasks[g].kind.cost_weight()), g));
         let notify = !released.is_empty();
         for &g in released.iter().rev() {
             self.enqueue(st, g, home);
@@ -724,7 +680,7 @@ where
             state: Mutex::new(State {
                 tasks: Vec::new(),
                 by_key: HashMap::new(),
-                deques: (0..workers).map(|_| DequeState::new()).collect(),
+                deques: (0..workers).map(|_| VecDeque::new()).collect(),
                 subs: HashMap::new(),
                 specs: Vec::new(),
                 next_sub: 0,
@@ -795,7 +751,7 @@ where
             let key = spec_key_of(bytes);
             match st.specs.iter_mut().find(|s| s.key == key) {
                 Some(entry) => entry.live += 1,
-                None => st.specs.push(SpecEntry { key, bytes: clone_bytes(bytes), live: 1 }),
+                None => st.specs.push(SpecEntry { key, bytes: bytes.to_vec(), live: 1 }),
             }
             key
         });
@@ -895,7 +851,7 @@ where
         // its heaviest task. On a cold run the frontier is all-generate;
         // on a partial resume it spans the whole DAG and dispatching the
         // expensive stragglers first shortens the critical path.
-        seeds.sort_by_key(|&g| (std::cmp::Reverse(st.tasks[g].kind.cost_weight()), g));
+        seeds.sort_by_key(|&g| (Reverse(st.tasks[g].kind.cost_weight()), g));
         let width = st.deques.len();
         let start = st.rr;
         st.rr = (st.rr + 1) % width;
@@ -913,10 +869,6 @@ where
         self.inner.client.notify_all();
         SubmissionHandle { inner: Arc::clone(&self.inner), id: sid, collected: false }
     }
-}
-
-fn clone_bytes(b: &[u8]) -> Vec<u8> {
-    b.to_vec()
 }
 
 /// Creates a fresh resident entry from submission node `idx`. With
@@ -1371,7 +1323,7 @@ mod tests {
     fn finished_artifacts_persist_even_when_retired_from_memory() {
         let dir = std::env::temp_dir().join(format!("cleanml-pool-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store = DiskStore::open(dir.clone(), None);
+        let store = DiskStore::open(dir.clone(), None).unwrap();
 
         let mut g: TaskGraph<P> = TaskGraph::new();
         let a = g.task(TaskKind::Train, "a", CacheKey::of("a"), vec![], |_| Ok(P(7)));

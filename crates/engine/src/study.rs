@@ -392,13 +392,18 @@ pub(crate) struct EngineInner {
 
 impl Engine {
     /// Creates an engine: the worker pool spawns immediately and lives
-    /// until the engine drops. With `listen` set, the remote hub binds
-    /// immediately (panicking on an unusable address — a misconfigured
-    /// coordinator must fail loudly, not run silently local-only) and its
-    /// service loop classifies connections into workers and HTTP clients
-    /// for the engine's lifetime.
+    /// until the engine drops. A `cache_dir` that cannot be created or
+    /// written to panics, naming the path: a run that looks resumable must
+    /// not silently persist nothing. With `listen` set, the remote hub
+    /// binds immediately (panicking on an unusable address — a
+    /// misconfigured coordinator must fail loudly, not run silently
+    /// local-only) and its service loop classifies connections into
+    /// workers and HTTP clients for the engine's lifetime.
     pub fn new(cfg: EngineConfig) -> Self {
-        let store = cfg.cache_dir.clone().map(|dir| DiskStore::open(dir, cfg.cache_max_bytes));
+        let store = cfg.cache_dir.as_ref().map(|dir| {
+            DiskStore::open(dir.clone(), cfg.cache_max_bytes)
+                .unwrap_or_else(|e| panic!("cannot use cache directory {}: {e}", dir.display()))
+        });
         let hub = cfg.listen.as_deref().map(|addr| {
             RemoteHub::bind(addr, cfg.lease_timeout)
                 .unwrap_or_else(|e| panic!("cannot listen on {addr}: {e}"))
@@ -807,15 +812,17 @@ impl StudySubmission {
             self;
         let (artifacts, mut report) = handle.wait()?;
 
-        // Content-address every freshly produced, retained artifact. Cell
-        // batches additionally fan their members out under the singleton
-        // `cell/…` addresses, keeping query-granular warm hits intact.
+        // The memo keeps every freshly produced, retained artifact; the pool
+        // persisted each one when its task finished. Cell batches
+        // additionally fan their members out under the singleton `cell/…`
+        // addresses (new store entries), keeping query-granular warm hits
+        // intact.
         {
             let mut cache = inner.cache.lock().expect("cache lock");
             for (id, artifact) in artifacts.iter().enumerate() {
                 if index[id].2 == NodeState::Run {
                     if let Some(a) = artifact {
-                        cache.put(index[id].0, a);
+                        cache.remember(index[id].0, Arc::clone(a));
                         if let Artifact::Cells(batch) = &**a {
                             for &(key, cell) in &batch.members {
                                 cache.put(key, &Arc::new(Artifact::Cell(cell)));
@@ -837,9 +844,6 @@ impl StudySubmission {
             db.r3.extend(grid.r3_rows()?);
         }
         db.apply_benjamini_yekutieli(alpha);
-        if let Some(store) = &inner.store {
-            store.flush();
-        }
 
         report.cache_hits = cache_hits;
         report.pruned = pruned;

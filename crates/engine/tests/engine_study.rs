@@ -164,10 +164,8 @@ fn art_bytes(dir: &std::path::Path) -> u64 {
                 .filter(|e| {
                     let name = e.file_name();
                     let name = name.to_string_lossy();
-                    // artifact payloads and their in-flight temp files; the
-                    // index sidecar is bookkeeping, not cached payload
-                    !name.starts_with("index.v2")
-                        && (name.ends_with(".art") || name.contains(".tmp-"))
+                    // artifact payloads and their in-flight temp files
+                    name.ends_with(".art") || name.contains(".tmp-")
                 })
                 .filter_map(|e| e.metadata().ok())
                 .map(|m| m.len())
@@ -178,8 +176,8 @@ fn art_bytes(dir: &std::path::Path) -> u64 {
 
 /// The acceptance scenario: a study killed mid-run (simulated by the exact
 /// disk state such a kill leaves — finished Clean/Train artifacts present,
-/// unfinished cells absent, index stale) resumes with *zero* retraining and
-/// reproduces the uninterrupted run's relations bit for bit.
+/// unfinished cells absent) resumes with *zero* retraining and reproduces
+/// the uninterrupted run's relations bit for bit.
 #[test]
 fn killed_run_resumes_without_retraining() {
     let cfg = tiny_cfg();
@@ -199,10 +197,9 @@ fn killed_run_resumes_without_retraining() {
     drop(cold);
 
     // Simulate the kill: every Evaluate artifact vanishes (those tasks had
-    // not finished), and the index file is stale (never flushed after the
-    // final writes) — the store must rebuild it from the directory scan.
-    // Evaluate batches and their fanned-out singleton cells are recognized
-    // by their payload dispatch tags inside the frame.
+    // not finished) — the resumed store indexes what its directory scan
+    // finds. Evaluate batches and their fanned-out singleton cells are
+    // recognized by their payload dispatch tags inside the frame.
     let mut dropped_batches = 0usize;
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         let path = entry.path();
@@ -220,7 +217,6 @@ fn killed_run_resumes_without_retraining() {
         }
     }
     assert!(dropped_batches > 0, "study must have persisted evaluate batches");
-    let _ = std::fs::remove_file(dir.join("index.v2"));
 
     let mut resumed = Engine::new(EngineConfig {
         workers: 4,
