@@ -8,9 +8,9 @@
 //! with the same schema — this is how the paper avoids train→test leakage.
 //!
 //! Missing cells are tolerated at transform time (numeric → train mean,
-//! categorical → all-zero one-hot group) and flagged in the
-//! [`FeatureMatrix::missing`] mask so missing-data-aware models (NaCL,
-//! §VII-B of the paper) can react to them.
+//! categorical → all-zero one-hot group) and flagged in the missing
+//! mask ([`FeatureMatrix::missing_col`]) so missing-data-aware models
+//! (NaCL, §VII-B of the paper) can react to them.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

@@ -30,9 +30,11 @@
 //!   torn entry;
 //! * **the directory is the index** — [`DiskStore::open`] scans the
 //!   `<key>.art` files once for their sizes and LRU order (mtime, oldest
-//!   first), so there is no sidecar to go stale after a kill; temp files
-//!   of a crashed writer and the sidecars of earlier store generations
-//!   (`index.v1`, `index.v2`) are deleted on open;
+//!   first), so there is no sidecar to go stale after a kill; the
+//!   sidecars of earlier store generations (`index.v1`, `index.v2`) are
+//!   deleted on open, and so are temp files older than `TMP_GRACE`, which
+//!   only a crashed writer leaves: a younger one may be another live
+//!   store's write in flight;
 //! * **size-capped LRU eviction** — with a byte budget configured
 //!   (`--cache-max-bytes`), entries are touched on read and the
 //!   oldest-accessed are deleted before a new write would exceed the cap,
@@ -53,7 +55,7 @@ use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::SystemTime;
+use std::time::{Duration, SystemTime};
 
 /// 128-bit content address (two independent FNV-1a passes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -150,6 +152,12 @@ impl IndexState {
 /// writing the same key never share a temp file.
 static TMP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
+/// Age past which `open` deletes a temp file as a crashed writer's
+/// residue. One write takes milliseconds; a younger temp file may belong
+/// to another live store sharing the directory, whose `rename` would fail
+/// and lose the write if the file were deleted under it.
+const TMP_GRACE: Duration = Duration::from_secs(10 * 60);
+
 fn tmp_path(dir: &Path, stem: impl fmt::Display) -> PathBuf {
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     dir.join(format!("{stem}.tmp-{}-{seq}", std::process::id()))
@@ -187,10 +195,12 @@ pub struct DiskStore {
 impl DiskStore {
     /// Opens (or creates) the store under `dir`, indexing it from one
     /// directory scan: every `<key>.art` file is an entry, ranked oldest
-    /// first by mtime (ties by key) for LRU eviction. Temp files of a
-    /// crashed writer and the `index.v1`/`index.v2` sidecars of earlier
-    /// store generations are deleted. Fails when `dir` cannot be created,
-    /// read or written to: every store would fail silently after that.
+    /// first by mtime (ties by key) for LRU eviction. The
+    /// `index.v1`/`index.v2` sidecars of earlier store generations are
+    /// deleted, and so are temp files last modified more than `TMP_GRACE`
+    /// ago; younger ones may be in-flight writes of another live store
+    /// and are left alone. Fails when `dir` cannot be created, read or
+    /// written to: every store would fail silently after that.
     pub fn open(dir: PathBuf, max_bytes: Option<u64>) -> io::Result<Arc<DiskStore>> {
         std::fs::create_dir_all(&dir)?;
         let mut files: Vec<(Option<SystemTime>, CacheKey, u64)> = Vec::new();
@@ -203,7 +213,11 @@ impl DiskStore {
                     continue;
                 }
             }
-            if name.contains(".tmp-") || name == "index.v1" || name == "index.v2" {
+            let stale_tmp = || {
+                let modified = entry.metadata().and_then(|meta| meta.modified());
+                modified.is_ok_and(|t| t.elapsed().is_ok_and(|age| age > TMP_GRACE))
+            };
+            if name == "index.v1" || name == "index.v2" || (name.contains(".tmp-") && stale_tmp()) {
                 let _ = std::fs::remove_file(entry.path());
             }
         }
@@ -686,7 +700,7 @@ mod tests {
         std::fs::remove_file(dir.join(format!("{kb}.art"))).unwrap();
         let kc = CacheKey::of("c");
         std::fs::write(dir.join(format!("{kc}.art")), seal_frame(b"cc")).unwrap();
-        std::fs::write(dir.join(format!("{kc}.tmp-999-0")), "torn").unwrap();
+        write_aged(&dir.join(format!("{kc}.tmp-999-0")), TMP_GRACE * 2);
 
         let store = DiskStore::open(dir.clone(), None).unwrap();
         assert_eq!(store.len(), 2, "a kept, b dropped, c adopted");
@@ -694,6 +708,29 @@ mod tests {
         assert!(store.load(kb).is_none());
         assert_eq!(store.load(kc).as_deref(), Some(&b"cc"[..]));
         assert!(!dir.join(format!("{kc}.tmp-999-0")).exists(), "temp residue cleaned");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes a file whose mtime lies `age` in the past.
+    fn write_aged(path: &Path, age: Duration) {
+        std::fs::write(path, "torn").unwrap();
+        let file = File::options().write(true).open(path).unwrap();
+        file.set_modified(SystemTime::now() - age).unwrap();
+    }
+
+    #[test]
+    fn open_spares_young_temp_files_and_deletes_aged_ones() {
+        // a young temp file may be another live store's write in flight:
+        // deleting it would fail that store's rename and lose the write
+        let dir = temp_dir("tmp-grace");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (young, aged) = (dir.join("x.tmp-1-0"), dir.join("y.tmp-1-1"));
+        std::fs::write(&young, "in flight").unwrap();
+        write_aged(&aged, TMP_GRACE + Duration::from_secs(60));
+        let store = DiskStore::open(dir.clone(), None).unwrap();
+        assert!(young.exists(), "a fresh temp file was deleted on open");
+        assert!(!aged.exists(), "an aged temp file survived open");
+        assert_eq!(store.len(), 0, "temp files are not entries");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -11,9 +11,9 @@
 //!    `Train(model, variant)`, `Evaluate(cell)`, `Reduce(grid)` — built
 //!    from the pure task units of [`cleanml_core::tasks`] ([`graph`]);
 //! 2. **schedules** independent tasks across all datasets and error types
-//!    on a work-stealing worker pool ([`pool`]). The pool's workers are
-//!    the engine's only compute threads: each task body runs to the end
-//!    on the worker that claimed it;
+//!    on a worker pool that claims from one ready list ([`pool`]). The
+//!    pool's workers are the engine's only compute threads: each task
+//!    body runs to the end on the worker that claimed it;
 //! 3. **remembers** finished work in a content-addressed artifact cache —
 //!    an in-memory layer that deduplicates shared work inside a run, and an
 //!    optional on-disk layer under a run directory that lets repeated or
@@ -69,8 +69,8 @@ pub use event::{EngineEvent, EventSink, TaskKind};
 pub use graph::{TaskGraph, TaskId};
 pub use pool::{Pool, RunReport, SubmissionHandle};
 pub use remote::{
-    parse_query, percent_decode, FaultPlan, GatewayBackend, GatewayError, Profile, RemoteHub,
-    Select, StudySpec, StudyState, StudyStatus, SubmitSpec, WorkerSummary, DEFAULT_LEASE_TIMEOUT,
+    parse_query, percent_decode, FaultPlan, GatewayError, Profile, RemoteHub, Select, StudySpec,
+    StudyState, StudyStatus, SubmitSpec, WorkerSummary, DEFAULT_LEASE_TIMEOUT,
 };
 pub use study::{
     build_query_graph, build_study_graph, Artifact, CellQuery, Engine, EngineConfig,

@@ -21,14 +21,14 @@
 //!   submission still needs it, then drops it. A later submission that
 //!   demands it again finds it in the memo or on disk, or re-runs it.
 //!
-//! Local workers keep the work-stealing discipline (LIFO own deque, FIFO
-//! steals) under one scheduler lock; remote lease threads
-//! ([`crate::remote::coordinator`]) claim from the same deques, taking the
-//! heaviest leasable task of their spec. Ready tasks are ordered
-//! heaviest-first by their kind's static [`TaskKind::cost_weight`].
+//! Ready tasks wait in one list under the one scheduler lock. A local
+//! worker pops the newest; a remote lease thread
+//! ([`crate::remote::coordinator`]) takes the heaviest leasable task of
+//! its spec. Seeds and released dependents are pushed so that the heaviest
+//! by their kind's static [`TaskKind::cost_weight`] pops first.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,7 +41,8 @@ use crate::cache::{CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskFn, TaskGraph};
 use crate::remote::coordinator::spawn_hub_service;
-use crate::remote::{HttpGateway, RemoteHub};
+use crate::remote::RemoteHub;
+use crate::study::EngineGateway;
 
 /// Number of task kinds (indexes the per-kind counter arrays).
 pub(crate) const NKINDS: usize = TaskKind::ALL.len();
@@ -122,7 +123,7 @@ pub type ExecutionOutcome<A> = (Vec<Option<Arc<A>>>, RunReport);
 pub(crate) enum Phase {
     /// Unfinished dependencies remain.
     Waiting,
-    /// In a deque, claimable by local workers and lease threads.
+    /// In the ready list, claimable by local workers and lease threads.
     Queued,
     /// Claimed (locally or by a remote lease).
     Running,
@@ -160,9 +161,9 @@ pub(crate) struct TaskEntry<A> {
     /// `(spec key, graph-local id)` per study spec that contains this
     /// task — the addressing plane remote workers lease by.
     pub(crate) spec_locals: Vec<(u64, u64)>,
-    /// When the entry last entered a deque; taken when a local worker or
-    /// a remote lease claims it, to feed the queue-wait histogram. `None`
-    /// while the entry is not queued.
+    /// When the entry last entered the ready list; taken when a local
+    /// worker or a remote lease claims it, to feed the queue-wait
+    /// histogram. `None` while the entry is not queued.
     queued_at: Option<Instant>,
 }
 
@@ -198,14 +199,12 @@ struct SubEntry {
 pub(crate) struct State<A> {
     pub(crate) tasks: Vec<TaskEntry<A>>,
     pub(crate) by_key: HashMap<CacheKey, Gid>,
-    /// One ready deque per local worker.
-    pub(crate) deques: Vec<VecDeque<Gid>>,
+    /// Ids of `Queued` entries, newest last. An id whose entry was
+    /// orphaned while listed goes stale and is dropped when popped.
+    ready: Vec<Gid>,
     subs: HashMap<SubId, SubEntry>,
     specs: Vec<SpecEntry>,
     next_sub: SubId,
-    /// Round-robin cursor: consecutive submissions seed different home
-    /// deques first.
-    rr: usize,
 }
 
 pub(crate) struct PoolInner<A> {
@@ -216,7 +215,7 @@ pub(crate) struct PoolInner<A> {
     pub(crate) client: Condvar,
     pub(crate) shutdown: AtomicBool,
     pub(crate) persist: Option<Arc<DiskStore>>,
-    pub(crate) n_workers: usize,
+    n_workers: usize,
     /// Live [`LeasableHold`]s: while any is held, local workers leave
     /// leasable tasks to remote workers.
     leasable_holds: AtomicUsize,
@@ -243,91 +242,57 @@ where
 {
     // -- frontier ----------------------------------------------------------
 
-    /// Queues a `Waiting` entry onto deque `home` (callers notify).
-    fn enqueue(&self, st: &mut State<A>, gid: Gid, home: usize) {
-        debug_assert_eq!(st.tasks[gid].phase, Phase::Waiting);
-        st.tasks[gid].phase = Phase::Queued;
-        st.tasks[gid].queued_at = Some(Instant::now());
-        let home = home % st.deques.len();
-        st.deques[home].push_back(gid);
-    }
-
-    /// Pops the newest entry of deque `di` that is still claimable,
-    /// dropping stale ids (entries orphaned while queued) on the way.
-    fn pop_back_runnable(&self, st: &mut State<A>, di: usize) -> Option<Gid> {
-        while let Some(gid) = st.deques[di].pop_back() {
-            if st.tasks[gid].phase == Phase::Queued {
-                return Some(gid);
-            }
+    /// Queues `Waiting` entries so that the heaviest kind pops first, the
+    /// lowest id first among equals (callers notify).
+    fn enqueue(&self, st: &mut State<A>, mut gids: Vec<Gid>) {
+        gids.sort_by_key(|&g| (st.tasks[g].kind.cost_weight(), Reverse(g)));
+        for gid in gids {
+            debug_assert_eq!(st.tasks[gid].phase, Phase::Waiting);
+            st.tasks[gid].phase = Phase::Queued;
+            st.tasks[gid].queued_at = Some(Instant::now());
+            st.ready.push(gid);
         }
-        None
     }
 
-    /// Steals the oldest claimable entry from deque `di`'s front.
-    fn pop_front_runnable(&self, st: &mut State<A>, di: usize) -> Option<Gid> {
-        while let Some(gid) = st.deques[di].pop_front() {
-            if st.tasks[gid].phase == Phase::Queued {
-                return Some(gid);
-            }
-        }
-        None
-    }
-
-    /// Own deque newest-first (depth-first descent keeps artifacts hot),
-    /// then steal oldest-first from victims — the classic discipline.
-    /// Under a [`LeasableHold`], only the newest task no remote worker can
-    /// lease.
-    fn pop_or_steal(&self, st: &mut State<A>, me: usize) -> Option<Gid> {
+    /// Pops the newest claimable task for a local worker, dropping stale
+    /// ids on the way. Under a [`LeasableHold`], takes the newest task of
+    /// a kind that never leaves the coordinator instead; stale ids stay
+    /// for a later pop to drop.
+    fn pop_ready(&self, st: &mut State<A>) -> Option<Gid> {
         if self.leasable_holds.load(Ordering::Acquire) > 0 {
-            return self.pop_unleasable(st);
-        }
-        if let Some(gid) = self.pop_back_runnable(st, me) {
-            return Some(gid);
-        }
-        for offset in 1..st.deques.len() {
-            let victim = (me + offset) % st.deques.len();
-            if let Some(gid) = self.pop_front_runnable(st, victim) {
-                return Some(gid);
-            }
-        }
-        None
-    }
-
-    /// Takes the newest queued task of a kind that never travels, from any
-    /// deque; stale ids stay for the regular pops to drop.
-    fn pop_unleasable(&self, st: &mut State<A>) -> Option<Gid> {
-        for di in 0..st.deques.len() {
             let tasks = &st.tasks;
-            let found = st.deques[di].iter().rposition(|&g| {
+            let pos = st.ready.iter().rposition(|&g| {
                 tasks[g].phase == Phase::Queued && !crate::remote::leasable(tasks[g].kind)
-            });
-            if let Some(pos) = found {
-                return st.deques[di].remove(pos);
+            })?;
+            return Some(st.ready.remove(pos));
+        }
+        while let Some(gid) = st.ready.pop() {
+            if st.tasks[gid].phase == Phase::Queued {
+                return Some(gid);
             }
         }
         None
     }
 
     /// Claims the heaviest leasable ready task whose spec map contains
-    /// `spec_key`, for a remote lease thread. Among equal weights it takes
-    /// the lowest deque, then that deque's newest entry, mirroring local
-    /// LIFO pops; stale ids are skipped and stay for the pops to drop.
+    /// `spec_key`, for a remote lease thread; the newest among equal
+    /// weights, as a local pop would. Stale ids are skipped and stay for
+    /// the local pops to drop.
     pub(crate) fn claim_leasable(&self, st: &mut State<A>, spec_key: u64) -> Option<(Gid, u64)> {
         let tasks = &st.tasks;
-        let (_, Reverse(di), pos) = st
-            .deques
+        let (_, pos) = st
+            .ready
             .iter()
             .enumerate()
-            .flat_map(|(di, q)| q.iter().enumerate().map(move |(pos, &gid)| (di, pos, gid)))
-            .filter(|&(_, _, gid)| {
+            .filter(|&(_, &gid)| {
                 let t = &tasks[gid];
                 t.phase == Phase::Queued
                     && crate::remote::leasable(t.kind)
                     && t.spec_locals.iter().any(|&(k, _)| k == spec_key)
             })
-            .map(|(di, pos, gid)| (tasks[gid].kind.cost_weight(), Reverse(di), pos))
+            .map(|(pos, &gid)| (tasks[gid].kind.cost_weight(), pos))
             .max()?;
-        let gid = st.deques[di].remove(pos).expect("position just found");
+        let gid = st.ready.remove(pos);
         st.tasks[gid].phase = Phase::Running;
         if let Some(queued) = st.tasks[gid].queued_at.take() {
             crate::telemetry::global().queue_seconds[kind_index(st.tasks[gid].kind)]
@@ -348,8 +313,7 @@ where
     pub(crate) fn reinject(&self, st: &mut State<A>, gid: Gid) {
         debug_assert_eq!(st.tasks[gid].phase, Phase::Running);
         st.tasks[gid].phase = Phase::Waiting;
-        let home = gid % st.deques.len();
-        self.enqueue(st, gid, home);
+        self.enqueue(st, vec![gid]);
         crate::telemetry::global().leases_reinjected.inc();
         if let Some(sid) = self.attribution(st, gid) {
             if let Some(sub) = st.subs.get_mut(&sid) {
@@ -427,14 +391,13 @@ where
     /// threads (the artifact has already been persisted by the caller,
     /// outside the scheduler lock — durability before progress): publish
     /// the artifact, credit counters, notify each demanding submission,
-    /// retire inputs whose last consumer this was, and release
-    /// newly-ready dependents onto `home`'s deque heaviest-first.
+    /// retire inputs whose last consumer this was, and queue newly-ready
+    /// dependents.
     pub(crate) fn complete_ok(
         &self,
         st: &mut State<A>,
         gid: Gid,
         artifact: Arc<A>,
-        home: usize,
         remote: bool,
         local_id: Option<u64>,
     ) {
@@ -478,13 +441,8 @@ where
                 }
             }
         }
-        // Heaviest kind first: sorted descending, then pushed in reverse
-        // so the home deque's LIFO pop starts with the heaviest.
-        released.sort_by_key(|&g| (Reverse(st.tasks[g].kind.cost_weight()), g));
         let notify = !released.is_empty();
-        for &g in released.iter().rev() {
-            self.enqueue(st, g, home);
-        }
+        self.enqueue(st, released);
 
         self.maybe_retire(st, gid);
         if notify {
@@ -647,7 +605,8 @@ struct Job<A> {
     class: Option<String>,
     run: TaskFn<A>,
     inputs: Vec<Arc<A>>,
-    /// When the entry last entered a deque, for the queue-wait histogram.
+    /// When the entry last entered the ready list, for the queue-wait
+    /// histogram.
     queued_at: Instant,
     /// Submission the execution is attributed to (trace-span labeling).
     sub: Option<SubId>,
@@ -680,11 +639,10 @@ where
             state: Mutex::new(State {
                 tasks: Vec::new(),
                 by_key: HashMap::new(),
-                deques: (0..workers).map(|_| VecDeque::new()).collect(),
+                ready: Vec::new(),
                 subs: HashMap::new(),
                 specs: Vec::new(),
                 next_sub: 0,
-                rr: 0,
             }),
             work: Condvar::new(),
             client: Condvar::new(),
@@ -709,7 +667,7 @@ where
     /// Starts serving `hub`'s connections for the pool's lifetime:
     /// workers (`Hello`) lease tasks from the merged frontier; HTTP
     /// connections hit `/metrics` and the results gateway.
-    pub fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: HttpGateway) {
+    pub(crate) fn serve_hub(&mut self, hub: Arc<RemoteHub>, gateway: Arc<EngineGateway>) {
         let handle = spawn_hub_service(Arc::clone(&self.inner), hub, gateway);
         self.services.push(handle);
     }
@@ -845,25 +803,11 @@ where
         }
         st.subs.insert(sid, sub);
 
-        // Seed the frontier heaviest-first: tasks sorted by descending
-        // kind weight, dealt round-robin across the deques, each share
-        // pushed in ascending order so its owner's LIFO pop starts with
-        // its heaviest task. On a cold run the frontier is all-generate;
-        // on a partial resume it spans the whole DAG and dispatching the
-        // expensive stragglers first shortens the critical path.
-        seeds.sort_by_key(|&g| (Reverse(st.tasks[g].kind.cost_weight()), g));
-        let width = st.deques.len();
-        let start = st.rr;
-        st.rr = (st.rr + 1) % width;
-        let mut shares: Vec<Vec<Gid>> = vec![Vec::new(); width];
-        for (i, gid) in seeds.into_iter().enumerate() {
-            shares[(start + i) % width].push(gid);
-        }
-        for (w, share) in shares.into_iter().enumerate() {
-            for &gid in share.iter().rev() {
-                self.inner.enqueue(st, gid, w);
-            }
-        }
+        // Seed the frontier heaviest-first. On a cold run it is
+        // all-generate; on a partial resume it spans the whole DAG, and
+        // dispatching the expensive stragglers first shortens the
+        // critical path.
+        self.inner.enqueue(st, seeds);
 
         self.inner.work.notify_all();
         self.inner.client.notify_all();
@@ -1122,7 +1066,7 @@ where
                 if inner.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(gid) = inner.pop_or_steal(&mut st, me) {
+                if let Some(gid) = inner.pop_ready(&mut st) {
                     break inner.prepare(&mut st, gid, None);
                 }
                 let (guard, _) =
@@ -1188,7 +1132,7 @@ where
                     t.span(&label, kind.name(), started, span_dur, me as u64, args);
                 }
                 let mut st = inner.state.lock().expect("state lock");
-                inner.complete_ok(&mut st, gid, Arc::new(artifact), me, false, None);
+                inner.complete_ok(&mut st, gid, Arc::new(artifact), false, None);
             }
             Err(err) => {
                 // A failure does not stop the worker: only the
@@ -1346,9 +1290,9 @@ mod tests {
     #[test]
     fn ready_frontier_is_dispatched_heaviest_first() {
         // A resume-shaped frontier: independent ready tasks of mixed kinds.
-        // With one worker there is no stealing, so the execution order *is*
-        // the seeding policy: Train before Clean before Split before the
-        // bookkeeping kinds, regardless of insertion order.
+        // With one worker no other claimant races its pops, so the
+        // execution order *is* the push order: Train before Clean before
+        // Split before the bookkeeping kinds, regardless of insertion order.
         let mut g: TaskGraph<V> = TaskGraph::new();
         let kinds = [
             TaskKind::Evaluate,
@@ -1389,6 +1333,114 @@ mod tests {
             TaskKind::Evaluate,
         ];
         assert_eq!(started, expected, "seeding must order by descending cost weight");
+    }
+
+    /// Polls the scheduler state until `done` holds.
+    fn wait_until(pool: &Pool<V>, what: &str, done: impl Fn(&State<V>) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done(&pool.inner.state.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    fn phase_of(st: &State<V>, label: &str) -> Phase {
+        st.tasks.iter().find(|t| t.label == label).expect("task submitted").phase
+    }
+
+    #[test]
+    fn one_ready_list_serves_local_pops_and_lease_claims() {
+        let pool: Pool<V> = Pool::new(2, None);
+        let hold = pool.hold_leasable();
+        let spec_a = b"spec-a".to_vec();
+        let root = |g: &mut TaskGraph<V>, kind: TaskKind, label: &str, deps: Vec<TaskId>| {
+            g.task(kind, label, CacheKey::of(&format!("list-{label}")), deps, |_| Ok(V(1)))
+        };
+        let submit =
+            |mut g: TaskGraph<V>, ids: &[TaskId], spec: &[u8], events: Option<EventSink>| {
+                let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
+                g.resolve(&mut cache, ids);
+                let n = g.len();
+                pool.submit(g, vec![true; n], events, Some(spec.to_vec()))
+            };
+
+        // a heavy task of the same spec whose submission is cancelled:
+        // its id stays in the list, stale
+        let mut g = TaskGraph::new();
+        let orphan = root(&mut g, TaskKind::Train, "orphan", vec![]);
+        let cancelled = submit(g, &[orphan], &spec_a, None);
+        cancelled.cancel();
+        assert!(cancelled.wait().is_err());
+        // a heavy task of another spec
+        let mut g = TaskGraph::new();
+        let other_id = root(&mut g, TaskKind::Train, "other", vec![]);
+        let other = submit(g, &[other_id], b"spec-b", None);
+
+        // the submission under test: two kinds that never travel, and
+        // leasable tasks seeded (t1, t2, …) or released by `gen` (t3)
+        let mut g = TaskGraph::new();
+        let gen = root(&mut g, TaskKind::GenerateDataset, "gen", vec![]);
+        let mut ids = vec![gen, root(&mut g, TaskKind::Reduce, "red", vec![])];
+        for (kind, label) in [
+            (TaskKind::Split, "s1"),
+            (TaskKind::Train, "t1"),
+            (TaskKind::Evaluate, "e1"),
+            (TaskKind::Clean, "c1"),
+            (TaskKind::Train, "t2"),
+        ] {
+            ids.push(root(&mut g, kind, label, vec![]));
+        }
+        ids.push(root(&mut g, TaskKind::Train, "t3", vec![gen]));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = submit(g, &ids, &spec_a, Some(tx));
+
+        // under the hold, the local workers run only `gen` and `red`
+        wait_until(&pool, "gen, red and t3", |st| {
+            phase_of(st, "gen") == Phase::Done
+                && phase_of(st, "red") == Phase::Done
+                && phase_of(st, "t3") == Phase::Queued
+        });
+
+        // lease claims: heaviest first, the newest among equals (t3 was
+        // released after the seeds, and seeds of one weight pop lowest id
+        // first), never the orphan, never spec B
+        let key_a = spec_key_of(&spec_a);
+        let mut claimed = Vec::new();
+        {
+            let mut st = pool.inner.state.lock().unwrap();
+            while let Some((gid, local)) = pool.inner.claim_leasable(&mut st, key_a) {
+                claimed.push((gid, local, st.tasks[gid].label.clone()));
+            }
+        }
+        let labels: Vec<&str> = claimed.iter().map(|(_, _, l)| l.as_str()).collect();
+        assert_eq!(labels, ["t3", "t1", "t2", "c1", "s1", "e1"]);
+
+        // released, the local workers run spec B's task and drop the
+        // orphan's stale id, but never pop a claimed task
+        drop(hold);
+        other.wait().expect("spec B runs locally");
+        wait_until(&pool, "an empty ready list", |st| st.ready.is_empty());
+        {
+            let mut st = pool.inner.state.lock().unwrap();
+            assert_eq!(phase_of(&st, "orphan"), Phase::Orphaned, "a stale id was run");
+            for &(gid, local, _) in &claimed {
+                assert_eq!(st.tasks[gid].phase, Phase::Running);
+                assert!(st.tasks[gid].run.is_some(), "a claimed task was popped locally");
+                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true, Some(local));
+            }
+        }
+        let (_, report) = handle.wait().expect("main submission");
+        assert_eq!(report.local_total(), 2);
+        assert_eq!(report.remote_total(), 6);
+        let started: Vec<String> = rx
+            .try_iter()
+            .filter_map(|e| match e {
+                EngineEvent::TaskStarted { label, .. } => Some(label),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(started.len(), 2, "{started:?}");
+        assert!(started.iter().all(|l| l == "gen" || l == "red"), "{started:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! engine.
 //!
 //! A [`RemoteHub`] owns the TCP listener for the engine's whole lifetime.
-//! The hub service thread ([`spawn_hub_service`], running as long as the
+//! The hub service thread (`spawn_hub_service`, running as long as the
 //! pool) accepts connections in arrival order and classifies each, on a
 //! thread of its own, by its first bytes:
 //!
@@ -12,8 +12,8 @@
 //!   connect before any submission exists), completes the
 //!   `Hello`/`Welcome` handshake, and then behaves like a worker thread
 //!   whose "execution" is the wire: it claims a ready task from the merged
-//!   frontier (heaviest leasable first, guided by the per-deque kind-count
-//!   summaries), sends a `Lease`, serves `Fetch` requests from the live
+//!   frontier (the heaviest leasable task of its spec, found by a scan of
+//!   the ready list), sends a `Lease`, serves `Fetch` requests from the live
 //!   task entries' artifacts or the disk store, and on `Done`
 //!   applies the exact completion bookkeeping a local worker would — the
 //!   shipped payload lands in the [`crate::cache::DiskStore`] *before* any
@@ -43,6 +43,7 @@ use crate::event::EngineEvent;
 use crate::pool::PoolInner;
 use crate::remote::http;
 use crate::remote::proto::{self, poll_recv, Message, Polled, PROTOCOL_VERSION};
+use crate::study::EngineGateway;
 use crate::telemetry;
 
 /// How often idle loops look for new work or new connections.
@@ -66,7 +67,7 @@ pub struct RemoteHub {
 
 impl RemoteHub {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port). Nothing
-    /// is accepted until a pool serves the hub ([`crate::Pool::serve_hub`]).
+    /// is accepted until a pool serves the hub (`Pool::serve_hub`).
     pub fn bind(addr: &str, lease_timeout: Duration) -> io::Result<Arc<RemoteHub>> {
         let listener = TcpListener::bind(addr)?;
         // Non-blocking, so the hub service can notice pool shutdown
@@ -86,16 +87,12 @@ impl RemoteHub {
     }
 }
 
-/// The engine's HTTP results-gateway backend, shared by every classified
-/// HTTP connection.
-pub type HttpGateway = Arc<dyn http::GatewayBackend>;
-
 /// Spawns the hub service: accepts `hub`'s connections in arrival order
 /// and classifies each on its own thread, for as long as the pool lives.
 pub(crate) fn spawn_hub_service<A>(
     inner: Arc<PoolInner<A>>,
     hub: Arc<RemoteHub>,
-    gateway: HttpGateway,
+    gateway: Arc<EngineGateway>,
 ) -> JoinHandle<()>
 where
     A: Clone + Send + Sync + DiskCodec + 'static,
@@ -107,7 +104,7 @@ where
                     let inner = Arc::clone(&inner);
                     let hub = Arc::clone(&hub);
                     let gateway = Arc::clone(&gateway);
-                    std::thread::spawn(move || classify(&inner, &hub, stream, gateway));
+                    std::thread::spawn(move || classify(&inner, &hub, stream, &gateway));
                 }
                 Err(_) => std::thread::sleep(POLL),
             }
@@ -119,8 +116,12 @@ where
 /// worker lease loop, an HTTP `GET `/`POST` preamble to the bounded
 /// results gateway, and everything else dropped before it can touch the
 /// pool.
-fn classify<A>(inner: &Arc<PoolInner<A>>, hub: &RemoteHub, stream: TcpStream, gateway: HttpGateway)
-where
+fn classify<A>(
+    inner: &Arc<PoolInner<A>>,
+    hub: &RemoteHub,
+    stream: TcpStream,
+    gateway: &EngineGateway,
+) where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     // The accepted stream must be blocking regardless of platform: BSD
@@ -162,7 +163,7 @@ where
         }
     }
     if prefix == *b"GET " || prefix == *b"POST" {
-        http::serve_http(&**inner, &*gateway, stream);
+        http::serve_http(&**inner, gateway, stream);
         return;
     }
     if prefix != FRAME_MAGIC {
@@ -377,7 +378,6 @@ where
                                     if let Some(store) = &inner.persist {
                                         store.store(key, &payload);
                                     }
-                                    let home = gid % inner.n_workers;
                                     let mut st = inner.state.lock().expect("state lock");
                                     t.record_slow_task(
                                         &label,
@@ -389,7 +389,6 @@ where
                                         &mut st,
                                         gid,
                                         std::sync::Arc::new(artifact),
-                                        home,
                                         true,
                                         Some(local_id),
                                     );

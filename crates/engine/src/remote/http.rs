@@ -17,8 +17,8 @@
 //!   `?model=…&dataset=…&error=…&order=…&limit=…&offset=…`.
 //!
 //! Everything follows the CMAF codec's fail-closed discipline: the
-//! request head is capped at [`MAX_REQUEST_BYTES`] on **every** read,
-//! bodies at [`MAX_BODY_BYTES`], the query string is parsed by a
+//! request head is capped at `MAX_REQUEST_BYTES` on **every** read,
+//! bodies at `MAX_BODY_BYTES`, the query string is parsed by a
 //! hand-rolled, bounded, percent-decoding parser that rejects anything
 //! it does not fully understand, and a malformed request closes the
 //! connection without a response and without ever touching the pool.
@@ -29,21 +29,21 @@
 //! proxy for that).
 //!
 //! Filtering, ordering and paging run through the typed [`Select`]
-//! struct over [`CleanMlDb`]'s canonical per-column row renderings, so
-//! CSV pages are byte-identical slices of `r1_csv`/`r2_csv`/`r3_csv`
-//! and the whole query layer is unit-testable without sockets.
+//! struct over [`cleanml_core::CleanMlDb`]'s canonical per-column row
+//! renderings, so CSV pages are byte-identical slices of
+//! `r1_csv`/`r2_csv`/`r3_csv` and the whole query layer is unit-testable
+//! without sockets.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cleanml_cleaning::ErrorType;
 use cleanml_core::database::{csv_line, relation_columns};
-use cleanml_core::{CleanMlDb, ExperimentConfig, Relation};
+use cleanml_core::{ExperimentConfig, Relation};
 
 use crate::pool::PoolInner;
-use crate::study::CellQuery;
+use crate::study::{CellQuery, EngineGateway};
 use crate::telemetry;
 
 /// Hard cap on one request head (request line + headers), enforced on
@@ -74,7 +74,7 @@ pub const MAX_PAGE_LIMIT: usize = 10_000;
 /// study.
 pub const MAX_SPLITS: usize = 1000;
 
-// ---- gateway backend ------------------------------------------------
+// ---- gateway types --------------------------------------------------
 
 /// Observable state of one gateway submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,21 +151,6 @@ pub enum GatewayError {
     Unavailable,
 }
 
-/// What the wire layer needs from the engine: a submission registry.
-/// `study.rs` implements this on the resident core; tests can mock it.
-pub trait GatewayBackend: Send + Sync {
-    /// The configured bearer token, if auth is on.
-    fn token(&self) -> Option<String>;
-    /// All retained submissions, oldest first.
-    fn list(&self) -> Vec<StudyStatus>;
-    /// One submission's status.
-    fn status(&self, id: u64) -> Option<StudyStatus>;
-    /// Submit a spec through the resident core; returns an id to poll.
-    fn submit(&self, spec: SubmitSpec) -> Result<u64, GatewayError>;
-    /// A finished submission's relations.
-    fn results(&self, id: u64) -> Result<Arc<CleanMlDb>, GatewayError>;
-}
-
 // ---- request model --------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,11 +206,7 @@ impl Route {
 // ---- entry point ----------------------------------------------------
 
 /// Serves one already-classified HTTP connection end to end.
-pub(crate) fn serve_http<A>(
-    inner: &PoolInner<A>,
-    gateway: &dyn GatewayBackend,
-    mut stream: TcpStream,
-) {
+pub(crate) fn serve_http<A>(inner: &PoolInner<A>, gateway: &EngineGateway, mut stream: TcpStream) {
     let t = telemetry::global();
     t.http_requests.inc();
     let Some(req) = read_request(&mut stream) else {
@@ -284,7 +265,7 @@ fn serve_metrics<A>(inner: &PoolInner<A>, stream: &mut TcpStream) {
     respond(stream, "200 OK", "text/plain; version=0.0.4; charset=utf-8", &body);
 }
 
-fn serve_studies(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut TcpStream) {
+fn serve_studies(gateway: &EngineGateway, req: &HttpRequest, stream: &mut TcpStream) {
     match parse_query(&req.query) {
         Some(pairs) if pairs.is_empty() => {}
         _ => {
@@ -303,7 +284,7 @@ fn serve_studies(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut T
     respond(stream, "200 OK", "application/json", &body);
 }
 
-fn serve_submit(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut TcpStream) {
+fn serve_submit(gateway: &EngineGateway, req: &HttpRequest, stream: &mut TcpStream) {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         json_error(stream, "400 Bad Request", "body is not UTF-8");
         return;
@@ -335,7 +316,7 @@ fn serve_submit(gateway: &dyn GatewayBackend, req: &HttpRequest, stream: &mut Tc
     }
 }
 
-fn serve_status(gateway: &dyn GatewayBackend, id: u64, req: &HttpRequest, stream: &mut TcpStream) {
+fn serve_status(gateway: &EngineGateway, id: u64, req: &HttpRequest, stream: &mut TcpStream) {
     if parse_query(&req.query).is_none() {
         json_error(stream, "400 Bad Request", "malformed query string");
         return;
@@ -350,7 +331,7 @@ fn serve_status(gateway: &dyn GatewayBackend, id: u64, req: &HttpRequest, stream
 }
 
 fn serve_rows(
-    gateway: &dyn GatewayBackend,
+    gateway: &EngineGateway,
     id: u64,
     relation: Relation,
     req: &HttpRequest,

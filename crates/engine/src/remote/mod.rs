@@ -33,10 +33,9 @@ pub mod http;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{HttpGateway, RemoteHub, DEFAULT_LEASE_TIMEOUT};
+pub use coordinator::{RemoteHub, DEFAULT_LEASE_TIMEOUT};
 pub use http::{
-    parse_query, percent_decode, GatewayBackend, GatewayError, Profile, Select, StudyState,
-    StudyStatus, SubmitSpec,
+    parse_query, percent_decode, GatewayError, Profile, Select, StudyState, StudyStatus, SubmitSpec,
 };
 pub use proto::{
     leasable, poll_recv, Message, Polled, StudySpec, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,

@@ -332,7 +332,7 @@ pub enum Polled {
 
 /// Bounded receive: waits up to `wait` for the *first* byte (peeked, so a
 /// timeout consumes nothing and the stream stays frame-aligned), then
-/// insists the full message follows within [`MESSAGE_TIMEOUT`]. Both
+/// insists the full message follows within `MESSAGE_TIMEOUT`. Both
 /// coordinator lease loops and worker sessions use this so neither side
 /// can block forever on a peer that vanished without a FIN.
 pub fn poll_recv(stream: &std::net::TcpStream, wait: std::time::Duration) -> Polled {

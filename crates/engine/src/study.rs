@@ -43,7 +43,7 @@ use crate::cache::{ArtifactCache, CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
 use crate::graph::{NodeState, TaskGraph, TaskId};
 use crate::pool::{LeasableHold, Pool, RunReport, SubmissionHandle};
-use crate::remote::http::{GatewayBackend, GatewayError, StudyState, StudyStatus, SubmitSpec};
+use crate::remote::http::{GatewayError, StudyState, StudyStatus, SubmitSpec};
 use crate::remote::{RemoteHub, StudySpec};
 use crate::telemetry;
 
@@ -412,7 +412,7 @@ impl Engine {
         let inner = Arc::new_cyclic(|weak: &Weak<EngineInner>| {
             let mut pool: Pool<Artifact> = Pool::new(workers, store.clone());
             if let Some(hub) = &hub {
-                let gateway: crate::remote::HttpGateway =
+                let gateway =
                     Arc::new(EngineGateway { engine: weak.clone(), token: cfg.http_token.clone() });
                 pool.serve_hub(Arc::clone(hub), gateway);
             }
@@ -639,32 +639,36 @@ struct GatewayTable {
     entries: BTreeMap<u64, Arc<GatewayEntry>>,
 }
 
-/// The [`GatewayBackend`] the wire layer talks to: a [`Weak`] engine
-/// handle (a dropped engine answers 503, never a dangling pool) plus the
-/// configured bearer token.
-struct EngineGateway {
+/// What the HTTP gateway's routes talk to: a [`Weak`] engine handle (a
+/// dropped engine answers 503, never a dangling pool) plus the configured
+/// bearer token.
+pub(crate) struct EngineGateway {
     engine: Weak<EngineInner>,
     token: Option<String>,
 }
 
-impl GatewayBackend for EngineGateway {
-    fn token(&self) -> Option<String> {
+impl EngineGateway {
+    /// The configured bearer token, if auth is on.
+    pub(crate) fn token(&self) -> Option<String> {
         self.token.clone()
     }
 
-    fn list(&self) -> Vec<StudyStatus> {
+    /// All retained submissions, oldest first.
+    pub(crate) fn list(&self) -> Vec<StudyStatus> {
         let Some(inner) = self.engine.upgrade() else { return Vec::new() };
         let table = inner.gateway.table.lock().expect("gateway lock");
         table.entries.values().map(|e| e.status()).collect()
     }
 
-    fn status(&self, id: u64) -> Option<StudyStatus> {
+    /// One submission's status.
+    pub(crate) fn status(&self, id: u64) -> Option<StudyStatus> {
         let inner = self.engine.upgrade()?;
         let table = inner.gateway.table.lock().expect("gateway lock");
         table.entries.get(&id).map(|e| e.status())
     }
 
-    fn submit(&self, spec: SubmitSpec) -> std::result::Result<u64, GatewayError> {
+    /// Submits a spec through the resident core; returns an id to poll.
+    pub(crate) fn submit(&self, spec: SubmitSpec) -> std::result::Result<u64, GatewayError> {
         let Some(inner) = self.engine.upgrade() else { return Err(GatewayError::Unavailable) };
         let cfg = spec.config();
         let entry = {
@@ -746,7 +750,8 @@ impl GatewayBackend for EngineGateway {
         Ok(id)
     }
 
-    fn results(&self, id: u64) -> std::result::Result<Arc<CleanMlDb>, GatewayError> {
+    /// A finished submission's relations.
+    pub(crate) fn results(&self, id: u64) -> std::result::Result<Arc<CleanMlDb>, GatewayError> {
         let Some(inner) = self.engine.upgrade() else { return Err(GatewayError::Unavailable) };
         let entry = {
             let table = inner.gateway.table.lock().expect("gateway lock");

@@ -34,7 +34,7 @@ use crate::event::TaskKind;
 use crate::pool::kind_index;
 
 /// Number of task kinds; every per-kind array in the registry has this
-/// length, indexed by [`kind_index`].
+/// length, indexed by `kind_index`.
 pub const NKINDS: usize = TaskKind::ALL.len();
 
 /// The HTTP gateway's route set, in array-index order. Per-route request

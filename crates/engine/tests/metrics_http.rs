@@ -98,7 +98,7 @@ fn metrics_scrape_returns_prometheus_text_with_task_histograms() {
     assert_eq!(value(inf), value(count), "+Inf bucket vs count");
     assert!(value(count) > 0, "the study trained; the histogram must have observations");
 
-    // Every locally executed task waited in a deque first, so the
+    // Every locally executed task waited in the ready list first, so the
     // queue-wait family has at least one observation per train task the
     // run executed. At least, not equal: the registry is process-wide and
     // other tests in this binary run studies too.

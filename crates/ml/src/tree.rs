@@ -6,11 +6,11 @@
 //! feature values, chosen to maximize the weighted Gini decrease — the
 //! classic CART construction the paper's scikit-learn models use.
 //!
-//! Trees grow in a [splitter arena](crate::splitter) seeded from the
+//! Trees grow in a splitter arena (the `splitter` module) seeded from the
 //! matrix's `sorted_cols()` sidecar, so no node sorts and no node allocates
 //! per-child lists. A random forest's bootstrap tree grows on the parent
 //! matrix with per-row draw counts as integer weights and sample counts
-//! ([`DecisionTree::fit_bootstrap`]).
+//! (`DecisionTree::fit_bootstrap`).
 
 use cleanml_dataset::FeatureMatrix;
 use rand::rngs::StdRng;

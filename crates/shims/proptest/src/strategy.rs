@@ -182,7 +182,7 @@ tuple_strategy! {
 
 // --- collections ---------------------------------------------------------
 
-/// Inclusive-exclusive element-count range for [`vec`].
+/// Inclusive-exclusive element-count range for [`vec()`].
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     lo: usize,

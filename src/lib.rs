@@ -16,9 +16,9 @@
 //!   ground truth.
 //! * [`core`] — the study framework: R1/R2/R3 relations, the 20-split
 //!   experiment runner, the results database and its Q1–Q5 analyses.
-//! * [`engine`] — the parallel study-execution engine: a work-stealing
-//!   scheduler over typed task DAGs with a content-addressed artifact
-//!   cache for resumable, deduplicated runs.
+//! * [`engine`] — the parallel study-execution engine: a worker pool
+//!   over typed task DAGs with a content-addressed artifact cache for
+//!   resumable, deduplicated runs.
 //!
 //! ## Quickstart
 //!
