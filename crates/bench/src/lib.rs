@@ -514,7 +514,7 @@ pub fn cache_stats_line(
     slow: &[SlowTask],
 ) -> String {
     let (store_bytes, store_entries) = store_totals.unwrap_or((0, 0));
-    let train = TaskKind::ALL.iter().position(|&k| k == TaskKind::Train).expect("a task kind");
+    let train = TaskKind::Train.index();
     format!(
         "[cache-stats] memory_hits={} disk_hits={} misses={} disk_writes={} \
          disk_evictions={} store_entries={} store_bytes={} executed_local={} \

@@ -45,6 +45,12 @@ impl TaskKind {
         }
     }
 
+    /// Position of the kind in [`TaskKind::ALL`] (declaration order): the
+    /// slot of every per-kind counter array.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Dispatch weight of one task of this kind: seeds and released
     /// dependents are pushed onto the ready list so the heaviest pops
     /// first, and a remote lease claims the heaviest leasable task. The
@@ -68,6 +74,10 @@ impl TaskKind {
 
 /// One progress event. Sent best-effort: a dropped receiver never fails the
 /// run.
+///
+/// An event's `id` is the task's resident id in the engine's task table:
+/// the same in every event about that task, whether it ran locally or on a
+/// remote worker, and in every submission that demands it.
 #[derive(Debug, Clone)]
 pub enum EngineEvent {
     /// The DAG is built and resolved against the cache.
@@ -110,6 +120,18 @@ pub fn emit(sink: &Option<EventSink>, event: EngineEvent) {
     if let Some(s) = sink {
         if s.send(event).is_err() {
             crate::telemetry::global().events_dropped.inc();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::TaskKind;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, kind) in TaskKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
         }
     }
 }

@@ -44,7 +44,9 @@ pub struct TaskNode<A> {
 /// A DAG of typed, content-addressed tasks.
 pub struct TaskGraph<A> {
     pub(crate) nodes: Vec<TaskNode<A>>,
-    by_key: HashMap<CacheKey, TaskId>,
+    /// Content address → node: dedups [`TaskGraph::task`], and a remote
+    /// worker finds a leased task by it.
+    pub(crate) by_key: HashMap<CacheKey, TaskId>,
 }
 
 impl<A> Default for TaskGraph<A> {

@@ -43,16 +43,11 @@ use crate::graph::{NodeState, TaskFn, TaskGraph};
 use crate::remote::coordinator::spawn_hub_service;
 use crate::remote::RemoteHub;
 use crate::study::EngineGateway;
-
-/// Number of task kinds (indexes the per-kind counter arrays).
-pub(crate) const NKINDS: usize = TaskKind::ALL.len();
-
-pub(crate) fn kind_index(kind: TaskKind) -> usize {
-    TaskKind::ALL.iter().position(|&k| k == kind).expect("kind listed")
-}
+use crate::telemetry::NKINDS;
 
 /// Index of a task in the resident table (distinct from a submission
 /// graph's [`crate::graph::TaskId`]: entries persist across submissions).
+/// It is the `id` of every [`EngineEvent`] about the task.
 pub(crate) type Gid = usize;
 
 /// Submission identifier, unique per pool.
@@ -158,19 +153,13 @@ pub(crate) struct TaskEntry<A> {
     /// Submission that first demanded the entry's current execution;
     /// execution counters are attributed here.
     origin: SubId,
-    /// `(spec key, graph-local id)` per study spec that contains this
-    /// task — the addressing plane remote workers lease by.
-    pub(crate) spec_locals: Vec<(u64, u64)>,
+    /// Keys of the study specs whose submissions contain this task: a
+    /// remote worker bound to one of them may lease it.
+    specs: Vec<u64>,
     /// When the entry last entered the ready list; taken when a local
     /// worker or a remote lease claims it, to feed the queue-wait
     /// histogram. `None` while the entry is not queued.
     queued_at: Option<Instant>,
-}
-
-struct SpecEntry {
-    key: u64,
-    bytes: Vec<u8>,
-    live: usize,
 }
 
 struct SubEntry {
@@ -180,7 +169,9 @@ struct SubEntry {
     node_of: Vec<Option<Gid>>,
     /// Entries whose artifact must survive until collection.
     retained: Vec<Gid>,
-    spec_key: Option<u64>,
+    /// The study spec advertised to remote workers, `(key, encoded
+    /// bytes)`; cleared when the submission is abandoned.
+    spec: Option<(u64, Vec<u8>)>,
     /// Entries not yet `Done` when merged; reaches zero at completion.
     remaining: usize,
     /// Initial `remaining` (for progress reporting).
@@ -203,7 +194,6 @@ pub(crate) struct State<A> {
     /// orphaned while listed goes stale and is dropped when popped.
     ready: Vec<Gid>,
     subs: HashMap<SubId, SubEntry>,
-    specs: Vec<SpecEntry>,
     next_sub: SubId,
 }
 
@@ -231,7 +221,13 @@ fn spec_key_of(bytes: &[u8]) -> u64 {
 }
 
 fn counts_vec(counts: &[usize; NKINDS]) -> Vec<(TaskKind, usize)> {
-    TaskKind::ALL.iter().map(|&k| (k, counts[kind_index(k)])).filter(|&(_, n)| n > 0).collect()
+    TaskKind::ALL.iter().map(|&k| (k, counts[k.index()])).filter(|&(_, n)| n > 0).collect()
+}
+
+impl SubEntry {
+    fn spec_key(&self) -> Option<u64> {
+        self.spec.as_ref().map(|&(key, _)| key)
+    }
 }
 
 const CANCELLED: &str = "submission cancelled";
@@ -274,11 +270,10 @@ where
         None
     }
 
-    /// Claims the heaviest leasable ready task whose spec map contains
-    /// `spec_key`, for a remote lease thread; the newest among equal
-    /// weights, as a local pop would. Stale ids are skipped and stay for
-    /// the local pops to drop.
-    pub(crate) fn claim_leasable(&self, st: &mut State<A>, spec_key: u64) -> Option<(Gid, u64)> {
+    /// Claims the heaviest leasable ready task of spec `spec_key`, for a
+    /// remote lease thread; the newest among equal weights, as a local pop
+    /// would. Stale ids are skipped and stay for the local pops to drop.
+    pub(crate) fn claim_leasable(&self, st: &mut State<A>, spec_key: u64) -> Option<Gid> {
         let tasks = &st.tasks;
         let (_, pos) = st
             .ready
@@ -288,30 +283,29 @@ where
                 let t = &tasks[gid];
                 t.phase == Phase::Queued
                     && crate::remote::leasable(t.kind)
-                    && t.spec_locals.iter().any(|&(k, _)| k == spec_key)
+                    && t.specs.contains(&spec_key)
             })
             .map(|(pos, &gid)| (tasks[gid].kind.cost_weight(), pos))
             .max()?;
         let gid = st.ready.remove(pos);
         st.tasks[gid].phase = Phase::Running;
         if let Some(queued) = st.tasks[gid].queued_at.take() {
-            crate::telemetry::global().queue_seconds[kind_index(st.tasks[gid].kind)]
+            crate::telemetry::global().queue_seconds[st.tasks[gid].kind.index()]
                 .observe(queued.elapsed());
         }
-        let local = st.tasks[gid]
-            .spec_locals
-            .iter()
-            .find(|&&(k, _)| k == spec_key)
-            .map(|&(_, id)| id)
-            .expect("spec filter matched");
-        Some((gid, local))
+        Some(gid)
     }
 
-    /// Returns an orphaned lease's task to the frontier and wakes
-    /// claimants; the `releases` counter lands on the task's origin
-    /// submission (or the first live one still demanding it).
-    pub(crate) fn reinject(&self, st: &mut State<A>, gid: Gid) {
+    /// Returns the task of a lease lost by `worker` (dead, silent or in
+    /// breach of protocol) to the frontier: emits `LeaseExpired` to the
+    /// submissions demanding it, counts one release, and wakes claimants.
+    /// The release lands on the task's origin submission (or the first
+    /// live one still demanding it).
+    pub(crate) fn reinject(&self, st: &mut State<A>, gid: Gid, worker: &str) {
         debug_assert_eq!(st.tasks[gid].phase, Phase::Running);
+        let kind = st.tasks[gid].kind;
+        let expired = EngineEvent::LeaseExpired { worker: worker.to_string(), id: gid, kind };
+        self.emit_to_subs(st, gid, expired);
         st.tasks[gid].phase = Phase::Waiting;
         self.enqueue(st, vec![gid]);
         crate::telemetry::global().leases_reinjected.inc();
@@ -348,17 +342,17 @@ where
     /// a deep copy) and emits `TaskStarted` to every demanding submission.
     /// Returns `None` if the body was already consumed (defensive; should
     /// not happen).
-    fn prepare(&self, st: &mut State<A>, gid: Gid, local_id: Option<u64>) -> Option<Job<A>> {
+    fn prepare(&self, st: &mut State<A>, gid: Gid) -> Option<Job<A>> {
         st.tasks[gid].phase = Phase::Running;
         let kind = st.tasks[gid].kind;
-        let id = local_id.map_or(gid, |l| l as usize);
         let label = st.tasks[gid].label.clone();
         let queued_at = st.tasks[gid].queued_at.take().expect("a claimed task was queued");
         let sub = self.attribution(st, gid);
         // the body first: TaskStarted is only emitted for tasks that will
         // also emit TaskFinished
         let run = st.tasks[gid].run.take()?;
-        self.emit_to_subs(st, gid, EngineEvent::TaskStarted { id, kind, label: label.clone() });
+        let started = EngineEvent::TaskStarted { id: gid, kind, label: label.clone() };
+        self.emit_to_subs(st, gid, started);
         let inputs: Vec<Arc<A>> = st.tasks[gid]
             .deps
             .clone()
@@ -393,33 +387,25 @@ where
     /// the artifact, credit counters, notify each demanding submission,
     /// retire inputs whose last consumer this was, and queue newly-ready
     /// dependents.
-    pub(crate) fn complete_ok(
-        &self,
-        st: &mut State<A>,
-        gid: Gid,
-        artifact: Arc<A>,
-        remote: bool,
-        local_id: Option<u64>,
-    ) {
+    pub(crate) fn complete_ok(&self, st: &mut State<A>, gid: Gid, artifact: Arc<A>, remote: bool) {
         let kind = st.tasks[gid].kind;
         st.tasks[gid].artifact = Some(artifact);
         st.tasks[gid].phase = Phase::Done;
         st.tasks[gid].run = None;
-        let id = local_id.map_or(gid, |l| l as usize);
 
         if let Some(sid) = self.attribution(st, gid) {
             if let Some(sub) = st.subs.get_mut(&sid) {
                 let counters = if remote { &mut sub.remote_executed } else { &mut sub.executed };
-                counters[kind_index(kind)] += 1;
+                counters[kind.index()] += 1;
             }
         }
         let t = crate::telemetry::global();
         let site = if remote { &t.tasks_remote } else { &t.tasks_local };
-        site[kind_index(kind)].inc();
+        site[kind.index()].inc();
         let demanding = st.tasks[gid].subs.clone();
         for sid in demanding {
             if let Some(sub) = st.subs.get_mut(&sid) {
-                emit(&sub.events, EngineEvent::TaskFinished { id, kind, ok: true });
+                emit(&sub.events, EngineEvent::TaskFinished { id: gid, kind, ok: true });
                 sub.remaining -= 1;
                 if sub.remaining == 0 && !sub.done {
                     sub.done = true;
@@ -454,19 +440,12 @@ where
     /// Records a task failure: the entry is poisoned and every submission
     /// demanding it fails (and releases the rest of its subgraph); other
     /// submissions are untouched.
-    pub(crate) fn complete_err(
-        &self,
-        st: &mut State<A>,
-        gid: Gid,
-        err: CoreError,
-        local_id: Option<u64>,
-    ) {
+    pub(crate) fn complete_err(&self, st: &mut State<A>, gid: Gid, err: CoreError) {
         let kind = st.tasks[gid].kind;
         st.tasks[gid].phase = Phase::Failed;
         st.tasks[gid].run = None;
         crate::telemetry::global().tasks_failed.inc();
-        let id = local_id.map_or(gid, |l| l as usize);
-        self.emit_to_subs(st, gid, EngineEvent::TaskFinished { id, kind, ok: false });
+        self.emit_to_subs(st, gid, EngineEvent::TaskFinished { id: gid, kind, ok: false });
         for d in st.tasks[gid].deps.clone() {
             self.dec_consumer(st, d);
         }
@@ -486,12 +465,9 @@ where
         sub.done = true;
         sub.abandoned = true;
         sub.error = Some(err.unwrap_or_else(|| CoreError::Unsupported(CANCELLED.into())));
-        let spec_key = sub.spec_key.take();
+        sub.spec = None;
         let retained = std::mem::take(&mut sub.retained);
         let tasks = sub.tasks.clone();
-        if let Some(key) = spec_key {
-            self.release_spec(st, key);
-        }
         for gid in retained {
             st.tasks[gid].retain_refs -= 1;
         }
@@ -518,9 +494,6 @@ where
         if sub.abandoned {
             return; // refs already released on the abandon path
         }
-        if let Some(key) = sub.spec_key {
-            self.release_spec(st, key);
-        }
         for gid in sub.retained {
             st.tasks[gid].retain_refs -= 1;
         }
@@ -530,26 +503,19 @@ where
         }
     }
 
-    fn release_spec(&self, st: &mut State<A>, key: u64) {
-        if let Some(pos) = st.specs.iter().position(|s| s.key == key) {
-            st.specs[pos].live -= 1;
-            if st.specs[pos].live == 0 {
-                st.specs.remove(pos);
-            }
-        }
-    }
-
     // -- remote support ----------------------------------------------------
 
-    /// Oldest live spec, for welcoming a freshly connected worker.
+    /// The spec of the oldest live submission that has one, for welcoming
+    /// a freshly connected worker.
     pub(crate) fn pick_spec(&self, st: &State<A>) -> Option<(u64, Vec<u8>)> {
-        st.specs.iter().find(|s| s.live > 0).map(|s| (s.key, s.bytes.clone()))
+        let (_, oldest) = st.subs.iter().filter(|(_, s)| s.spec.is_some()).min_by_key(|e| e.0)?;
+        oldest.spec.clone()
     }
 
     /// Whether any live submission still runs under `spec_key` (a worker
     /// bound to a retired spec is sent `Bye`).
     pub(crate) fn spec_live(&self, st: &State<A>, spec_key: u64) -> bool {
-        st.specs.iter().any(|s| s.key == spec_key && s.live > 0)
+        st.subs.values().any(|s| s.spec_key() == Some(spec_key))
     }
 
     /// Credits a completed worker handshake to every live submission of
@@ -558,7 +524,7 @@ where
         let sids: Vec<SubId> = st
             .subs
             .iter()
-            .filter(|(_, s)| s.spec_key == Some(spec_key) && !s.done)
+            .filter(|(_, s)| s.spec_key() == Some(spec_key) && !s.done)
             .map(|(id, _)| *id)
             .collect();
         for sid in sids {
@@ -571,20 +537,10 @@ where
     /// Emits a worker-lifecycle event to every live submission of a spec.
     pub(crate) fn emit_to_spec(&self, st: &State<A>, spec_key: u64, event: EngineEvent) {
         for sub in st.subs.values() {
-            if sub.spec_key == Some(spec_key) && !sub.done {
+            if sub.spec_key() == Some(spec_key) && !sub.done {
                 emit(&sub.events, event.clone());
             }
         }
-    }
-
-    /// Emits `LeaseExpired` to the submissions demanding `gid`.
-    pub(crate) fn lease_expired(&self, st: &State<A>, gid: Gid, worker: &str, local_id: u64) {
-        let kind = st.tasks[gid].kind;
-        self.emit_to_subs(
-            st,
-            gid,
-            EngineEvent::LeaseExpired { worker: worker.to_string(), id: local_id as usize, kind },
-        );
     }
 
     /// Serves a remote `Fetch` from the live entry's artifact; the caller
@@ -641,7 +597,6 @@ where
                 by_key: HashMap::new(),
                 ready: Vec::new(),
                 subs: HashMap::new(),
-                specs: Vec::new(),
                 next_sub: 0,
             }),
             work: Condvar::new(),
@@ -705,20 +660,14 @@ where
         let sid = st.next_sub;
         st.next_sub += 1;
 
-        let spec_key = spec.as_ref().map(|bytes| {
-            let key = spec_key_of(bytes);
-            match st.specs.iter_mut().find(|s| s.key == key) {
-                Some(entry) => entry.live += 1,
-                None => st.specs.push(SpecEntry { key, bytes: bytes.to_vec(), live: 1 }),
-            }
-            key
-        });
+        let spec = spec.map(|bytes| (spec_key_of(&bytes), bytes));
+        let spec_key = spec.as_ref().map(|&(key, _)| key);
 
         let mut sub = SubEntry {
             tasks: Vec::with_capacity(n),
             node_of: vec![None; n],
             retained: Vec::new(),
-            spec_key,
+            spec,
             remaining: 0,
             to_run: 0,
             executed: [0; NKINDS],
@@ -778,8 +727,8 @@ where
                 entry.subs.push(sid);
             }
             if let Some(sk) = spec_key {
-                if !entry.spec_locals.iter().any(|&(k, _)| k == sk) {
-                    entry.spec_locals.push((sk, idx as u64));
+                if !entry.specs.contains(&sk) {
+                    entry.specs.push(sk);
                 }
             }
             if entry.phase != Phase::Done {
@@ -843,7 +792,7 @@ fn new_entry<A>(
         retain_refs: 0,
         subs: Vec::new(),
         origin: sid,
-        spec_locals: Vec::new(),
+        specs: Vec::new(),
         queued_at: None,
     });
     st.by_key.insert(key, gid);
@@ -1067,7 +1016,7 @@ where
                     return;
                 }
                 if let Some(gid) = inner.pop_ready(&mut st) {
-                    break inner.prepare(&mut st, gid, None);
+                    break inner.prepare(&mut st, gid);
                 }
                 let (guard, _) =
                     inner.work.wait_timeout(st, Duration::from_millis(50)).expect("condvar");
@@ -1109,7 +1058,7 @@ where
                     }
                 }
                 let persist_dur = persist_start.elapsed();
-                let ki = kind_index(kind);
+                let ki = kind.index();
                 t.task_seconds[ki].observe(elapsed);
                 t.record_slow_task(&label, kind.name(), class.as_deref().unwrap_or(""), elapsed);
                 t.queue_seconds[ki].observe(queue_wait);
@@ -1132,13 +1081,13 @@ where
                     t.span(&label, kind.name(), started, span_dur, me as u64, args);
                 }
                 let mut st = inner.state.lock().expect("state lock");
-                inner.complete_ok(&mut st, gid, Arc::new(artifact), false, None);
+                inner.complete_ok(&mut st, gid, Arc::new(artifact), false);
             }
             Err(err) => {
                 // A failure does not stop the worker: only the
                 // submissions demanding this task fail.
                 let mut st = inner.state.lock().expect("state lock");
-                inner.complete_err(&mut st, gid, err, None);
+                inner.complete_err(&mut st, gid, err);
             }
         }
     }
@@ -1408,11 +1357,11 @@ mod tests {
         let mut claimed = Vec::new();
         {
             let mut st = pool.inner.state.lock().unwrap();
-            while let Some((gid, local)) = pool.inner.claim_leasable(&mut st, key_a) {
-                claimed.push((gid, local, st.tasks[gid].label.clone()));
+            while let Some(gid) = pool.inner.claim_leasable(&mut st, key_a) {
+                claimed.push((gid, st.tasks[gid].label.clone()));
             }
         }
-        let labels: Vec<&str> = claimed.iter().map(|(_, _, l)| l.as_str()).collect();
+        let labels: Vec<&str> = claimed.iter().map(|(_, l)| l.as_str()).collect();
         assert_eq!(labels, ["t3", "t1", "t2", "c1", "s1", "e1"]);
 
         // released, the local workers run spec B's task and drop the
@@ -1423,10 +1372,10 @@ mod tests {
         {
             let mut st = pool.inner.state.lock().unwrap();
             assert_eq!(phase_of(&st, "orphan"), Phase::Orphaned, "a stale id was run");
-            for &(gid, local, _) in &claimed {
+            for &(gid, _) in &claimed {
                 assert_eq!(st.tasks[gid].phase, Phase::Running);
                 assert!(st.tasks[gid].run.is_some(), "a claimed task was popped locally");
-                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true, Some(local));
+                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true);
             }
         }
         let (_, report) = handle.wait().expect("main submission");

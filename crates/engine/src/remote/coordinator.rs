@@ -13,21 +13,24 @@
 //!   `Hello`/`Welcome` handshake, and then behaves like a worker thread
 //!   whose "execution" is the wire: it claims a ready task from the merged
 //!   frontier (the heaviest leasable task of its spec, found by a scan of
-//!   the ready list), sends a `Lease`, serves `Fetch` requests from the live
-//!   task entries' artifacts or the disk store, and on `Done`
-//!   applies the exact completion bookkeeping a local worker would — the
-//!   shipped payload lands in the [`crate::cache::DiskStore`] *before* any
-//!   dependent can observe the artifact.
+//!   the ready list), sends a `Lease` naming the task by its content key,
+//!   serves `Fetch` requests from the live task entries' artifacts or the
+//!   disk store, and on a `Done` for that key applies the exact completion
+//!   bookkeeping a local worker would — the shipped payload lands in the
+//!   [`crate::cache::DiskStore`] *before* any dependent can observe the
+//!   artifact. Events about a leased task carry its resident id, as they
+//!   would had it run locally.
 //! * **an HTTP `GET `/`POST` preamble** — a client of the results gateway
 //!   ([`http`]), the only client protocol. Every other first message,
 //!   CMAF or not, closes the connection unanswered.
 //!
 //! Fault containment is the point of the lease: a worker that misses its
-//! deadline (no `Done`, no `Heartbeat`, no `Fetch`) or whose connection
-//! drops is declared dead, its connection is severed so a late `Done` can
-//! never double-complete, and the orphaned task re-enters the ready
-//! frontier for whoever claims it next. A `kill -9`'d worker therefore
-//! costs exactly its in-flight lease and nothing else.
+//! deadline (no `Done`, no `Heartbeat`, no `Fetch`), whose connection
+//! drops, or that answers for a key it was not leased is declared dead,
+//! its connection is severed so a late `Done` can never double-complete,
+//! and the orphaned task re-enters the ready frontier for whoever claims
+//! it next (`PoolInner::reinject`). A `kill -9`'d worker therefore costs
+//! exactly its in-flight lease and nothing else.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -219,7 +222,10 @@ where
 
 enum LeaseOutcome {
     Completed,
+    /// The lease is lost (the worker died or broke protocol, or the
+    /// coordinator is shutting down): its task goes back to the frontier.
     Dead,
+    /// The task failed; the run is over for its submissions.
     Aborted,
 }
 
@@ -300,35 +306,21 @@ where
         }
         let claimed = {
             let mut st = inner.state.lock().expect("state lock");
-            let claimed = inner.claim_leasable(&mut st, spec_key);
-            if let Some((gid, local_id)) = claimed {
-                let kind = st.tasks[gid].kind;
-                let label = st.tasks[gid].label.clone();
-                inner.emit_to_subs(
-                    &st,
-                    gid,
-                    EngineEvent::TaskStarted { id: local_id as usize, kind, label },
-                );
-            }
-            claimed
+            inner.claim_leasable(&mut st, spec_key).map(|gid| {
+                let t = &st.tasks[gid];
+                let (kind, key, label) = (t.kind, t.key, t.label.clone());
+                let started = EngineEvent::TaskStarted { id: gid, kind, label: label.clone() };
+                inner.emit_to_subs(&st, gid, started);
+                (gid, kind, key, label)
+            })
         };
-        let Some((gid, local_id)) = claimed else {
+        let Some((gid, kind, key, label)) = claimed else {
             std::thread::sleep(POLL);
             continue;
         };
-        let (kind, key, label) = {
-            let st = inner.state.lock().expect("state lock");
-            let t = &st.tasks[gid];
-            (t.kind, t.key, t.label.clone())
-        };
-        let lease = Message::Lease {
-            id: local_id,
-            key,
-            kind,
-            deadline_ms: lease_timeout.as_millis() as u64,
-        };
+        let lease = Message::Lease { key, deadline_ms: lease_timeout.as_millis() as u64 };
         if proto::send(&mut &stream, &lease).is_err() {
-            orphan(inner, gid, local_id, &name);
+            inner.reinject(&mut inner.state.lock().expect("state lock"), gid, &name);
             break;
         }
         let lease_start = Instant::now();
@@ -341,8 +333,7 @@ where
         let outcome = loop {
             if inner.shutdown.load(Ordering::Acquire) {
                 let _ = proto::send(&mut &stream, &Message::Bye);
-                orphan(inner, gid, local_id, &name);
-                break LeaseOutcome::Aborted;
+                break LeaseOutcome::Dead;
             }
             match poll_recv(&stream, POLL) {
                 Polled::Pending => {
@@ -365,7 +356,7 @@ where
                             }
                         }
                         Message::Heartbeat => t.heartbeats.inc(),
-                        Message::Done { id: done_id, payload } if done_id == local_id => {
+                        Message::Done { key: done, payload } if done == key => {
                             // The payload must decode to a whole artifact
                             // before anything reaches the store or a slot:
                             // a truncated or corrupt shipment poisons the
@@ -385,30 +376,24 @@ where
                                         st.tasks[gid].class.as_deref().unwrap_or(""),
                                         lease_start.elapsed(),
                                     );
-                                    inner.complete_ok(
-                                        &mut st,
-                                        gid,
-                                        std::sync::Arc::new(artifact),
-                                        true,
-                                        Some(local_id),
-                                    );
+                                    inner.complete_ok(&mut st, gid, Arc::new(artifact), true);
                                     completed += 1;
                                     break LeaseOutcome::Completed;
                                 }
                                 None => break LeaseOutcome::Dead,
                             }
                         }
-                        Message::Failed { error, .. } => {
+                        Message::Failed { key: failed, error } if failed == key => {
                             let err = cleanml_core::CoreError::Unsupported(format!(
                                 "remote worker '{name}' failed task '{label}': {error}"
                             ));
                             let mut st = inner.state.lock().expect("state lock");
-                            inner.complete_err(&mut st, gid, err, Some(local_id));
+                            inner.complete_err(&mut st, gid, err);
                             break LeaseOutcome::Aborted;
                         }
-                        // Done for a stale id, Bye mid-lease, or any
-                        // coordinator-side message echoed back: protocol
-                        // violation — sever.
+                        // Done or Failed for another key, Bye mid-lease, or
+                        // any coordinator-side message echoed back:
+                        // protocol violation — sever.
                         _ => break LeaseOutcome::Dead,
                     }
                 }
@@ -431,7 +416,7 @@ where
             }
             LeaseOutcome::Aborted => break,
             LeaseOutcome::Dead => {
-                orphan(inner, gid, local_id, &name);
+                inner.reinject(&mut inner.state.lock().expect("state lock"), gid, &name);
                 break;
             }
         }
@@ -439,15 +424,4 @@ where
     t.workers_connected.dec();
     let st = inner.state.lock().expect("state lock");
     inner.emit_to_spec(&st, spec_key, EngineEvent::WorkerLeft { worker: name, completed });
-}
-
-/// Re-queues a task whose lease died and records the event.
-fn orphan<A>(inner: &Arc<PoolInner<A>>, gid: usize, local_id: u64, worker: &str)
-where
-    A: Clone + Send + Sync + DiskCodec + 'static,
-{
-    telemetry::global().leases_expired.inc();
-    let mut st = inner.state.lock().expect("state lock");
-    inner.lease_expired(&st, gid, worker, local_id);
-    inner.reinject(&mut st, gid);
 }

@@ -19,13 +19,17 @@
 //! worker                         coordinator
 //!   Hello {version, name}  ──►
 //!                          ◄──  Welcome {spec}      (or Reject {reason})
-//!                          ◄──  Lease {id, key, kind, deadline_ms}
+//!                          ◄──  Lease {key, deadline_ms}
 //!   Fetch {key}            ──►                      (per missing input)
 //!                          ◄──  Artifact {key, payload} | NoArtifact {key}
 //!   Heartbeat              ──►                      (extends the lease)
-//!   Done {id, payload}     ──►                      (or Failed {id, error})
+//!   Done {key, payload}    ──►                      (or Failed {key, error})
 //!                          ◄──  Bye                 (run complete)
 //! ```
+//!
+//! A task has one name on the wire, its content address
+//! ([`CacheKey`]): a `Lease` names the task by it, and the `Done` or
+//! `Failed` that ends the lease echoes it back.
 //!
 //! Artifact payloads inside [`Message::Artifact`] and [`Message::Done`] are
 //! raw artifact-codec bytes — the same bytes the [`crate::cache::DiskStore`]
@@ -52,8 +56,11 @@ use crate::event::TaskKind;
 /// and `ServeReport` grew a trailing `dropped_events` count; 3 — the
 /// serving messages (`Submit`/`Status`/`ResultCsv`/`Cancel`/`ServeError`)
 /// are gone, clients use the HTTP gateway; 4 — `StudySpec` lost its
-/// trailing `parallel` tag (the experiment configuration no longer has one).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// trailing `parallel` tag (the experiment configuration no longer has one);
+/// 5 — `Lease`, `Done` and `Failed` name the task by its content key:
+/// `Lease` lost its graph-local `id` and its `kind`, `Done` and `Failed`
+/// carry the key where they carried the id.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Upper bound on a single message payload. The largest legitimate payload
 /// is one artifact (a split's tables for the biggest dataset — a few MiB);
@@ -80,7 +87,7 @@ pub fn leasable(kind: TaskKind) -> bool {
 /// Everything a worker needs to rebuild the coordinator's task graph
 /// bit-for-bit: the error types (in study order) and the full experiment
 /// configuration. Floats travel as IEEE-754 bit patterns, so both sides
-/// derive identical content addresses and identical task ids.
+/// derive identical content addresses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StudySpec {
     pub error_types: Vec<ErrorType>,
@@ -155,14 +162,6 @@ impl StudySpec {
     }
 }
 
-fn kind_tag(kind: TaskKind) -> u8 {
-    TaskKind::ALL.iter().position(|&k| k == kind).expect("kind listed") as u8
-}
-
-fn kind_of(tag: u8) -> Option<TaskKind> {
-    TaskKind::ALL.get(tag as usize).copied()
-}
-
 fn push_key(out: &mut Vec<u8>, key: CacheKey) {
     push_u64(out, key.0);
     push_u64(out, key.1);
@@ -188,10 +187,10 @@ pub enum Message {
     Welcome { spec: Vec<u8> },
     /// Coordinator refuses the connection (version skew).
     Reject { reason: String },
-    /// Coordinator leases task `id` (content address `key`) to the worker;
-    /// the lease expires `deadline_ms` after the last message unless
-    /// extended by `Heartbeat`/`Fetch` traffic.
-    Lease { id: u64, key: CacheKey, kind: TaskKind, deadline_ms: u64 },
+    /// Coordinator leases the task with content address `key` to the
+    /// worker; the lease expires `deadline_ms` after the last message
+    /// unless extended by `Heartbeat`/`Fetch` traffic.
+    Lease { key: CacheKey, deadline_ms: u64 },
     /// Worker requests an input artifact by content address.
     Fetch { key: CacheKey },
     /// Coordinator serves a requested artifact (raw codec payload).
@@ -199,11 +198,11 @@ pub enum Message {
     /// Coordinator has no wire form for that key; the worker computes the
     /// dependency locally from its own graph.
     NoArtifact { key: CacheKey },
-    /// Worker ships the finished artifact for its leased task.
-    Done { id: u64, payload: Vec<u8> },
-    /// The leased task's body failed; the run aborts (task bodies are
+    /// Worker ships the finished artifact for its leased task `key`.
+    Done { key: CacheKey, payload: Vec<u8> },
+    /// The leased task `key` failed; the run aborts (task bodies are
     /// deterministic, so it would fail locally too).
-    Failed { id: u64, error: String },
+    Failed { key: CacheKey, error: String },
     /// Keep-alive: extends the current lease deadline.
     Heartbeat,
     /// Orderly shutdown (either direction).
@@ -242,11 +241,9 @@ impl Message {
                 push_tag(&mut out, tag::REJECT);
                 push_str(&mut out, reason);
             }
-            Message::Lease { id, key, kind, deadline_ms } => {
+            Message::Lease { key, deadline_ms } => {
                 push_tag(&mut out, tag::LEASE);
-                push_u64(&mut out, *id);
                 push_key(&mut out, *key);
-                push_tag(&mut out, kind_tag(*kind));
                 push_u64(&mut out, *deadline_ms);
             }
             Message::Fetch { key } => {
@@ -262,14 +259,14 @@ impl Message {
                 push_tag(&mut out, tag::NO_ARTIFACT);
                 push_key(&mut out, *key);
             }
-            Message::Done { id, payload } => {
+            Message::Done { key, payload } => {
                 push_tag(&mut out, tag::DONE);
-                push_u64(&mut out, *id);
+                push_key(&mut out, *key);
                 push_bytes(&mut out, payload);
             }
-            Message::Failed { id, error } => {
+            Message::Failed { key, error } => {
                 push_tag(&mut out, tag::FAILED);
-                push_u64(&mut out, *id);
+                push_key(&mut out, *key);
                 push_str(&mut out, error);
             }
             Message::Heartbeat => push_tag(&mut out, tag::HEARTBEAT),
@@ -290,19 +287,14 @@ impl Message {
             }
             tag::WELCOME => Message::Welcome { spec: take_payload(&mut r)? },
             tag::REJECT => Message::Reject { reason: take_str(&mut r)? },
-            tag::LEASE => Message::Lease {
-                id: take_u64(&mut r)?,
-                key: take_key(&mut r)?,
-                kind: kind_of(take_tag(&mut r)?)?,
-                deadline_ms: take_u64(&mut r)?,
-            },
+            tag::LEASE => Message::Lease { key: take_key(&mut r)?, deadline_ms: take_u64(&mut r)? },
             tag::FETCH => Message::Fetch { key: take_key(&mut r)? },
             tag::ARTIFACT => {
                 Message::Artifact { key: take_key(&mut r)?, payload: take_payload(&mut r)? }
             }
             tag::NO_ARTIFACT => Message::NoArtifact { key: take_key(&mut r)? },
-            tag::DONE => Message::Done { id: take_u64(&mut r)?, payload: take_payload(&mut r)? },
-            tag::FAILED => Message::Failed { id: take_u64(&mut r)?, error: take_str(&mut r)? },
+            tag::DONE => Message::Done { key: take_key(&mut r)?, payload: take_payload(&mut r)? },
+            tag::FAILED => Message::Failed { key: take_key(&mut r)?, error: take_str(&mut r)? },
             tag::HEARTBEAT => Message::Heartbeat,
             tag::BYE => Message::Bye,
             _ => return None,
@@ -400,17 +392,12 @@ mod tests {
                 .encode(),
             },
             Message::Reject { reason: "protocol version 99".into() },
-            Message::Lease {
-                id: 42,
-                key: CacheKey(7, u64::MAX),
-                kind: TaskKind::Train,
-                deadline_ms: 5000,
-            },
+            Message::Lease { key: CacheKey(7, u64::MAX), deadline_ms: 5000 },
             Message::Fetch { key: CacheKey(0, 0) },
             Message::Artifact { key: CacheKey(1, 2), payload: vec![0, 1, 255, 128] },
             Message::NoArtifact { key: CacheKey(3, 4) },
-            Message::Done { id: 9, payload: b"CWHAT".to_vec() },
-            Message::Failed { id: 3, error: "singular matrix".into() },
+            Message::Done { key: CacheKey(9, 0), payload: b"CWHAT".to_vec() },
+            Message::Failed { key: CacheKey(3, 1), error: "singular matrix".into() },
             Message::Heartbeat,
             Message::Bye,
         ]
@@ -468,7 +455,7 @@ mod tests {
         // a Done message whose declared payload length is absurd
         let mut payload = Vec::new();
         push_tag(&mut payload, tag::DONE);
-        push_u64(&mut payload, 1);
+        push_key(&mut payload, CacheKey(1, 2));
         push_usize(&mut payload, usize::MAX);
         assert!(Message::decode(&payload).is_none());
 

@@ -3,11 +3,11 @@
 //! A worker is stateless by design: it connects, learns the study from the
 //! `Welcome` message and rebuilds the *identical* task graph the
 //! coordinator holds (task bodies are deterministic in their explicit
-//! seeds, so node ids and content addresses agree bit for bit — every
-//! `Lease` carries the task's [`crate::cache::CacheKey`] and the worker
-//! refuses a lease
-//! whose key does not match its own node, which turns version skew into a
-//! loud error instead of silent divergence).
+//! seeds, so content addresses agree bit for bit). A `Lease` names its
+//! task only by its [`crate::cache::CacheKey`]; the worker finds the node
+//! through its graph's key → node map and answers a key the graph lacks
+//! with `Failed`, which turns version skew into a loud error instead of
+//! silent divergence.
 //!
 //! For each lease the worker resolves the task's inputs — fetched from the
 //! coordinator by content address when they have a wire form, recomputed
@@ -29,11 +29,11 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::cache::DiskCodec;
+use crate::cache::{CacheKey, DiskCodec};
 use crate::graph::{TaskId, TaskNode};
 use crate::remote::proto::{self, Message, Polled, StudySpec, PROTOCOL_VERSION};
 use crate::study::{build_study_graph, Artifact};
@@ -99,6 +99,7 @@ struct Session {
     /// connection.
     write_lock: Arc<Mutex<()>>,
     nodes: Vec<TaskNode<Artifact>>,
+    by_key: HashMap<CacheKey, TaskId>,
     memo: HashMap<TaskId, Arc<Artifact>>,
     summary: WorkerSummary,
 }
@@ -178,7 +179,9 @@ impl Session {
 }
 
 /// Runs `body` while a background thread heartbeats the coordinator every
-/// quarter-deadline, so a healthy worker never expires mid-`Train`.
+/// quarter-deadline, so a healthy worker never expires mid-`Train`. The
+/// thread waits on a channel whose sender drops when `body` returns, so
+/// the lease ends as soon as the body does.
 fn with_heartbeats<T>(
     stream: &Arc<TcpStream>,
     write_lock: &Arc<Mutex<()>>,
@@ -190,16 +193,11 @@ fn with_heartbeats<T>(
         return body();
     }
     let interval = Duration::from_millis((deadline_ms / 4).clamp(10, 1000));
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let beat = {
-        let (stream, write_lock, stop) =
-            (Arc::clone(stream), Arc::clone(write_lock), Arc::clone(&stop));
+        let (stream, write_lock) = (Arc::clone(stream), Arc::clone(write_lock));
         std::thread::spawn(move || {
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(interval);
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                 let _guard = write_lock.lock().expect("write lock");
                 if proto::send(&mut &*stream, &Message::Heartbeat).is_err() {
                     return; // session is gone; the main thread will notice
@@ -208,7 +206,7 @@ fn with_heartbeats<T>(
         })
     };
     let out = body();
-    stop.store(true, Ordering::Release);
+    drop(stop);
     let _ = beat.join();
     out
 }
@@ -259,6 +257,7 @@ pub fn run_worker(stream: TcpStream, name: &str, faults: &FaultPlan) -> io::Resu
         stream: Arc::new(stream),
         write_lock: Arc::default(),
         nodes: graph.nodes,
+        by_key: graph.by_key,
         memo: HashMap::new(),
         summary: WorkerSummary::default(),
     };
@@ -271,21 +270,20 @@ pub fn run_worker(stream: TcpStream, name: &str, faults: &FaultPlan) -> io::Resu
             Err(e) => return Err(e),
         };
         match msg {
-            Message::Lease { id, key, deadline_ms, .. } => {
+            Message::Lease { key, deadline_ms } => {
                 leases_seen += 1;
                 if faults.die_on_lease == Some(leases_seen) {
                     // Fault injection: vanish mid-lease, Done never sent.
                     return Ok(session.summary);
                 }
-                let id = id as usize;
-                if session.nodes.get(id).map(|n| n.key) != Some(key) {
+                let Some(&id) = session.by_key.get(&key) else {
                     // Version skew: our graph is not the coordinator's.
                     session.send(&Message::Failed {
-                        id: id as u64,
+                        key,
                         error: "study graph mismatch (worker/coordinator version skew?)".into(),
                     })?;
                     continue;
-                }
+                };
                 let outcome = {
                     let stream = Arc::clone(&session.stream);
                     let write_lock = Arc::clone(&session.write_lock);
@@ -304,16 +302,16 @@ pub fn run_worker(stream: TcpStream, name: &str, faults: &FaultPlan) -> io::Resu
                 match outcome {
                     Ok(artifact) => match artifact.encode() {
                         Some(payload) => {
-                            session.send(&Message::Done { id: id as u64, payload })?;
+                            session.send(&Message::Done { key, payload })?;
                             session.summary.completed += 1;
                         }
                         None => session.send(&Message::Failed {
-                            id: id as u64,
+                            key,
                             error: "leased artifact has no wire form".into(),
                         })?,
                     },
                     Err(TaskError::Task(error)) => {
-                        session.send(&Message::Failed { id: id as u64, error })?;
+                        session.send(&Message::Failed { key, error })?;
                     }
                     Err(TaskError::Io(e)) if session_over(&e) => return Ok(session.summary),
                     Err(TaskError::Io(e)) => return Err(e),
@@ -328,5 +326,25 @@ pub fn run_worker(stream: TcpStream, name: &str, faults: &FaultPlan) -> io::Resu
                 ))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    #[test]
+    fn a_short_body_is_not_held_for_a_heartbeat_interval() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let stream = Arc::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap());
+        let _peer = listener.accept().expect("accept");
+        let started = Instant::now();
+        with_heartbeats(&stream, &Arc::default(), 4000, true, || {
+            std::thread::sleep(Duration::from_millis(20))
+        });
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(250), "a 20 ms body took {took:?}");
     }
 }

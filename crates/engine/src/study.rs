@@ -862,8 +862,9 @@ impl StudySubmission {
 ///
 /// This is deliberately a pure function of its arguments: the coordinator
 /// and every remote worker call it with the same [`StudySpec`]-shipped
-/// inputs and obtain graphs whose node ids and content addresses agree bit
-/// for bit — the lease protocol's whole addressing plane rests on that.
+/// inputs and obtain graphs whose content addresses agree bit for bit —
+/// a lease names its task only by content address, and the worker finds
+/// the node by it.
 pub fn build_study_graph(
     error_types: &[ErrorType],
     cfg: &ExperimentConfig,

@@ -31,10 +31,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::event::TaskKind;
-use crate::pool::kind_index;
 
-/// Number of task kinds; every per-kind array in the registry has this
-/// length, indexed by `kind_index`.
+/// Number of task kinds; every per-kind array in the registry and the
+/// pool has this length, indexed by [`TaskKind::index`].
 pub const NKINDS: usize = TaskKind::ALL.len();
 
 /// The HTTP gateway's route set, in array-index order. Per-route request
@@ -271,7 +270,6 @@ pub struct Telemetry {
     // Remote plane (remote/coordinator.rs).
     pub(crate) leases_issued: Counter,
     pub(crate) leases_renewed: Counter,
-    pub(crate) leases_expired: Counter,
     pub(crate) leases_reinjected: Counter,
     pub(crate) leases_active: Gauge,
     pub(crate) lease_seconds: Histogram,
@@ -338,7 +336,6 @@ impl Telemetry {
             store_entries: Gauge::default(),
             leases_issued: Counter::default(),
             leases_renewed: Counter::default(),
-            leases_expired: Counter::default(),
             leases_reinjected: Counter::default(),
             leases_active: Gauge::default(),
             lease_seconds: Histogram::default(),
@@ -370,7 +367,7 @@ impl Telemetry {
 
     /// Per-kind execute-latency summary (local executions only).
     pub fn task_latency(&self, kind: TaskKind) -> HistogramSummary {
-        self.task_seconds[kind_index(kind)].summary()
+        self.task_seconds[kind.index()].summary()
     }
 
     pub fn stats_snapshot(&self) -> StatsSnapshot {
@@ -560,7 +557,6 @@ impl Telemetry {
 
         counter(&mut o, "cleanml_leases_issued_total", &self.leases_issued);
         counter(&mut o, "cleanml_leases_renewed_total", &self.leases_renewed);
-        counter(&mut o, "cleanml_leases_expired_total", &self.leases_expired);
         counter(&mut o, "cleanml_leases_reinjected_total", &self.leases_reinjected);
         gauge(&mut o, "cleanml_leases_active", &self.leases_active);
         plain_histogram(&mut o, "cleanml_lease_seconds", &self.lease_seconds);
@@ -709,7 +705,8 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
-fn json_escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped for a JSON string body (no quotes).
+pub(crate) fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -900,8 +897,8 @@ mod tests {
     #[test]
     fn render_emits_type_lines_and_well_formed_samples() {
         let t = Telemetry::new();
-        t.tasks_local[kind_index(TaskKind::Train)].inc();
-        t.task_seconds[kind_index(TaskKind::Train)].observe(ms(42));
+        t.tasks_local[TaskKind::Train.index()].inc();
+        t.task_seconds[TaskKind::Train.index()].observe(ms(42));
         t.cache_memory_hits.add(3);
         let text = t.render();
 
@@ -947,14 +944,14 @@ mod tests {
     fn snapshot_deltas_subtract_fieldwise() {
         let t = Telemetry::new();
         t.cache_misses.add(2);
-        t.tasks_local[kind_index(TaskKind::Train)].add(5);
+        t.tasks_local[TaskKind::Train.index()].add(5);
         let a = t.stats_snapshot();
         t.cache_misses.add(3);
-        t.tasks_local[kind_index(TaskKind::Train)].add(1);
+        t.tasks_local[TaskKind::Train.index()].add(1);
         t.leases_reinjected.inc();
         let d = t.stats_snapshot().since(&a);
         assert_eq!(d.misses, 3);
-        assert_eq!(d.executed_local[kind_index(TaskKind::Train)], 1);
+        assert_eq!(d.executed_local[TaskKind::Train.index()], 1);
         assert_eq!(d.releases, 1);
         assert_eq!(d.memory_hits, 0);
     }
@@ -970,8 +967,8 @@ mod tests {
         t.workers_joined.add(6);
         t.leases_reinjected.add(7);
         for (i, kind) in TaskKind::ALL.iter().enumerate() {
-            t.tasks_local[kind_index(*kind)].add(100 + i as u64);
-            t.tasks_remote[kind_index(*kind)].add(200 + i as u64);
+            t.tasks_local[kind.index()].add(100 + i as u64);
+            t.tasks_remote[kind.index()].add(200 + i as u64);
         }
         let snap = t.stats_snapshot();
         let parsed = StatsSnapshot::from_exposition(&t.render()).expect("every series present");

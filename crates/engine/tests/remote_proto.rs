@@ -10,7 +10,7 @@ use cleanml_cleaning::ErrorType;
 use cleanml_core::ExperimentConfig;
 use cleanml_engine::remote::proto::{recv, send};
 use cleanml_engine::remote::{Message, StudySpec, MAX_MESSAGE_BYTES, PROTOCOL_VERSION};
-use cleanml_engine::{CacheKey, TaskKind};
+use cleanml_engine::CacheKey;
 
 fn arb_key() -> impl Strategy<Value = CacheKey> {
     (any::<u64>(), any::<u64>()).prop_map(|(a, b)| CacheKey(a, b))
@@ -20,27 +20,24 @@ fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 0..48)
 }
 
-fn arb_kind() -> impl Strategy<Value = TaskKind> {
-    (0usize..TaskKind::ALL.len()).prop_map(|i| TaskKind::ALL[i])
-}
-
 /// Every protocol message variant, with adversarially interesting field
-/// content (empty strings, empty payloads, max ids).
+/// content (empty strings, empty payloads, max keys and deadlines).
 fn arb_message() -> impl Strategy<Value = Message> {
-    ((0usize..11, any::<u64>()), (arb_key(), arb_payload()), ("[a-z0-9 ]{0,12}", arb_kind()))
-        .prop_map(|((variant, id), (key, payload), (text, kind))| match variant {
-            0 => Message::Hello { version: id as u16, name: text },
+    ((0usize..11, any::<u64>()), (arb_key(), arb_payload()), "[a-z0-9 ]{0,12}").prop_map(
+        |((variant, n), (key, payload), text)| match variant {
+            0 => Message::Hello { version: n as u16, name: text },
             1 => Message::Welcome { spec: payload },
             2 => Message::Reject { reason: text },
-            3 => Message::Lease { id, key, kind, deadline_ms: id.rotate_left(7) },
+            3 => Message::Lease { key, deadline_ms: n },
             4 => Message::Fetch { key },
             5 => Message::Artifact { key, payload },
             6 => Message::NoArtifact { key },
-            7 => Message::Done { id, payload },
-            8 => Message::Failed { id, error: text },
+            7 => Message::Done { key, payload },
+            8 => Message::Failed { key, error: text },
             9 => Message::Heartbeat,
             _ => Message::Bye,
-        })
+        },
+    )
 }
 
 proptest! {
@@ -92,10 +89,11 @@ proptest! {
     /// is a clean decode error *before* any allocation, both inside a
     /// message payload and in the frame header.
     #[test]
-    fn oversized_length_tokens_fail_closed(id in any::<u64>(), declared in any::<u64>()) {
+    fn oversized_length_tokens_fail_closed(key in arb_key(), declared in any::<u64>()) {
         // inside the payload: a Done whose length token overshoots
         let mut payload = vec![b'D'];
-        push_varint(&mut payload, id);
+        push_varint(&mut payload, key.0);
+        push_varint(&mut payload, key.1);
         push_varint(&mut payload, declared.max(1));
         prop_assert_eq!(Message::decode(&payload), None);
 
@@ -165,5 +163,5 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
 #[test]
 fn hello_version_is_current() {
     // a reminder to bump PROTOCOL_VERSION on any wire-visible change
-    assert_eq!(PROTOCOL_VERSION, 4);
+    assert_eq!(PROTOCOL_VERSION, 5);
 }

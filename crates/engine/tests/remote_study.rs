@@ -19,7 +19,7 @@ use std::time::Duration;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{run_study, CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::{run_worker, FaultPlan, WorkerSummary};
-use cleanml_engine::{Engine, EngineConfig, EngineEvent, TaskKind};
+use cleanml_engine::{CellQuery, Engine, EngineConfig, EngineEvent, TaskKind};
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() }
@@ -256,6 +256,64 @@ fn worker_killed_mid_lease_costs_only_its_in_flight_task() {
         .filter(|e| matches!(e, EngineEvent::TaskStarted { id, .. } if *id == orphan_id))
         .count();
     assert_eq!(restarts, 2, "orphaned task must start exactly twice");
+}
+
+/// Events name a task by one id wherever it runs. An earlier cell query
+/// fills the engine's task table first, so the study's tasks do not sit
+/// at their graph positions there; a worker dies on its first lease and
+/// the local pool re-runs the orphan. Both `TaskStarted` events that carry
+/// the `LeaseExpired` id are that task's.
+#[test]
+fn events_name_a_task_by_one_id_wherever_it_runs() {
+    let cfg = tiny_cfg();
+    let et = ErrorType::Inconsistencies;
+
+    let coord = remote_engine(1, Duration::from_secs(5), None);
+    let query = CellQuery {
+        error_type: et,
+        dataset: "University".into(),
+        detection: "OpenRefine".into(),
+        repair: "Merge".into(),
+        model: "Logistic Regression".into(),
+    };
+    coord.submit_query(&query, &cfg).expect("known cell").wait().expect("cell query");
+
+    let (tx, rx) = mpsc::channel();
+    let coord = coord.with_events(tx);
+    let addr = coord.remote_addr().expect("hub bound");
+    let hold = coord.hold_leasable();
+    let doomed =
+        spawn_worker(addr, "doomed", FaultPlan { die_on_lease: Some(1), ..Default::default() });
+    let submission = coord.submit_study(&[et], &cfg);
+    let mut events = Vec::new();
+    wait_for(
+        &rx,
+        &mut events,
+        |e| matches!(e, EngineEvent::LeaseExpired { worker, .. } if worker == "doomed"),
+    );
+    // the orphan goes back to the local worker
+    drop(hold);
+    submission.wait().expect("study after a lost lease");
+    drop(coord);
+    doomed.join().expect("doomed thread").expect("doomed session");
+    events.extend(rx.try_iter());
+
+    let orphan = events
+        .iter()
+        .find_map(|e| match e {
+            EngineEvent::LeaseExpired { id, .. } => Some(*id),
+            _ => None,
+        })
+        .expect("awaited above");
+    let labels: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            EngineEvent::TaskStarted { id, label, .. } if *id == orphan => Some(label.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(labels.len(), 2, "started on the worker, then locally: {labels:?}");
+    assert_eq!(labels[0], labels[1], "one id named two tasks");
 }
 
 /// A worker that goes silent (stalls past the deadline with heartbeats
