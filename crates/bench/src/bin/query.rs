@@ -17,11 +17,11 @@
 //! ```
 //!
 //! `--http-token TOK` sends the gateway's bearer token. `--cache-stats`
-//! appends an accounting line built from two `/metrics` scrapes, one
-//! before the submission and one after it finished: it reports what the
-//! server counted while the query ran, which is exact for a lone client.
-//! A warm repeat of the same request reports `executed_train=0` — the
-//! memo answered, no model was retrained.
+//! appends the submission's own account, the `report` of its last status
+//! poll, as the `study` binary's `[cache-stats]` line: other clients'
+//! work on the same server does not enter it. A warm repeat of the same
+//! request reports `executed_train=0` — the memo answered, no model was
+//! retrained.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -32,8 +32,6 @@ use cleanml_bench::{
     profile_name, text_value, Cli, FlagDef, PROFILE_FLAGS,
 };
 use cleanml_core::schema::ErrorType;
-use cleanml_engine::telemetry::exposition_sample;
-use cleanml_engine::StatsSnapshot;
 
 /// Rows per page: the gateway's largest page, so a quick study's
 /// relations come out in one request each.
@@ -182,18 +180,31 @@ impl Gateway {
         let reason = json_str(&body, "error").unwrap_or(body);
         Err(format!("{method} {path} answered {status}: {}", reason.trim_end()))
     }
-
-    fn scrape(&self) -> Result<String, String> {
-        self.expect(200, "GET", "/metrics", "")
-    }
 }
 
-/// Submits the study, follows it to completion and returns its CSV text.
-fn run(gw: &Gateway, form: &str) -> Result<String, String> {
+/// The `name=value` fields of the `"report":{…}` object in a finished
+/// study's status body, in order. A body without a well-formed report is
+/// an error.
+fn report_fields(status: &str) -> Result<Vec<(&str, u64)>, String> {
+    let missing = || format!("no report in {}", status.trim_end());
+    let start = status.find("\"report\":{").ok_or_else(missing)? + "\"report\":{".len();
+    let body = &status[start..start + status[start..].find('}').ok_or_else(missing)?];
+    body.split(',')
+        .map(|field| {
+            let (name, value) = field.split_once(':').ok_or_else(missing)?;
+            let name = name.strip_prefix('"').and_then(|n| n.strip_suffix('"'));
+            name.zip(value.parse().ok()).ok_or_else(missing)
+        })
+        .collect()
+}
+
+/// Submits the study, follows it to completion and returns its CSV text
+/// and its last status body.
+fn run(gw: &Gateway, form: &str) -> Result<(String, String), String> {
     let created = gw.expect(201, "POST", "/studies", form)?;
     let id = json_u64(&created, "id").ok_or_else(|| format!("no study id in {created}"))?;
     let mut announced = false;
-    loop {
+    let status = loop {
         let status = gw.expect(200, "GET", &format!("/studies/{id}"), "")?;
         let (done, to_run) = (json_u64(&status, "done"), json_u64(&status, "to_run"));
         if !announced {
@@ -202,14 +213,14 @@ fn run(gw: &Gateway, form: &str) -> Result<String, String> {
         }
         eprint!("\r[query] {}/{} tasks done", done.unwrap_or(0), to_run.unwrap_or(0));
         match json_str(&status, "state").as_deref() {
-            Some("done") => break,
+            Some("done") => break status,
             Some("failed") => {
                 eprintln!();
                 return Err(json_str(&status, "error").unwrap_or(status));
             }
             _ => std::thread::sleep(POLL),
         }
-    }
+    };
     eprintln!();
     // Every page repeats the header; a page shorter than PAGE_ROWS is
     // the relation's last.
@@ -229,7 +240,7 @@ fn run(gw: &Gateway, form: &str) -> Result<String, String> {
             }
         }
     }
-    Ok(csv)
+    Ok((csv, status))
 }
 
 fn main() {
@@ -237,22 +248,12 @@ fn main() {
     let gw = Gateway { addr: args.addr.clone(), token: args.token.clone() };
     // the connection only proves the server is up; each request opens its own
     let outcome = connect_with_retry(&args.addr, args.retry, "query").and_then(|_| {
-        let before = if args.cache_stats { Some(gw.scrape()?) } else { None };
-        let csv = run(&gw, &args.form)?;
+        let (csv, status) = run(&gw, &args.form)?;
         print!("{csv}");
-        if let Some(before) = before {
-            let after = gw.scrape()?;
-            let snapshot = |text: &str| {
-                StatsSnapshot::from_exposition(text).ok_or("unreadable /metrics exposition")
-            };
-            let delta = snapshot(&after)?.since(&snapshot(&before)?);
-            let totals = (
-                exposition_sample(&after, "cleanml_store_bytes").unwrap_or(0),
-                exposition_sample(&after, "cleanml_store_entries").unwrap_or(0) as usize,
-            );
+        if args.cache_stats {
             // the slowest-tasks table lives in the server's registry and
-            // has no exposition series
-            println!("{}", cache_stats_line(&delta, Some(totals), &[]));
+            // is not part of a submission's report
+            println!("{}", cache_stats_line(&report_fields(&status)?, &[]));
         }
         Ok(())
     });
@@ -330,5 +331,29 @@ mod tests {
         assert_eq!(json_str(body, "error").as_deref(), Some("say \"no\""));
         assert_eq!(json_u64(body, "missing"), None);
         assert_eq!(json_str(body, "id"), None, "a number is not a string");
+    }
+
+    #[test]
+    fn the_report_is_read_from_the_status_body() {
+        let done = r#"{"id":3,"errors":["Outliers"],"state":"done","done":9,"to_run":9,"report":{"memory_hits":0,"disk_hits":2,"cv_fits":45}}"#;
+        assert_eq!(
+            report_fields(done),
+            Ok(vec![("memory_hits", 0), ("disk_hits", 2), ("cv_fits", 45)])
+        );
+        assert_eq!(
+            cache_stats_line(&report_fields(done).unwrap(), &[]),
+            "[cache-stats] memory_hits=0 disk_hits=2 cv_fits=45 slowest=-"
+        );
+        // a status without a report (an older server, or a study that is
+        // not done) and a mangled report are errors, not a line of zeros
+        for bad in [
+            r#"{"id":3,"errors":["Outliers"],"state":"done","done":9,"to_run":9}"#,
+            r#"{"id":3,"report":{"memory_hits":x}}"#,
+            r#"{"id":3,"report":{memory_hits:1}}"#,
+            r#"{"id":3,"report":{"memory_hits":1"#,
+            r#"{"id":3,"report":{}}"#,
+        ] {
+            assert!(report_fields(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -36,7 +36,7 @@ use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::http::MAX_SPLITS;
-use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask, StatsSnapshot, TaskKind};
+use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask};
 use cleanml_stats::Flag;
 
 /// One entry of a binary's flag table.
@@ -365,19 +365,10 @@ pub fn fan_out<T: Sync, U: Send>(
     slots.into_iter().map(|out| out.expect("every item ran")).collect()
 }
 
-/// Parses one error-type name, tolerant of case, spaces and underscores
-/// (`missing_values`, `Missing Values` and `missingvalues` all match).
-pub fn parse_error_type(token: &str) -> Option<ErrorType> {
-    let norm = |s: &str| -> String {
-        s.chars().filter(|c| c.is_ascii_alphanumeric()).collect::<String>().to_ascii_lowercase()
-    };
-    let wanted = norm(token);
-    ErrorType::all().into_iter().find(|et| norm(et.name()) == wanted)
-}
-
-/// Parses a comma-separated error-type list for `--errors`.
+/// Parses a comma-separated error-type list for `--errors`, each name
+/// tolerant of case, spaces and underscores ([`ErrorType::parse`]).
 pub fn parse_error_types(list: &str) -> Option<Vec<ErrorType>> {
-    list.split(',').map(|tok| parse_error_type(tok.trim())).collect()
+    list.split(',').map(ErrorType::parse).collect()
 }
 
 /// Runs a study through the engine with live progress on stderr — the
@@ -418,8 +409,7 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
                 }
                 EngineEvent::LeaseExpired { worker, id, kind } => {
                     eprintln!(
-                        "\n[engine] lease expired: task {id} ({}) re-queued after silence \
-                         from {worker}",
+                        "\n[engine] lease lost: task {id} ({}) from {worker}, re-queued",
                         kind.name()
                     );
                 }
@@ -435,15 +425,13 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
     });
 
     let started = std::time::Instant::now();
-    let before = telemetry.stats_snapshot();
     telemetry.reset_slow_tasks(); // run boundary: the table is per-run
     let (db, report) = engine.run_study_with_report(error_types, cfg).expect("engine study run");
-    let delta = telemetry.stats_snapshot().since(&before);
     let store_totals = engine.disk_store().map(|s| (s.total_bytes(), s.len()));
     let store_line = store_totals.map(|(bytes, _)| {
         format!(
             "; store: {} writes, {} evicted, {} B",
-            delta.store_writes, delta.store_evictions, bytes
+            report.store_writes, report.store_evictions, bytes
         )
     });
     drop(engine); // closes the event channel
@@ -471,11 +459,10 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
         remote_line,
     );
     if cache_stats {
-        // The line is derived from the metrics registry (snapshot delta
-        // over the run), the same source `cleanml-query` reads over
-        // `/metrics`.
+        // The line is the run's own account, the same fields
+        // `cleanml-query` reads from `GET /studies/:id`.
         let slow = telemetry.slowest_tasks();
-        println!("{}", cache_stats_line(&delta, store_totals, &slow));
+        println!("{}", cache_stats_line(&report.stats(store_totals), &slow));
         for (i, s) in slow.iter().enumerate() {
             eprintln!(
                 "[engine] slowest {}: {} {} ({}) {:.1} ms",
@@ -496,10 +483,9 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
     db
 }
 
-/// Renders the end-of-run `--cache-stats` summary of a run's registry
-/// `delta`: layer-by-layer cache counters, the persistent store's size,
-/// and the run's execution provenance (local vs remote, plus re-leased
-/// orphans), in a stable greppable format. `executed_train` counts
+/// Renders the end-of-run `--cache-stats` summary: the `stats` fields of
+/// a run's account ([`cleanml_engine::RunReport::stats`]) as `name=value`,
+/// then `slowest=`, in a stable greppable format. `executed_train` counts
 /// `Train` tasks across both provenances — the warm-memo acceptance
 /// signal (a warm serve answers with `executed_train=0`). `cv_fits` and
 /// `fold_reuse` come from the fold plane: how many candidate×fold model
@@ -508,34 +494,13 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
 /// trained nothing, reports `cv_fits=0`). `slow` is the registry's top-8
 /// slowest-tasks table; each entry renders as `kind:class:duration` (`-`
 /// when empty).
-pub fn cache_stats_line(
-    delta: &StatsSnapshot,
-    store_totals: Option<(u64, usize)>,
-    slow: &[SlowTask],
-) -> String {
-    let (store_bytes, store_entries) = store_totals.unwrap_or((0, 0));
-    let train = TaskKind::Train.index();
-    format!(
-        "[cache-stats] memory_hits={} disk_hits={} misses={} disk_writes={} \
-         disk_evictions={} store_entries={} store_bytes={} executed_local={} \
-         executed_remote={} executed_train={} remote_workers={} releases={} \
-         cv_fits={} fold_reuse={} slowest={}",
-        delta.memory_hits,
-        delta.disk_hits,
-        delta.misses,
-        delta.store_writes,
-        delta.store_evictions,
-        store_entries,
-        store_bytes,
-        delta.executed_local.iter().sum::<u64>(),
-        delta.executed_remote.iter().sum::<u64>(),
-        delta.executed_local[train] + delta.executed_remote[train],
-        delta.workers_joined,
-        delta.releases,
-        delta.cv_fits,
-        delta.fold_reuse,
-        slowest_tasks_field(slow),
-    )
+pub fn cache_stats_line(stats: &[(&str, u64)], slow: &[SlowTask]) -> String {
+    let mut line = String::from("[cache-stats]");
+    for (name, value) in stats {
+        line.push_str(&format!(" {name}={value}"));
+    }
+    line.push_str(&format!(" slowest={}", slowest_tasks_field(slow)));
+    line
 }
 
 /// The `slowest=` field of [`cache_stats_line`]: comma-joined
@@ -712,25 +677,22 @@ mod tests {
 
     #[test]
     fn cache_stats_line_is_stable_and_greppable() {
-        let counters = StatsSnapshot {
-            memory_hits: 1,
+        use cleanml_engine::{RunReport, TaskKind};
+        let report = RunReport {
+            executed: vec![(TaskKind::Train, 6), (TaskKind::Reduce, 2)],
+            remote_executed: vec![(TaskKind::Train, 9)],
+            cache_hits: 3,
             disk_hits: 2,
-            misses: 3,
+            pruned: 4,
+            total: 10,
+            workers: 2,
+            remote_workers: 2,
+            releases: 1,
             store_writes: 4,
             store_evictions: 5,
-            ..Default::default()
-        };
-        let at = |kind| TaskKind::ALL.iter().position(|&k| k == kind).unwrap();
-        let mut delta = StatsSnapshot {
-            workers_joined: 2,
-            releases: 1,
             cv_fits: 45,
             fold_reuse: 30,
-            ..counters
         };
-        delta.executed_local[at(TaskKind::Train)] = 6;
-        delta.executed_local[at(TaskKind::Reduce)] = 2;
-        delta.executed_remote[at(TaskKind::Train)] = 9;
         let slow = vec![
             SlowTask {
                 label: "train eeg lr".into(),
@@ -746,7 +708,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            cache_stats_line(&delta, Some((1024, 7)), &slow),
+            cache_stats_line(&report.stats(Some((1024, 7))), &slow),
             "[cache-stats] memory_hits=1 disk_hits=2 misses=3 disk_writes=4 \
              disk_evictions=5 store_entries=7 store_bytes=1024 executed_local=8 \
              executed_remote=9 executed_train=15 remote_workers=2 releases=1 \
@@ -754,7 +716,7 @@ mod tests {
         );
         // no persistent layer / purely local run: fields read as zero,
         // line shape stable
-        let local = cache_stats_line(&counters, None, &[]);
+        let local = cache_stats_line(&RunReport::default().stats(None), &[]);
         assert!(local.contains("store_entries=0 store_bytes=0"));
         assert!(local.ends_with(
             "executed_local=0 executed_remote=0 executed_train=0 remote_workers=0 releases=0 \
@@ -763,14 +725,14 @@ mod tests {
     }
 
     #[test]
-    fn error_type_names_parse_tolerantly() {
-        assert_eq!(parse_error_type("missing_values"), Some(ErrorType::MissingValues));
-        assert_eq!(parse_error_type("Missing Values"), Some(ErrorType::MissingValues));
-        assert_eq!(parse_error_type("MISLABELS"), Some(ErrorType::Mislabels));
-        assert_eq!(parse_error_type("nonsense"), None);
+    fn error_type_lists_parse_tolerantly() {
         assert_eq!(
             parse_error_types("outliers, duplicates"),
             Some(vec![ErrorType::Outliers, ErrorType::Duplicates])
+        );
+        assert_eq!(
+            parse_error_types("missing_values,Missing Values"),
+            Some(vec![ErrorType::MissingValues, ErrorType::MissingValues])
         );
         assert_eq!(parse_error_types("outliers,bogus"), None);
     }

@@ -57,6 +57,17 @@ impl ErrorType {
             ErrorType::Mislabels => "Mislabels",
         }
     }
+
+    /// The error type `name` names, ignoring case and everything but ASCII
+    /// letters and digits: `missing_values`, `Missing Values` and
+    /// `missingvalues` all name [`ErrorType::MissingValues`].
+    pub fn parse(name: &str) -> Option<ErrorType> {
+        let norm = |s: &str| -> String {
+            s.chars().filter(char::is_ascii_alphanumeric).map(|c| c.to_ascii_lowercase()).collect()
+        };
+        let wanted = norm(name);
+        ErrorType::all().into_iter().find(|et| norm(et.name()) == wanted)
+    }
 }
 
 impl fmt::Display for ErrorType {
@@ -382,6 +393,18 @@ pub fn clean_pair(
 mod tests {
     use super::*;
     use cleanml_dataset::{FieldMeta, Schema, Value};
+
+    #[test]
+    fn error_type_names_parse_tolerantly() {
+        assert_eq!(ErrorType::parse("missing_values"), Some(ErrorType::MissingValues));
+        assert_eq!(ErrorType::parse("Missing Values"), Some(ErrorType::MissingValues));
+        assert_eq!(ErrorType::parse("MISLABELS"), Some(ErrorType::Mislabels));
+        assert_eq!(ErrorType::parse("nonsense"), None);
+        assert_eq!(ErrorType::parse(""), None);
+        for et in ErrorType::all() {
+            assert_eq!(ErrorType::parse(et.name()), Some(et));
+        }
+    }
 
     #[test]
     fn catalogue_cardinalities_match_paper() {

@@ -188,8 +188,6 @@ pub struct DiskStore {
     dir: PathBuf,
     max_bytes: Option<u64>,
     state: Mutex<IndexState>,
-    writes: AtomicUsize,
-    evictions: AtomicUsize,
 }
 
 impl DiskStore {
@@ -231,13 +229,7 @@ impl DiskStore {
             state.clock += 1;
             state.entries.insert(key, IndexEntry { size, access: state.clock });
         }
-        let store = DiskStore {
-            dir,
-            max_bytes,
-            state: Mutex::new(state),
-            writes: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-        };
+        let store = DiskStore { dir, max_bytes, state: Mutex::new(state) };
         // A fresh cap may be tighter than what a previous run left behind.
         store.evict_until_fits(&mut store.state.lock().expect("index lock"), 0);
         Ok(Arc::new(store))
@@ -274,13 +266,14 @@ impl DiskStore {
 
     /// Persists the framed `payload` under `key` atomically (temp file +
     /// rename), evicting least-recently-used entries first when a byte cap
-    /// is configured. Returns `true` when the entry was newly written; an
-    /// existing entry is only touched. An entry larger than the whole cap
-    /// is not stored.
-    pub fn store(&self, key: CacheKey, payload: &[u8]) -> bool {
+    /// is configured. Returns the number of entries evicted to make room
+    /// when the entry was newly written, `None` otherwise: an existing
+    /// entry is only touched, and an entry larger than the whole cap is
+    /// not stored.
+    pub fn store(&self, key: CacheKey, payload: &[u8]) -> Option<usize> {
         let size = (cleanml_dataset::codec::FRAME_HEADER_LEN + payload.len()) as u64;
         if self.max_bytes.is_some_and(|cap| size > cap) {
-            return false;
+            return None;
         }
         // The index lock is deliberately held across the file write and
         // rename below: eviction must happen before the incoming bytes
@@ -294,9 +287,9 @@ impl DiskStore {
             if let Ok(file) = File::open(self.art_path(key)) {
                 mark_used(&file);
             }
-            return false;
+            return None;
         }
-        self.evict_until_fits(&mut state, size);
+        let evicted = self.evict_until_fits(&mut state, size);
 
         // Seal only once we know the entry is new and fits: a duplicate
         // store (two engines sharing the directory, a resumed run
@@ -309,16 +302,15 @@ impl DiskStore {
             && std::fs::rename(&tmp, self.art_path(key)).is_ok();
         if !ok {
             let _ = std::fs::remove_file(&tmp);
-            return false;
+            return None;
         }
         state.clock += 1;
         let access = state.clock;
         state.entries.insert(key, IndexEntry { size, access });
-        self.writes.fetch_add(1, Ordering::Relaxed);
         let t = crate::telemetry::global();
         t.store_writes.inc();
         t.store_written_bytes.add(size);
-        true
+        Some(evicted)
     }
 
     /// Deletes an entry (used when a decode reveals corruption). Counted
@@ -334,11 +326,13 @@ impl DiskStore {
     }
 
     /// Evicts oldest-accessed entries until `incoming` more bytes fit under
-    /// the cap. Ties (e.g. files with one mtime at open) break by key, so
-    /// two processes sharing the directory evict in the same order.
-    fn evict_until_fits(&self, state: &mut IndexState, incoming: u64) {
-        let Some(cap) = self.max_bytes else { return };
+    /// the cap, and returns how many it evicted. Ties (e.g. files with one
+    /// mtime at open) break by key, so two processes sharing the directory
+    /// evict in the same order.
+    fn evict_until_fits(&self, state: &mut IndexState, incoming: u64) -> usize {
+        let Some(cap) = self.max_bytes else { return 0 };
         let t = crate::telemetry::global();
+        let mut evicted = 0;
         let mut total = state.total_bytes();
         while total + incoming > cap && !state.entries.is_empty() {
             let victim = state
@@ -350,10 +344,11 @@ impl DiskStore {
             let _ = std::fs::remove_file(self.art_path(victim.0));
             state.entries.remove(&victim.0);
             total -= victim.1;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
             t.store_evictions.inc();
             t.store_evicted_bytes.add(victim.1);
         }
+        evicted
     }
 
     /// Bytes of artifact payload currently indexed.
@@ -368,16 +363,6 @@ impl DiskStore {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries written since the store was opened.
-    pub fn writes(&self) -> usize {
-        self.writes.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted by the byte cap since the store was opened.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
     }
 }
 
@@ -458,12 +443,13 @@ impl<A: DiskCodec> ArtifactCache<A> {
         self.memory.is_empty()
     }
 
-    /// Looks `key` up in the memo, then on disk. A memo hit is a handle
-    /// share — a refcount bump on the one decoded allocation, never a deep
-    /// copy. A disk hit is decoded and promoted into the memo when the
-    /// artifact opts in (small artifacts — see
-    /// [`DiskCodec::promote_to_memory`]); a heavy one is only handed back.
-    pub fn get(&mut self, key: CacheKey) -> Option<Arc<A>> {
+    /// Looks `key` up in the memo, then on disk, and says whether the disk
+    /// answered. A memo hit is a handle share — a refcount bump on the one
+    /// decoded allocation, never a deep copy. A disk hit is decoded and
+    /// promoted into the memo when the artifact opts in (small artifacts —
+    /// see [`DiskCodec::promote_to_memory`]); a heavy one is only handed
+    /// back.
+    pub fn get(&mut self, key: CacheKey) -> Option<(Arc<A>, bool)> {
         let t = crate::telemetry::global();
         self.clock += 1;
         let clock = self.clock;
@@ -471,7 +457,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
             *access = clock;
             t.cache_memory_hits.inc();
             t.handle_shares.inc();
-            return Some(Arc::clone(a));
+            return Some((Arc::clone(a), false));
         }
         if let Some(store) = self.disk.clone() {
             if let Some(payload) = store.load(key) {
@@ -481,7 +467,7 @@ impl<A: DiskCodec> ArtifactCache<A> {
                     if a.promote_to_memory() {
                         self.remember(key, Arc::clone(&a));
                     }
-                    return Some(a);
+                    return Some((a, true));
                 }
                 // corrupt entry: drop it so the re-run overwrites
                 store.remove(key);
@@ -491,13 +477,16 @@ impl<A: DiskCodec> ArtifactCache<A> {
         None
     }
 
-    /// Stores an artifact under its content address in both layers. Takes
-    /// a handle: the memo keeps a share of the caller's allocation.
-    pub fn put(&mut self, key: CacheKey, artifact: &Arc<A>) {
-        if let (Some(store), Some(payload)) = (&self.disk, artifact.encode()) {
-            store.store(key, &payload);
-        }
+    /// Stores an artifact under its content address in both layers, and
+    /// returns the disk store's answer ([`DiskStore::store`]). Takes a
+    /// handle: the memo keeps a share of the caller's allocation.
+    pub fn put(&mut self, key: CacheKey, artifact: &Arc<A>) -> Option<usize> {
+        let stored = match (&self.disk, artifact.encode()) {
+            (Some(store), Some(payload)) => store.store(key, &payload),
+            _ => None,
+        };
         self.remember(key, Arc::clone(artifact));
+        stored
     }
 }
 
@@ -551,9 +540,10 @@ mod tests {
         let mut c: ArtifactCache<Blob> = ArtifactCache::new(None);
         let k = CacheKey::of("x");
         assert!(c.get(k).is_none());
-        c.put(k, &Arc::new(Blob(0.5)));
-        assert_eq!(c.get(k).as_deref(), Some(&Blob(0.5)));
-        assert!(c.store().is_none(), "no disk layer: the hit is a memory hit, nothing written");
+        assert_eq!(c.put(k, &Arc::new(Blob(0.5))), None, "no disk layer: nothing written");
+        let (hit, from_disk) = c.get(k).expect("memo hit");
+        assert_eq!(*hit, Blob(0.5));
+        assert!(!from_disk, "the memo answered");
     }
 
     #[test]
@@ -562,8 +552,8 @@ mod tests {
         let k = CacheKey::of("shared");
         let original = Arc::new(Blob(2.5));
         c.put(k, &original);
-        let h1 = c.get(k).expect("hit");
-        let h2 = c.get(k).expect("hit");
+        let (h1, _) = c.get(k).expect("hit");
+        let (h2, _) = c.get(k).expect("hit");
         assert!(Arc::ptr_eq(&h1, &h2), "hits must share the allocation");
         assert!(Arc::ptr_eq(&h1, &original), "memo keeps the caller's allocation");
     }
@@ -599,8 +589,9 @@ mod tests {
         }
         // fresh process image: the disk hit goes back to the caller only
         let mut c: ArtifactCache<Heavy> = ArtifactCache::new(Some(dir.clone()));
-        let handle = c.get(k).expect("disk hit");
+        let (handle, from_disk) = c.get(k).expect("disk hit");
         assert_eq!(*handle, Heavy(7.0));
+        assert!(from_disk);
         let weak = Arc::downgrade(&handle);
         drop(handle);
         assert!(weak.upgrade().is_none(), "the cache kept a heavy decode alive");
@@ -615,12 +606,13 @@ mod tests {
         let k = CacheKey::of("persisted");
         {
             let mut c: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
-            c.put(k, &Arc::new(Blob(std::f64::consts::PI)));
-            assert_eq!(c.store().expect("disk layer").writes(), 1);
+            assert_eq!(c.put(k, &Arc::new(Blob(std::f64::consts::PI))), Some(0), "one write");
         }
         // a fresh cache's memo is empty: this hit comes from disk
         let mut fresh: ArtifactCache<Blob> = ArtifactCache::new(Some(dir.clone()));
-        assert_eq!(fresh.get(k).as_deref(), Some(&Blob(std::f64::consts::PI)));
+        let (hit, from_disk) = fresh.get(k).expect("disk hit");
+        assert_eq!(*hit, Blob(std::f64::consts::PI));
+        assert!(from_disk);
         // unframed (e.g. hex-text era) entries are discarded, not trusted
         let bad_path = dir.join(format!("{}.art", CacheKey::of("bad")));
         std::fs::write(&bad_path, "cell v1 3fe0000000000000").unwrap();
@@ -641,7 +633,7 @@ mod tests {
         let dir = temp_dir("frames");
         let store = DiskStore::open(dir.clone(), None).unwrap();
         let k = CacheKey::of("entry");
-        assert!(store.store(k, b"payload bytes"));
+        assert!(store.store(k, b"payload bytes").is_some());
         let path = dir.join(format!("{k}.art"));
 
         // flip one payload bit on disk: checksum catches it, entry is GC'd
@@ -653,7 +645,7 @@ mod tests {
         assert!(!path.exists(), "corrupt frame not GC'd");
 
         // a legacy-version frame (format bumped) is a miss, not a crash
-        assert!(store.store(k, b"payload bytes"));
+        assert!(store.store(k, b"payload bytes").is_some());
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = FORMAT_VERSION as u8 - 1;
         std::fs::write(&path, &bytes).unwrap();
@@ -662,7 +654,7 @@ mod tests {
 
         // a truncated write (torn tail after a crash mid-rename on a
         // non-atomic filesystem) is likewise a miss
-        assert!(store.store(k, b"payload bytes"));
+        assert!(store.store(k, b"payload bytes").is_some());
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(store.load(k).is_none(), "truncated frame served");
@@ -772,18 +764,18 @@ mod tests {
         let cap = framed(4) * 2 + 2; // room for two entries, not three
         let store = DiskStore::open(dir.clone(), Some(cap)).unwrap();
         let (ka, kb, kc) = (CacheKey::of("a"), CacheKey::of("b"), CacheKey::of("c"));
-        assert!(store.store(ka, b"aaaa"));
-        assert!(store.store(kb, b"bbbb"));
+        assert_eq!(store.store(ka, b"aaaa"), Some(0));
+        assert_eq!(store.store(kb, b"bbbb"), Some(0));
         // touching `a` makes `b` the LRU entry
         assert_eq!(store.load(ka).as_deref(), Some(&b"aaaa"[..]));
-        assert!(store.store(kc, b"cccc")); // third entry exceeds cap: evicts b
-        assert_eq!(store.evictions(), 1);
+        // the third entry exceeds the cap: written after evicting b
+        assert_eq!(store.store(kc, b"cccc"), Some(1));
         assert!(store.total_bytes() <= cap);
         assert!(store.load(kb).is_none(), "LRU entry evicted");
         assert_eq!(store.load(ka).as_deref(), Some(&b"aaaa"[..]), "recently read survives");
         assert_eq!(store.load(kc).as_deref(), Some(&b"cccc"[..]));
         // an entry larger than the whole cap is refused outright
-        assert!(!store.store(CacheKey::of("huge"), &[b'x'; 256]));
+        assert_eq!(store.store(CacheKey::of("huge"), &[b'x'; 256]), None);
         assert!(store.total_bytes() <= cap);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -794,8 +786,8 @@ mod tests {
         let (ka, kb) = (CacheKey::of("a"), CacheKey::of("b"));
         {
             let store = DiskStore::open(dir.clone(), None).unwrap();
-            assert!(store.store(ka, b"aaaa"));
-            assert!(store.store(kb, b"bbbb"));
+            assert!(store.store(ka, b"aaaa").is_some());
+            assert!(store.store(kb, b"bbbb").is_some());
             // reading `a` leaves `b` the least recently used entry
             assert_eq!(store.load(ka).as_deref(), Some(&b"aaaa"[..]));
         }
@@ -833,8 +825,8 @@ mod tests {
         c.put(kc, &Arc::new(Blob(3.0)));
         assert_eq!(c.len(), 2, "memo stays under its entry cap");
         assert!(c.get(kb).is_none(), "LRU memo entry evicted");
-        assert_eq!(c.get(ka).as_deref(), Some(&Blob(1.0)));
-        assert_eq!(c.get(kc).as_deref(), Some(&Blob(3.0)));
+        assert_eq!(c.get(ka).map(|(a, _)| (*a).clone()), Some(Blob(1.0)));
+        assert_eq!(c.get(kc).map(|(a, _)| (*a).clone()), Some(Blob(3.0)));
     }
 
     #[test]
@@ -854,9 +846,8 @@ mod tests {
         let dir = temp_dir("idem");
         let store = DiskStore::open(dir.clone(), None).unwrap();
         let k = CacheKey::of("once");
-        assert!(store.store(k, b"v"));
-        assert!(!store.store(k, b"v"), "second write is a touch, not a write");
-        assert_eq!(store.writes(), 1);
+        assert_eq!(store.store(k, b"v"), Some(0));
+        assert_eq!(store.store(k, b"v"), None, "second write is a touch, not a write");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

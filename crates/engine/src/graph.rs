@@ -119,21 +119,24 @@ impl<A: DiskCodec> TaskGraph<A> {
     /// Resolves the graph against the cache, demand-driven from `sinks`:
     /// a cache hit pre-fills the node and stops the downward traversal, so
     /// the whole subtree feeding only cached results is pruned. Returns
-    /// `(cache_hits, pruned, to_run)`.
+    /// `(cache_hits, disk_hits, pruned, to_run)`, where `disk_hits` are the
+    /// cache hits the disk store answered.
     pub fn resolve(
         &mut self,
         cache: &mut ArtifactCache<A>,
         sinks: &[TaskId],
-    ) -> (usize, usize, usize) {
+    ) -> (usize, usize, usize, usize) {
         let n = self.nodes.len();
         let mut demanded = vec![false; n];
+        let mut disk_hits = 0;
         let mut stack: Vec<TaskId> = sinks.to_vec();
         while let Some(id) = stack.pop() {
             if demanded[id] {
                 continue;
             }
             demanded[id] = true;
-            if let Some(artifact) = cache.get(self.nodes[id].key) {
+            if let Some((artifact, from_disk)) = cache.get(self.nodes[id].key) {
+                disk_hits += usize::from(from_disk);
                 self.nodes[id].prefilled = Some(artifact);
                 self.nodes[id].state = NodeState::Cached;
                 continue; // dependencies not demanded
@@ -156,7 +159,7 @@ impl<A: DiskCodec> TaskGraph<A> {
                 }
             }
         }
-        (hits, pruned, to_run)
+        (hits, disk_hits, pruned, to_run)
     }
 }
 
@@ -199,8 +202,8 @@ mod tests {
             Ok(V(d[0].0 * 10))
         });
 
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[sink, other]);
-        assert_eq!(hits, 1);
+        let (hits, disk_hits, pruned, to_run) = g.resolve(&mut cache, &[sink, other]);
+        assert_eq!((hits, disk_hits), (1, 0), "a memo hit");
         assert_eq!(pruned, 0, "dep is still demanded by `other`");
         assert_eq!(to_run, 2);
         assert_eq!(g.nodes[sink].state, NodeState::Cached);
@@ -218,7 +221,7 @@ mod tests {
         let s1 = g.task(TaskKind::Evaluate, "s1", CacheKey::of("s1"), vec![dep], |_| Ok(V(1)));
         let s2 = g.task(TaskKind::Evaluate, "s2", CacheKey::of("s2"), vec![dep], |_| Ok(V(2)));
 
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[s1, s2]);
+        let (hits, _, pruned, to_run) = g.resolve(&mut cache, &[s1, s2]);
         assert_eq!(hits, 2);
         assert_eq!(pruned, 1, "training is skipped entirely");
         assert_eq!(to_run, 0);

@@ -53,8 +53,10 @@ pub(crate) type Gid = usize;
 /// Submission identifier, unique per pool.
 pub type SubId = u64;
 
-/// Per-run execution report: what actually ran, where, and what the cache
-/// absorbed.
+/// One submission's account: what ran for it, where, and what the cache
+/// and the store did for it. Each figure is counted where it happens and
+/// credited to the submission a task ran for, so concurrent submissions
+/// on one engine each get their own.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Tasks executed on the local pool, by kind.
@@ -63,6 +65,8 @@ pub struct RunReport {
     pub remote_executed: Vec<(TaskKind, usize)>,
     /// Tasks satisfied directly from the cache.
     pub cache_hits: usize,
+    /// The cache hits the disk store answered (the rest came from memory).
+    pub disk_hits: usize,
     /// Tasks never run because no consumer demanded them.
     pub pruned: usize,
     /// Total nodes in the DAG.
@@ -75,9 +79,53 @@ pub struct RunReport {
     /// re-entered the ready frontier (and were then executed by someone
     /// else — the run does not finish otherwise).
     pub releases: usize,
+    /// Entries newly written to the disk store.
+    pub store_writes: usize,
+    /// Entries the store's byte cap evicted to make room for them.
+    pub store_evictions: usize,
+    /// Candidate×fold model fits of the local tasks' CV searches.
+    pub cv_fits: u64,
+    /// Fold views those searches took from an already-built `FoldPlan`
+    /// slot.
+    pub fold_reuse: u64,
 }
 
 impl RunReport {
+    /// The `--cache-stats` fields, `name` and value in the line's order:
+    /// the cache layers, the store (`store_totals` is its `(bytes,
+    /// entries)` after the run), the provenance of executed tasks and the
+    /// CV fold plane. `misses` are the demanded tasks the cache could not
+    /// answer, `total - cache_hits - pruned`.
+    pub fn stats(&self, store_totals: Option<(u64, usize)>) -> Vec<(&'static str, u64)> {
+        let (store_bytes, store_entries) = store_totals.unwrap_or((0, 0));
+        let n = |v: usize| v as u64;
+        vec![
+            ("memory_hits", n(self.cache_hits.saturating_sub(self.disk_hits))),
+            ("disk_hits", n(self.disk_hits)),
+            ("misses", n(self.total.saturating_sub(self.cache_hits + self.pruned))),
+            ("disk_writes", n(self.store_writes)),
+            ("disk_evictions", n(self.store_evictions)),
+            ("store_entries", n(store_entries)),
+            ("store_bytes", store_bytes),
+            ("executed_local", n(self.local_total())),
+            ("executed_remote", n(self.remote_total())),
+            ("executed_train", n(self.executed(TaskKind::Train) + self.remote(TaskKind::Train))),
+            ("remote_workers", n(self.remote_workers)),
+            ("releases", n(self.releases)),
+            ("cv_fits", self.cv_fits),
+            ("fold_reuse", self.fold_reuse),
+        ]
+    }
+
+    /// Counts one [`DiskStore::store`] answer: a write, and the entries
+    /// evicted to make room for it.
+    pub(crate) fn count_store(&mut self, stored: Option<usize>) {
+        if let Some(evicted) = stored {
+            self.store_writes += 1;
+            self.store_evictions += evicted;
+        }
+    }
+
     /// Locally executed task count for one kind.
     pub fn executed(&self, kind: TaskKind) -> usize {
         self.executed.iter().find(|(k, _)| *k == kind).map_or(0, |(_, n)| *n)
@@ -178,8 +226,9 @@ struct SubEntry {
     to_run: usize,
     executed: [usize; NKINDS],
     remote_executed: [usize; NKINDS],
-    remote_workers: usize,
-    releases: usize,
+    /// Everything else credited to the submission as it happens (its
+    /// `executed` fields stay empty until collection).
+    account: RunReport,
     events: Option<EventSink>,
     error: Option<CoreError>,
     done: bool,
@@ -311,7 +360,7 @@ where
         crate::telemetry::global().leases_reinjected.inc();
         if let Some(sid) = self.attribution(st, gid) {
             if let Some(sub) = st.subs.get_mut(&sid) {
-                sub.releases += 1;
+                sub.account.releases += 1;
             }
         }
         self.work.notify_all();
@@ -384,10 +433,20 @@ where
     /// Completion bookkeeping shared by local workers and remote lease
     /// threads (the artifact has already been persisted by the caller,
     /// outside the scheduler lock — durability before progress): publish
-    /// the artifact, credit counters, notify each demanding submission,
-    /// retire inputs whose last consumer this was, and queue newly-ready
-    /// dependents.
-    pub(crate) fn complete_ok(&self, st: &mut State<A>, gid: Gid, artifact: Arc<A>, remote: bool) {
+    /// the artifact, credit the execution to the submission it is
+    /// attributed to (with `stored`, the store's answer for the artifact,
+    /// and `cv`, the body's `(fits, reuses)` tally), notify each demanding
+    /// submission, retire inputs whose last consumer this was, and queue
+    /// newly-ready dependents.
+    pub(crate) fn complete_ok(
+        &self,
+        st: &mut State<A>,
+        gid: Gid,
+        artifact: Arc<A>,
+        remote: bool,
+        stored: Option<usize>,
+        cv: (u64, u64),
+    ) {
         let kind = st.tasks[gid].kind;
         st.tasks[gid].artifact = Some(artifact);
         st.tasks[gid].phase = Phase::Done;
@@ -397,6 +456,9 @@ where
             if let Some(sub) = st.subs.get_mut(&sid) {
                 let counters = if remote { &mut sub.remote_executed } else { &mut sub.executed };
                 counters[kind.index()] += 1;
+                sub.account.count_store(stored);
+                sub.account.cv_fits += cv.0;
+                sub.account.fold_reuse += cv.1;
             }
         }
         let t = crate::telemetry::global();
@@ -529,7 +591,7 @@ where
             .collect();
         for sid in sids {
             let sub = st.subs.get_mut(&sid).expect("listed");
-            sub.remote_workers += 1;
+            sub.account.remote_workers += 1;
             emit(&sub.events, EngineEvent::WorkerJoined { worker: name.to_string() });
         }
     }
@@ -672,8 +734,7 @@ where
             to_run: 0,
             executed: [0; NKINDS],
             remote_executed: [0; NKINDS],
-            remote_workers: 0,
-            releases: 0,
+            account: RunReport::default(),
             events,
             error: None,
             done: false,
@@ -948,7 +1009,7 @@ where
 
     /// Blocks until the submission completes, then returns the artifacts
     /// of its graph nodes (`None` for pruned or already-retired nodes)
-    /// plus its execution counters. The report's `cache_hits`, `pruned`
+    /// plus its account. The report's `cache_hits`, `disk_hits`, `pruned`
     /// and `total` stay zero: graph resolution, not the pool, knows them.
     pub fn wait(mut self) -> Result<ExecutionOutcome<A>, CoreError> {
         self.collected = true;
@@ -976,9 +1037,7 @@ where
             executed: counts_vec(&sub.executed),
             remote_executed: counts_vec(&sub.remote_executed),
             workers: inner.n_workers,
-            remote_workers: sub.remote_workers,
-            releases: sub.releases,
-            ..RunReport::default()
+            ..sub.account.clone()
         };
         let artifacts: Vec<Option<Arc<A>>> =
             node_of.iter().map(|g| g.and_then(|gid| st.tasks[gid].artifact.clone())).collect();
@@ -1031,6 +1090,9 @@ where
         let queue_wait = started.duration_since(queued_at);
         let outcome = catch_unwind(AssertUnwindSafe(move || run(inputs)));
         let elapsed = started.elapsed();
+        // taken after every body, failed ones too, so no body's CV work
+        // lands on the next task this thread runs
+        let cv = cleanml_ml::cv::take_thread_tally();
         let outcome = match outcome {
             Ok(r) => r,
             Err(panic) => {
@@ -1051,9 +1113,10 @@ where
                 // scheduling.
                 let persist_start = Instant::now();
                 let mut persisted = false;
+                let mut stored = None;
                 if let Some(store) = &inner.persist {
                     if let Some(bytes) = artifact.encode() {
-                        store.store(key, &bytes);
+                        stored = store.store(key, &bytes);
                         persisted = true;
                     }
                 }
@@ -1081,7 +1144,7 @@ where
                     t.span(&label, kind.name(), started, span_dur, me as u64, args);
                 }
                 let mut st = inner.state.lock().expect("state lock");
-                inner.complete_ok(&mut st, gid, Arc::new(artifact), false);
+                inner.complete_ok(&mut st, gid, Arc::new(artifact), false, stored, cv);
             }
             Err(err) => {
                 // A failure does not stop the worker: only the
@@ -1167,8 +1230,8 @@ mod tests {
         let (mut g, sink) = diamond();
         let mut cache: ArtifactCache<V> = ArtifactCache::new(None);
         cache.put(CacheKey::of("d"), &Arc::new(V(5)));
-        let (hits, pruned, to_run) = g.resolve(&mut cache, &[sink]);
-        assert_eq!((hits, pruned, to_run), (1, 3, 0));
+        let (hits, disk_hits, pruned, to_run) = g.resolve(&mut cache, &[sink]);
+        assert_eq!((hits, disk_hits, pruned, to_run), (1, 0, 3, 0));
         let retain = retain_only(g.len(), &[sink]);
         let (arts, stats) = Pool::new(4, None).submit(g, retain, None, None).wait().unwrap();
         assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
@@ -1224,16 +1287,59 @@ mod tests {
         let mut cache: ArtifactCache<P> = ArtifactCache::new(None);
         g.resolve(&mut cache, &[b]);
         let retain = retain_only(g.len(), &[b]);
-        let (arts, _) =
+        let (arts, report) =
             Pool::new(2, Some(store.clone())).submit(g, retain, None, None).wait().unwrap();
 
         // `a` was retired from memory after its last consumer…
         assert_eq!(arts[0], None);
-        // …but both artifacts reached the disk store during the run.
+        // …but both artifacts reached the disk store during the run, and
+        // the submission's account counts both writes.
         assert_eq!(store.load(CacheKey::of("a")).as_deref(), Some(&b"p 7"[..]));
         assert_eq!(store.load(CacheKey::of("b")).as_deref(), Some(&b"p 8"[..]));
-        assert_eq!(store.writes(), 2);
+        assert_eq!((report.store_writes, report.store_evictions), (2, 0));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cv_work_is_credited_to_the_submission_whose_body_did_it() {
+        // One worker runs both bodies on one thread: the failed body's CV
+        // fits must not land on the next task's account.
+        use cleanml_ml::{cv::cross_val_score, Metric, ModelKind, ModelSpec};
+        let score = |folds| {
+            let m = cleanml_dataset::FeatureMatrix::from_parts(
+                vec![0.0, 1.0, 0.0, 1.0, 0.0, 1.0],
+                6,
+                1,
+                vec![0, 1, 0, 1, 0, 1],
+                2,
+            );
+            let spec = ModelSpec::default_for(ModelKind::NaiveBayes);
+            cross_val_score(&spec, &m, folds, 0, Metric::Accuracy).expect("cv scores");
+        };
+        let pool: Pool<V> = Pool::new(1, None);
+        let run = |label: &str, body: TaskFn<V>| {
+            let mut g: TaskGraph<V> = TaskGraph::new();
+            let sink = g.task(TaskKind::Train, label, CacheKey::of(label), vec![], body);
+            g.resolve(&mut ArtifactCache::new(None), &[sink]);
+            pool.submit(g, vec![true], None, None).wait()
+        };
+        let failed = run(
+            "cv-fails",
+            Box::new(move |_| {
+                score(4);
+                Err(CoreError::Unsupported("nope".into()))
+            }),
+        );
+        assert!(failed.is_err());
+        let (_, report) = run(
+            "cv-succeeds",
+            Box::new(move |_| {
+                score(3);
+                Ok(V(1))
+            }),
+        )
+        .expect("second submission");
+        assert_eq!((report.cv_fits, report.fold_reuse), (3, 0), "one fit per fold, its own");
     }
 
     #[test]
@@ -1375,7 +1481,7 @@ mod tests {
             for &(gid, _) in &claimed {
                 assert_eq!(st.tasks[gid].phase, Phase::Running);
                 assert!(st.tasks[gid].run.is_some(), "a claimed task was popped locally");
-                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true);
+                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true, None, (0, 0));
             }
         }
         let (_, report) = handle.wait().expect("main submission");

@@ -366,9 +366,10 @@ where
                                 Some(artifact) => {
                                     // durability before progress, and
                                     // before the scheduler lock
-                                    if let Some(store) = &inner.persist {
-                                        store.store(key, &payload);
-                                    }
+                                    let stored = inner
+                                        .persist
+                                        .as_ref()
+                                        .and_then(|store| store.store(key, &payload));
                                     let mut st = inner.state.lock().expect("state lock");
                                     t.record_slow_task(
                                         &label,
@@ -376,7 +377,9 @@ where
                                         st.tasks[gid].class.as_deref().unwrap_or(""),
                                         lease_start.elapsed(),
                                     );
-                                    inner.complete_ok(&mut st, gid, Arc::new(artifact), true);
+                                    // a remote body's CV work stays uncounted
+                                    let artifact = Arc::new(artifact);
+                                    inner.complete_ok(&mut st, gid, artifact, true, stored, (0, 0));
                                     completed += 1;
                                     break LeaseOutcome::Completed;
                                 }

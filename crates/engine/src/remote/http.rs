@@ -12,7 +12,8 @@
 //!   `errors=outliers,mislabels&profile=quick&splits=6&seed=1`, plus an
 //!   optional `cell=DATASET/DETECTION/REPAIR/MODEL` for one cell of a
 //!   single error type's grid), returns `{"id":N}` to poll;
-//! * `GET  /studies/:id[.json]` — one submission's status/progress;
+//! * `GET  /studies/:id[.json]` — one submission's status/progress, and
+//!   its account once it is done (`"report":{"memory_hits":…,…}`);
 //! * `GET  /studies/:id/r1|r2|r3[.csv|.json]` — page result rows with
 //!   `?model=…&dataset=…&error=…&order=…&limit=…&offset=…`.
 //!
@@ -84,7 +85,7 @@ pub enum StudyState {
     Failed(String),
 }
 
-/// One row of `GET /studies`.
+/// One row of `GET /studies`, or the answer of `GET /studies/:id`.
 #[derive(Debug, Clone)]
 pub struct StudyStatus {
     pub id: u64,
@@ -92,6 +93,9 @@ pub struct StudyStatus {
     pub state: StudyState,
     pub done: u64,
     pub to_run: u64,
+    /// A finished submission's account, as [`crate::RunReport::stats`]
+    /// fields; `None` while it runs, when it failed, and in the list.
+    pub report: Option<Vec<(&'static str, u64)>>,
 }
 
 /// Execution profile of a submitted spec, mirroring the CLI's
@@ -807,7 +811,8 @@ pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
         match key.as_str() {
             "errors" => {
                 for part in value.split(',') {
-                    let et = parse_error_type(part)?;
+                    let et = ErrorType::parse(part)
+                        .ok_or_else(|| format!("errors: unknown error type {part:?}"))?;
                     if !spec.error_types.contains(&et) {
                         spec.error_types.push(et);
                     }
@@ -857,14 +862,6 @@ pub fn parse_submit(pairs: &[(String, String)]) -> Result<SubmitSpec, String> {
     Ok(spec)
 }
 
-fn parse_error_type(s: &str) -> Result<ErrorType, String> {
-    let want = normalize(s);
-    ErrorType::all()
-        .into_iter()
-        .find(|et| normalize(et.name()) == want)
-        .ok_or_else(|| format!("errors: unknown error type {s:?}"))
-}
-
 // ---- JSON rendering -------------------------------------------------
 
 fn status_json(s: &StudyStatus) -> String {
@@ -883,6 +880,10 @@ fn status_json(s: &StudyStatus) -> String {
     out.push_str(&format!("],\"state\":\"{state}\",\"done\":{},\"to_run\":{}", s.done, s.to_run));
     if let StudyState::Failed(e) = &s.state {
         out.push_str(&format!(",\"error\":{}", json_string(e)));
+    }
+    if let Some(report) = &s.report {
+        let fields: Vec<String> = report.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        out.push_str(&format!(",\"report\":{{{}}}", fields.join(",")));
     }
     out.push('}');
     out

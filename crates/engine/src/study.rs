@@ -541,7 +541,7 @@ impl EngineInner {
         events: Option<EventSink>,
         alpha: f64,
     ) -> StudySubmission {
-        let (cache_hits, pruned, to_run) =
+        let (cache_hits, disk_hits, pruned, to_run) =
             graph.resolve(&mut self.cache.lock().expect("cache lock"), &grids);
         let total = graph.len();
         emit(&events, EngineEvent::GraphReady { total, cache_hits, pruned, to_run });
@@ -569,9 +569,7 @@ impl EngineInner {
             handle,
             index,
             grids,
-            cache_hits,
-            pruned,
-            total,
+            resolved: RunReport { cache_hits, disk_hits, pruned, total, ..RunReport::default() },
             alpha,
         }
     }
@@ -590,13 +588,14 @@ const GATEWAY_POLL: Duration = Duration::from_millis(50);
 
 enum GatewayResult {
     Running,
-    Done(Arc<CleanMlDb>),
+    /// The relations and the `--cache-stats` fields of the account.
+    Done(Arc<CleanMlDb>, Vec<(&'static str, u64)>),
     Failed(String),
 }
 
 /// One `POST /studies` submission (a study or one cell): progress
 /// counters updated by its waiter thread, terminal state holding the
-/// finished relations.
+/// finished relations and the submission's account.
 struct GatewayEntry {
     id: u64,
     errors: Vec<ErrorType>,
@@ -607,10 +606,10 @@ struct GatewayEntry {
 
 impl GatewayEntry {
     fn status(&self) -> StudyStatus {
-        let state = match &*self.state.lock().expect("gateway entry lock") {
-            GatewayResult::Running => StudyState::Running,
-            GatewayResult::Done(_) => StudyState::Done,
-            GatewayResult::Failed(e) => StudyState::Failed(e.clone()),
+        let (state, report) = match &*self.state.lock().expect("gateway entry lock") {
+            GatewayResult::Running => (StudyState::Running, None),
+            GatewayResult::Done(_, stats) => (StudyState::Done, Some(stats.clone())),
+            GatewayResult::Failed(e) => (StudyState::Failed(e.clone()), None),
         };
         StudyStatus {
             id: self.id,
@@ -618,6 +617,7 @@ impl GatewayEntry {
             state,
             done: self.done.load(Ordering::Relaxed),
             to_run: self.to_run.load(Ordering::Relaxed),
+            report,
         }
     }
 
@@ -653,11 +653,12 @@ impl EngineGateway {
         self.token.clone()
     }
 
-    /// All retained submissions, oldest first.
+    /// All retained submissions, oldest first, without their reports: the
+    /// list stays one short line per study.
     pub(crate) fn list(&self) -> Vec<StudyStatus> {
         let Some(inner) = self.engine.upgrade() else { return Vec::new() };
         let table = inner.gateway.table.lock().expect("gateway lock");
-        table.entries.values().map(|e| e.status()).collect()
+        table.entries.values().map(|e| StudyStatus { report: None, ..e.status() }).collect()
     }
 
     /// One submission's status.
@@ -726,7 +727,9 @@ impl EngineGateway {
         t.submissions_active.inc();
         // The waiter owns the submission (and through it a strong engine
         // handle): it samples progress until completion, then parks the
-        // BY-corrected relations in the entry for `/studies/:id/r*`.
+        // BY-corrected relations in the entry for `/studies/:id/r*` and
+        // the account's fields for `/studies/:id`.
+        let store = inner.store.clone();
         std::thread::spawn(move || {
             loop {
                 let (done, to_run) = submission.progress();
@@ -741,7 +744,10 @@ impl EngineGateway {
             entry.done.store(done as u64, Ordering::Relaxed);
             entry.to_run.store(to_run as u64, Ordering::Relaxed);
             let result = match submission.wait() {
-                Ok((db, _report)) => GatewayResult::Done(Arc::new(db)),
+                Ok((db, report)) => {
+                    let totals = store.map(|s| (s.total_bytes(), s.len()));
+                    GatewayResult::Done(Arc::new(db), report.stats(totals))
+                }
                 Err(e) => GatewayResult::Failed(e.to_string()),
             };
             *entry.state.lock().expect("gateway entry lock") = result;
@@ -761,7 +767,7 @@ impl EngineGateway {
         let state = entry.state.lock().expect("gateway entry lock");
         match &*state {
             GatewayResult::Running => Err(GatewayError::NotReady),
-            GatewayResult::Done(db) => Ok(Arc::clone(db)),
+            GatewayResult::Done(db, _) => Ok(Arc::clone(db)),
             GatewayResult::Failed(e) => Err(GatewayError::Failed(e.clone())),
         }
     }
@@ -775,9 +781,8 @@ pub struct StudySubmission {
     handle: SubmissionHandle<Artifact>,
     index: Vec<(CacheKey, TaskKind, NodeState)>,
     grids: Vec<TaskId>,
-    cache_hits: usize,
-    pruned: usize,
-    total: usize,
+    /// What graph resolution counted: cache and disk hits, prunes, total.
+    resolved: RunReport,
     alpha: f64,
 }
 
@@ -799,29 +804,21 @@ impl StudySubmission {
     }
 
     pub fn cache_hits(&self) -> usize {
-        self.cache_hits
-    }
-
-    pub fn pruned(&self) -> usize {
-        self.pruned
-    }
-
-    pub fn total(&self) -> usize {
-        self.total
+        self.resolved.cache_hits
     }
 
     /// Blocks until every task of the submission has finished, then
-    /// assembles and BY-corrects the relational database.
+    /// assembles and BY-corrects the relational database; the report is
+    /// the submission's whole account.
     pub fn wait(self) -> Result<(CleanMlDb, RunReport)> {
-        let StudySubmission { inner, handle, index, grids, cache_hits, pruned, total, alpha } =
-            self;
+        let StudySubmission { inner, handle, index, grids, resolved, alpha } = self;
         let (artifacts, mut report) = handle.wait()?;
 
         // The memo keeps every freshly produced, retained artifact; the pool
         // persisted each one when its task finished. Cell batches
         // additionally fan their members out under the singleton `cell/…`
-        // addresses (new store entries), keeping query-granular warm hits
-        // intact.
+        // addresses (new store entries, credited to this submission),
+        // keeping query-granular warm hits intact.
         {
             let mut cache = inner.cache.lock().expect("cache lock");
             for (id, artifact) in artifacts.iter().enumerate() {
@@ -830,7 +827,7 @@ impl StudySubmission {
                         cache.remember(index[id].0, Arc::clone(a));
                         if let Artifact::Cells(batch) = &**a {
                             for &(key, cell) in &batch.members {
-                                cache.put(key, &Arc::new(Artifact::Cell(cell)));
+                                report.count_store(cache.put(key, &Arc::new(Artifact::Cell(cell))));
                             }
                         }
                     }
@@ -850,9 +847,10 @@ impl StudySubmission {
         }
         db.apply_benjamini_yekutieli(alpha);
 
-        report.cache_hits = cache_hits;
-        report.pruned = pruned;
-        report.total = total;
+        report.cache_hits = resolved.cache_hits;
+        report.disk_hits = resolved.disk_hits;
+        report.pruned = resolved.pruned;
+        report.total = resolved.total;
         Ok((db, report))
     }
 }

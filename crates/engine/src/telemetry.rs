@@ -11,7 +11,7 @@
 //!
 //! * [`Telemetry::render`] — Prometheus text exposition format
 //!   (version 0.0.4), served by the hub's bounded `GET /metrics`
-//!   responder and read back by [`StatsSnapshot::from_exposition`];
+//!   responder;
 //! * [`Telemetry::write_trace`] — Chrome trace-event JSON
 //!   (`chrome://tracing`-loadable), fed by per-task spans recorded in
 //!   the worker pool and the remote lease loop, enabled with
@@ -20,8 +20,10 @@
 //! The registry is a process singleton ([`global`]): instrumentation in
 //! generic code (`DiskStore`, `ArtifactCache`, the pool) reaches it without
 //! threading a handle through every constructor. Counters are cumulative
-//! (Prometheus semantics); per-run figures are taken as deltas between
-//! two [`StatsSnapshot`]s.
+//! (Prometheus semantics) and process-wide. A submission's own figures —
+//! the `--cache-stats` line and the `report` of `GET /studies/:id` — are
+//! not read from here: the engine credits them to the submission where
+//! they happen, in its [`crate::RunReport`].
 
 use std::fmt::Write as _;
 use std::io;
@@ -198,50 +200,6 @@ struct TraceEvent {
     args: Vec<(&'static str, String)>,
 }
 
-/// Snapshot of the counters that feed the `--cache-stats` line; per-run
-/// figures are the difference of two snapshots ([`StatsSnapshot::since`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub memory_hits: u64,
-    pub disk_hits: u64,
-    pub misses: u64,
-    pub store_writes: u64,
-    pub store_evictions: u64,
-    pub executed_local: [u64; NKINDS],
-    pub executed_remote: [u64; NKINDS],
-    pub workers_joined: u64,
-    pub releases: u64,
-    /// Candidate×fold model fits executed by CV scoring (bridged from the
-    /// `cleanml-ml` fold plane; the ml crate cannot depend on the engine).
-    pub cv_fits: u64,
-    /// Fold views served from an already-materialized `FoldPlan` slot.
-    pub fold_reuse: u64,
-}
-
-impl StatsSnapshot {
-    /// Counter deltas since `earlier` (saturating, so a reader racing
-    /// concurrent increments never underflows).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            memory_hits: self.memory_hits.saturating_sub(earlier.memory_hits),
-            disk_hits: self.disk_hits.saturating_sub(earlier.disk_hits),
-            misses: self.misses.saturating_sub(earlier.misses),
-            store_writes: self.store_writes.saturating_sub(earlier.store_writes),
-            store_evictions: self.store_evictions.saturating_sub(earlier.store_evictions),
-            executed_local: std::array::from_fn(|i| {
-                self.executed_local[i].saturating_sub(earlier.executed_local[i])
-            }),
-            executed_remote: std::array::from_fn(|i| {
-                self.executed_remote[i].saturating_sub(earlier.executed_remote[i])
-            }),
-            workers_joined: self.workers_joined.saturating_sub(earlier.workers_joined),
-            releases: self.releases.saturating_sub(earlier.releases),
-            cv_fits: self.cv_fits.saturating_sub(earlier.cv_fits),
-            fold_reuse: self.fold_reuse.saturating_sub(earlier.fold_reuse),
-        }
-    }
-}
-
 /// The registry. One instance per process ([`global`]); tests that need
 /// isolation construct their own.
 pub struct Telemetry {
@@ -370,31 +328,12 @@ impl Telemetry {
         self.task_seconds[kind.index()].summary()
     }
 
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut s = StatsSnapshot {
-            memory_hits: self.cache_memory_hits.get(),
-            disk_hits: self.cache_disk_hits.get(),
-            misses: self.cache_misses.get(),
-            store_writes: self.store_writes.get(),
-            store_evictions: self.store_evictions.get(),
-            workers_joined: self.workers_joined.get(),
-            releases: self.leases_reinjected.get(),
-            cv_fits: cleanml_ml::cv::cv_fits_total(),
-            fold_reuse: cleanml_ml::cv::fold_reuse_total(),
-            ..StatsSnapshot::default()
-        };
-        for i in 0..NKINDS {
-            s.executed_local[i] = self.tasks_local[i].get();
-            s.executed_remote[i] = self.tasks_remote[i].get();
-        }
-        s
-    }
-
     // ---- slowest-tasks table ----------------------------------------
 
     /// Offers a completed task to the top-[`SLOW_TABLE_LEN`] slowest
-    /// table. Cheap rejection first: a task faster than the current
-    /// slowest-table floor takes the lock only when the table is short.
+    /// table. Every offer takes the table's lock; a task no slower than
+    /// the current floor of a full table is then rejected without an
+    /// allocation.
     pub(crate) fn record_slow_task(
         &self,
         label: &str,
@@ -636,46 +575,6 @@ impl Telemetry {
     }
 }
 
-impl StatsSnapshot {
-    /// Reads a snapshot back out of [`Telemetry::render`]'s exposition —
-    /// how an HTTP client (`cleanml-query --cache-stats`) takes the same
-    /// per-run deltas the in-process CLI does. `None` if a series the
-    /// snapshot needs is missing or malformed.
-    pub fn from_exposition(text: &str) -> Option<StatsSnapshot> {
-        let value = |series: &str| exposition_sample(text, series);
-        let mut s = StatsSnapshot {
-            memory_hits: value("cleanml_cache_hits_total{layer=\"memory\"}")?,
-            disk_hits: value("cleanml_cache_hits_total{layer=\"disk\"}")?,
-            misses: value("cleanml_cache_misses_total")?,
-            store_writes: value("cleanml_store_writes_total")?,
-            store_evictions: value("cleanml_store_evictions_total")?,
-            workers_joined: value("cleanml_remote_workers_joined_total")?,
-            releases: value("cleanml_leases_reinjected_total")?,
-            cv_fits: value("cleanml_cv_fits_total")?,
-            fold_reuse: value("cleanml_fold_reuse_total")?,
-            ..StatsSnapshot::default()
-        };
-        for (i, kind) in TaskKind::ALL.iter().enumerate() {
-            let executed = |site: &str| {
-                value(&format!(
-                    "cleanml_tasks_executed_total{{kind=\"{}\",site=\"{site}\"}}",
-                    kind.name()
-                ))
-            };
-            s.executed_local[i] = executed("local")?;
-            s.executed_remote[i] = executed("remote")?;
-        }
-        Some(s)
-    }
-}
-
-/// The value of one integer sample in exposition `text`; `series` is the
-/// metric name with its label set exactly as [`Telemetry::render`] writes
-/// it (`cleanml_store_bytes`, `cleanml_cache_hits_total{layer="disk"}`).
-pub fn exposition_sample(text: &str, series: &str) -> Option<u64> {
-    text.lines().find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
-}
-
 /// The process-wide registry.
 pub fn global() -> &'static Telemetry {
     static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
@@ -879,10 +778,6 @@ mod tests {
         let text = t.render();
         assert!(text.contains("# TYPE cleanml_cv_fits_total counter"), "{text}");
         assert!(text.contains("# TYPE cleanml_fold_reuse_total counter"), "{text}");
-        // bridged from the process-wide ml counters, so values only grow
-        let snap = t.stats_snapshot();
-        assert_eq!(snap.cv_fits, cleanml_ml::cv::cv_fits_total());
-        assert_eq!(snap.fold_reuse, cleanml_ml::cv::fold_reuse_total());
     }
 
     #[test]
@@ -938,50 +833,6 @@ mod tests {
         for l in &type_lines {
             assert!(seen.insert(*l), "duplicate TYPE line: {l}");
         }
-    }
-
-    #[test]
-    fn snapshot_deltas_subtract_fieldwise() {
-        let t = Telemetry::new();
-        t.cache_misses.add(2);
-        t.tasks_local[TaskKind::Train.index()].add(5);
-        let a = t.stats_snapshot();
-        t.cache_misses.add(3);
-        t.tasks_local[TaskKind::Train.index()].add(1);
-        t.leases_reinjected.inc();
-        let d = t.stats_snapshot().since(&a);
-        assert_eq!(d.misses, 3);
-        assert_eq!(d.executed_local[TaskKind::Train.index()], 1);
-        assert_eq!(d.releases, 1);
-        assert_eq!(d.memory_hits, 0);
-    }
-
-    #[test]
-    fn snapshots_round_trip_through_the_exposition() {
-        let t = Telemetry::new();
-        t.cache_memory_hits.add(11);
-        t.cache_disk_hits.add(2);
-        t.cache_misses.add(3);
-        t.store_writes.add(4);
-        t.store_evictions.add(5);
-        t.workers_joined.add(6);
-        t.leases_reinjected.add(7);
-        for (i, kind) in TaskKind::ALL.iter().enumerate() {
-            t.tasks_local[kind.index()].add(100 + i as u64);
-            t.tasks_remote[kind.index()].add(200 + i as u64);
-        }
-        let snap = t.stats_snapshot();
-        let parsed = StatsSnapshot::from_exposition(&t.render()).expect("every series present");
-        // the fold-plane counters are process-wide and only grow
-        assert!(parsed.cv_fits >= snap.cv_fits && parsed.fold_reuse >= snap.fold_reuse);
-        assert_eq!(
-            StatsSnapshot { cv_fits: snap.cv_fits, fold_reuse: snap.fold_reuse, ..parsed },
-            snap
-        );
-
-        assert_eq!(exposition_sample("a_total 1\nab_total 2\n", "ab_total"), Some(2));
-        assert_eq!(exposition_sample("a_total{x=\"1\"} 3\n", "a_total"), None, "labels must match");
-        assert_eq!(StatsSnapshot::from_exposition("cleanml_cache_misses_total 1\n"), None);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn warm_disk_cache_resumes_with_zero_training() {
     });
     let (db_cold, report_cold) = cold.run_study_with_report(&ets, &cfg).expect("cold study");
     assert!(report_cold.executed(TaskKind::Train) > 0);
-    assert!(cold.disk_store().unwrap().writes() > 0, "cells and contexts must persist");
+    assert!(report_cold.store_writes > 0, "cells and contexts must persist");
 
     // Warm run in a *fresh* engine (new process semantics): every cell and
     // context is served from disk; no dataset is regenerated, no model is
@@ -272,8 +272,8 @@ fn byte_capped_cache_stays_bounded() {
         ..Default::default()
     })
     .with_events(tx);
-    let db = engine.run_study(&ets, &cfg).expect("capped study");
-    let evictions = engine.disk_store().unwrap().evictions();
+    let (db, report) = engine.run_study_with_report(&ets, &cfg).expect("capped study");
+    let evictions = report.store_evictions;
     assert!(evictions > 0, "cap must actually bite: {evictions} evictions");
     assert!(engine.disk_store().unwrap().total_bytes() <= cap);
     drop(engine);

@@ -10,7 +10,9 @@
 //!   route with 401 before anything touches the registry, while
 //!   `/metrics` stays open;
 //! * unknown ids 404, bad query strings 400, and the per-route
-//!   telemetry counters account for all of it.
+//!   telemetry counters account for all of it;
+//! * a finished study's status carries its own account, so concurrent
+//!   submissions on one engine do not count each other's work.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -93,6 +95,32 @@ fn json_u64(body: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{key} not a number in {body}"))
 }
 
+/// POSTs a study spec and returns its id.
+fn submit(addr: SocketAddr, spec: &str) -> u64 {
+    let (status, body) = split_response(&post(addr, "/studies", Some(TOKEN), spec));
+    assert!(status.starts_with("HTTP/1.1 201"), "submit {spec}: {status}: {body}");
+    json_u64(&body, "id")
+}
+
+/// Polls study `id` until it is done and returns its last status body.
+fn poll_done(addr: SocketAddr, id: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(300);
+    loop {
+        let response = get(addr, &format!("/studies/{id}"), Some(TOKEN));
+        let (status, body) = split_response(&response);
+        assert!(status.starts_with("HTTP/1.1 200"), "status poll: {status}: {body}");
+        if body.contains("\"state\":\"done\"") {
+            let done = json_u64(&body, "done");
+            let to_run = json_u64(&body, "to_run");
+            assert_eq!(done, to_run, "finished study must report full progress: {body}");
+            return body;
+        }
+        assert!(!body.contains("\"state\":\"failed\""), "study failed: {body}");
+        assert!(Instant::now() < deadline, "study did not finish in time");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+}
+
 #[test]
 fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
     let cfg = tiny_cfg();
@@ -119,12 +147,8 @@ fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
 
     // -- submit --------------------------------------------------------
     // The spec mirrors tiny_cfg: quick profile pinned to 2 splits.
-    let response =
-        post(addr, "/studies", Some(TOKEN), "errors=inconsistencies&profile=quick&splits=2");
-    let (status, body) = split_response(&response);
-    assert!(status.starts_with("HTTP/1.1 201"), "submit: {status}: {body}");
-    let id = json_u64(&body, "id");
-    assert!(id >= 1, "ids are monotonic from 1: {body}");
+    let id = submit(addr, "errors=inconsistencies&profile=quick&splits=2");
+    assert!(id >= 1, "ids are monotonic from 1: {id}");
 
     // Malformed specs fail closed with 400.
     let (status, _) = split_response(&post(addr, "/studies", Some(TOKEN), "errors=bogus"));
@@ -133,21 +157,7 @@ fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
     assert!(status.starts_with("HTTP/1.1 400"), "missing errors: {status}");
 
     // -- poll to done --------------------------------------------------
-    let deadline = Instant::now() + Duration::from_secs(300);
-    loop {
-        let response = get(addr, &format!("/studies/{id}"), Some(TOKEN));
-        let (status, body) = split_response(&response);
-        assert!(status.starts_with("HTTP/1.1 200"), "status poll: {status}: {body}");
-        if body.contains("\"state\":\"done\"") {
-            let done = json_u64(&body, "done");
-            let to_run = json_u64(&body, "to_run");
-            assert_eq!(done, to_run, "finished study must report full progress: {body}");
-            break;
-        }
-        assert!(!body.contains("\"state\":\"failed\""), "study failed: {body}");
-        assert!(Instant::now() < deadline, "study did not finish in time");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    poll_done(addr, id);
 
     // The submission also shows up in the list route.
     let (status, body) = split_response(&get(addr, "/studies", Some(TOKEN)));
@@ -230,5 +240,31 @@ fn gateway_submits_polls_and_pages_rows_byte_identical_to_csv() {
             .unwrap_or_else(|| panic!("{family} missing:\n{scrape}"));
         let value: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(value > 0, "{family} never incremented:\n{scrape}");
+    }
+}
+
+/// Two studies POSTed at once on one engine each get their own account:
+/// their reports add up to the report of the same error types POSTed
+/// together on a fresh engine, and the list route carries no report.
+#[test]
+fn concurrent_submissions_each_report_their_own_account() {
+    let spec = |errors: &str| format!("errors={errors}&profile=quick&splits=2");
+    let engine = gateway_engine(2);
+    let addr = engine.remote_addr().expect("hub bound");
+    let ids = [submit(addr, &spec("inconsistencies")), submit(addr, &spec("outliers"))];
+    let pair = ids.map(|id| poll_done(addr, id));
+    let (status, list) = split_response(&get(addr, "/studies", Some(TOKEN)));
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    assert!(list.contains(&format!("\"id\":{}", ids[1])), "{list}");
+    assert!(!list.contains("\"report\""), "the list carries no report: {list}");
+    drop(engine);
+
+    let engine = gateway_engine(2);
+    let addr = engine.remote_addr().expect("hub bound");
+    let both = poll_done(addr, submit(addr, &spec("inconsistencies,outliers")));
+    for field in ["executed_local", "executed_train", "misses", "cv_fits"] {
+        let alone = pair.each_ref().map(|body| json_u64(body, field));
+        assert!(alone.iter().all(|&n| n > 0), "{field}: {pair:?}");
+        assert_eq!(alone[0] + alone[1], json_u64(&both, field), "{field}: {pair:?} vs {both}");
     }
 }

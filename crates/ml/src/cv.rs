@@ -17,7 +17,16 @@
 //! runs candidate-major: fit seeds depend only on the fold index and
 //! candidate specs are sampled up front from the single RNG stream, so
 //! scores, tie-breaking and f64 accumulation are the naive loop's.
+//!
+//! ## Counting
+//!
+//! Each candidate×fold fit and each fold view served from an already-built
+//! slot is counted twice: process-wide ([`cv_fits_total`],
+//! [`fold_reuse_total`]) and in the calling thread's tally
+//! ([`take_thread_tally`]), which lets the engine credit a task's CV work
+//! to the submission it ran for.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -38,6 +47,22 @@ static CV_FITS: AtomicU64 = AtomicU64::new(0);
 /// [`FoldPlan`] slot (a `select_rows` pair + sidecar rebuild avoided).
 static FOLD_REUSE: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// This thread's `(fits, reuses)` since its last [`take_thread_tally`].
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Counts `fits` model fits and `reuses` fold reuses, process-wide and
+/// in the calling thread's tally.
+fn count(fits: u64, reuses: u64) {
+    CV_FITS.fetch_add(fits, Ordering::Relaxed);
+    FOLD_REUSE.fetch_add(reuses, Ordering::Relaxed);
+    TALLY.with(|t| {
+        let (f, r) = t.get();
+        t.set((f + fits, r + reuses));
+    });
+}
+
 /// Total CV model fits so far (see `cleanml_cv_fits_total` in the engine's
 /// metrics registry, which bridges this counter).
 pub fn cv_fits_total() -> u64 {
@@ -47,6 +72,12 @@ pub fn cv_fits_total() -> u64 {
 /// Total fold-view reuses so far (see `cleanml_fold_reuse_total`).
 pub fn fold_reuse_total() -> u64 {
     FOLD_REUSE.load(Ordering::Relaxed)
+}
+
+/// The calling thread's `(fits, reuses)` since its previous call, and
+/// resets them: the CV work of whatever ran on this thread in between.
+pub fn take_thread_tally() -> (u64, u64) {
+    TALLY.with(|t| t.replace((0, 0)))
 }
 
 /// One fold's index sets plus its lazily-built matrix views.
@@ -70,12 +101,6 @@ pub struct FoldPlan<'a> {
     k: usize,
     seed: u64,
     folds: Vec<FoldSlot>,
-    /// Model fits scored through this plan (also aggregated process-wide
-    /// into [`cv_fits_total`]).
-    fits: AtomicU64,
-    /// Fold views served from an already-built slot (also aggregated
-    /// process-wide into [`fold_reuse_total`]).
-    reuses: AtomicU64,
 }
 
 impl<'a> FoldPlan<'a> {
@@ -91,23 +116,7 @@ impl<'a> FoldPlan<'a> {
             .into_iter()
             .map(|(train_idx, val_idx)| FoldSlot { train_idx, val_idx, views: OnceLock::new() })
             .collect();
-        Ok(FoldPlan { data, k, seed, folds, fits: AtomicU64::new(0), reuses: AtomicU64::new(0) })
-    }
-
-    /// Model fits scored through this plan so far.
-    pub fn fits(&self) -> u64 {
-        self.fits.load(Ordering::Relaxed)
-    }
-
-    /// Fold views this plan served from an already-built slot.
-    pub fn reuses(&self) -> u64 {
-        self.reuses.load(Ordering::Relaxed)
-    }
-
-    /// Tallies one candidate×fold model fit (plan-local + process-wide).
-    fn note_fit(&self) {
-        self.fits.fetch_add(1, Ordering::Relaxed);
-        CV_FITS.fetch_add(1, Ordering::Relaxed);
+        Ok(FoldPlan { data, k, seed, folds })
     }
 
     /// The full matrix the folds partition.
@@ -121,29 +130,17 @@ impl<'a> FoldPlan<'a> {
     }
 
     /// The CV seed: fold shuffling uses it directly, fold `f` fits with
-    /// `seed.wrapping_add(f)` — independent of the candidate index, which
-    /// is what makes the `(candidate, fold)` grid embarrassingly parallel.
+    /// `seed.wrapping_add(f)`, independent of the candidate index.
     pub fn seed(&self) -> u64 {
         self.seed
     }
 
-    /// Whether this plan serves a `(n_rows, k, seed)` CV request (the
-    /// requested `k` is clamped the same way construction clamped it).
-    pub fn matches(&self, data: &FeatureMatrix, k: usize, seed: u64) -> bool {
-        std::ptr::eq(self.data, data)
-            && self.seed == seed
-            && self.k == k.clamp(2, data.n_rows().max(2))
-    }
-
     /// The materialized `(train, val)` views of fold `fold_id`, building
-    /// them on first use; `None` for degenerate folds. Thread-safe: under
-    /// the parallel grid, concurrent first users block on the `OnceLock`
-    /// while exactly one gathers the pair.
+    /// them on first use; `None` for degenerate folds.
     pub fn fold(&self, fold_id: usize) -> Option<(&Arc<FeatureMatrix>, &Arc<FeatureMatrix>)> {
         let slot = &self.folds[fold_id];
         if let Some(built) = slot.views.get() {
-            self.reuses.fetch_add(1, Ordering::Relaxed);
-            FOLD_REUSE.fetch_add(1, Ordering::Relaxed);
+            count(0, 1);
             return built.as_ref().map(|(t, v)| (t, v));
         }
         slot.views
@@ -234,7 +231,7 @@ pub fn cross_val_score_with_plan(
             continue;
         };
         let model = spec.fit(train, plan.seed().wrapping_add(fold_id as u64))?;
-        plan.note_fit();
+        count(1, 0);
         let preds = model.predict(val)?;
         total += metric.score(val.labels(), &preds);
         used += 1;
@@ -299,22 +296,7 @@ pub fn random_search_with_plan(
 
     let mut best: Option<SearchResult> = None;
     for spec in specs {
-        let mut total = 0.0;
-        let mut used = 0usize;
-        for fold_id in 0..plan.n_folds() {
-            let Some((train, val)) = plan.fold(fold_id) else {
-                continue;
-            };
-            let model = spec.fit(train, plan.seed().wrapping_add(fold_id as u64))?;
-            plan.note_fit();
-            let preds = model.predict(val)?;
-            total += metric.score(val.labels(), &preds);
-            used += 1;
-        }
-        if used == 0 {
-            return Err(plan.no_usable_folds());
-        }
-        let score = total / used as f64;
+        let score = cross_val_score_with_plan(&spec, plan, metric)?;
         let better = match &best {
             None => true,
             Some(b) => score > b.val_score,
@@ -469,14 +451,15 @@ mod tests {
     fn plan_materializes_each_fold_once_and_shares_arcs() {
         let data = blobs(30);
         let plan = FoldPlan::new(&data, 3, 9).unwrap();
+        take_thread_tally();
         let (t0, v0) = plan.fold(0).expect("fold 0 usable");
         let (t0a, t0v) = (Arc::clone(t0), Arc::clone(v0));
-        assert_eq!(plan.reuses(), 0, "first touch is a build, not a reuse");
+        assert_eq!(take_thread_tally(), (0, 0), "first touch is a build, not a reuse");
         // every later touch hands back the same Arcs and counts as reuse
         let (t0b, v0b) = plan.fold(0).expect("fold 0 usable");
         assert!(Arc::ptr_eq(&t0a, t0b));
         assert!(Arc::ptr_eq(&t0v, v0b));
-        assert_eq!(plan.reuses(), 1);
+        assert_eq!(take_thread_tally(), (0, 1));
         // nine more searches against the same plan share those Arcs
         let nine = [
             ModelKind::LogisticRegression,
@@ -489,41 +472,50 @@ mod tests {
             ModelKind::Mlp,
             ModelKind::Nacl,
         ];
-        let fits0 = plan.fits();
         let global0 = (cv_fits_total(), fold_reuse_total());
         for kind in nine {
             random_search_with_plan(kind, &plan, SearchBudget::none(), 9, Metric::Accuracy)
                 .unwrap();
         }
         assert!(Arc::ptr_eq(&t0a, plan.fold(0).unwrap().0), "families did not re-materialize");
-        assert_eq!(
-            plan.fits() - fits0,
-            9 * 3,
-            "one fit per family per fold under SearchBudget::none()"
-        );
+        // one fit per family per fold under SearchBudget::none(); the first
+        // family builds folds 1 and 2, every other view is a reuse
+        assert_eq!(take_thread_tally(), (9 * 3, 9 * 3 - 1));
         // the process-wide telemetry aggregates moved at least as much
         assert!(cv_fits_total() - global0.0 >= 9 * 3);
         assert!(fold_reuse_total() - global0.1 >= 9 * 3 - 1);
-        assert!(plan.matches(&data, 3, 9));
-        assert!(!plan.matches(&data, 4, 9));
-        assert!(!plan.matches(&data, 3, 8));
     }
 
     #[test]
     fn multi_candidate_search_reuses_folds() {
         let data = blobs(36);
         let plan = FoldPlan::new(&data, 3, 5).unwrap();
-        random_search_with_plan(
-            ModelKind::DecisionTree,
-            &plan,
-            SearchBudget::small(),
-            5,
-            Metric::Accuracy,
-        )
-        .unwrap();
-        assert_eq!(plan.fits(), 9, "3 candidates × 3 folds");
-        // candidate 0 builds the 3 folds; candidates 1–2 reuse them
-        assert_eq!(plan.reuses(), 6);
+        let search = || {
+            random_search_with_plan(
+                ModelKind::DecisionTree,
+                &plan,
+                SearchBudget::small(),
+                5,
+                Metric::Accuracy,
+            )
+            .unwrap()
+        };
+        take_thread_tally();
+        search();
+        // 3 candidates × 3 folds; candidate 0 builds the 3 folds and
+        // candidates 1–2 reuse them
+        assert_eq!(take_thread_tally(), (9, 6));
+        // another thread's search lands in that thread's tally only
+        let other = std::thread::scope(|s| {
+            s.spawn(|| {
+                search();
+                take_thread_tally()
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(other, (9, 9), "every fold was built already");
+        assert_eq!(take_thread_tally(), (0, 0));
     }
 
     #[test]
