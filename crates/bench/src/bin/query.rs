@@ -251,9 +251,7 @@ fn main() {
         let (csv, status) = run(&gw, &args.form)?;
         print!("{csv}");
         if args.cache_stats {
-            // the slowest-tasks table lives in the server's registry and
-            // is not part of a submission's report
-            println!("{}", cache_stats_line(&report_fields(&status)?, &[]));
+            println!("{}", cache_stats_line(&report_fields(&status)?));
         }
         Ok(())
     });
@@ -341,8 +339,8 @@ mod tests {
             Ok(vec![("memory_hits", 0), ("disk_hits", 2), ("cv_fits", 45)])
         );
         assert_eq!(
-            cache_stats_line(&report_fields(done).unwrap(), &[]),
-            "[cache-stats] memory_hits=0 disk_hits=2 cv_fits=45 slowest=-"
+            cache_stats_line(&report_fields(done).unwrap()),
+            "[cache-stats] memory_hits=0 disk_hits=2 cv_fits=45"
         );
         // a status without a report (an older server, or a study that is
         // not done) and a mangled report are errors, not a line of zeros

@@ -36,7 +36,7 @@ use cleanml_core::database::FlagDist;
 use cleanml_core::schema::ErrorType;
 use cleanml_core::{CleanMlDb, ExperimentConfig};
 use cleanml_engine::remote::http::MAX_SPLITS;
-use cleanml_engine::{Engine, EngineConfig, EngineEvent, SlowTask};
+use cleanml_engine::{Engine, EngineConfig, EngineEvent};
 use cleanml_stats::Flag;
 
 /// One entry of a binary's flag table.
@@ -425,7 +425,6 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
     });
 
     let started = std::time::Instant::now();
-    telemetry.reset_slow_tasks(); // run boundary: the table is per-run
     let (db, report) = engine.run_study_with_report(error_types, cfg).expect("engine study run");
     let store_totals = engine.disk_store().map(|s| (s.total_bytes(), s.len()));
     let store_line = store_totals.map(|(bytes, _)| {
@@ -461,17 +460,10 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
     if cache_stats {
         // The line is the run's own account, the same fields
         // `cleanml-query` reads from `GET /studies/:id`.
-        let slow = telemetry.slowest_tasks();
-        println!("{}", cache_stats_line(&report.stats(store_totals), &slow));
-        for (i, s) in slow.iter().enumerate() {
-            eprintln!(
-                "[engine] slowest {}: {} {} ({}) {:.1} ms",
-                i + 1,
-                s.kind,
-                s.label,
-                if s.class.is_empty() { "-" } else { &s.class },
-                s.dur_us as f64 / 1000.0,
-            );
+        println!("{}", cache_stats_line(&report.stats(store_totals)));
+        for (i, s) in report.slowest.iter().enumerate() {
+            let ms = s.dur_us as f64 / 1000.0;
+            eprintln!("[engine] slowest {}: {} {} {ms:.1} ms", i + 1, s.kind.name(), s.label);
         }
     }
     if let Some(path) = trace_out {
@@ -485,42 +477,19 @@ pub fn run_study_cli(error_types: &[ErrorType], cfg: &ExperimentConfig, run: Run
 
 /// Renders the end-of-run `--cache-stats` summary: the `stats` fields of
 /// a run's account ([`cleanml_engine::RunReport::stats`]) as `name=value`,
-/// then `slowest=`, in a stable greppable format. `executed_train` counts
-/// `Train` tasks across both provenances — the warm-memo acceptance
-/// signal (a warm serve answers with `executed_train=0`). `cv_fits` and
-/// `fold_reuse` come from the fold plane: how many candidate×fold model
-/// fits the search grid executed and how many fold materializations were
-/// answered by an already-built `FoldPlan` view (a warm serve, having
-/// trained nothing, reports `cv_fits=0`). `slow` is the registry's top-8
-/// slowest-tasks table; each entry renders as `kind:class:duration` (`-`
-/// when empty).
-pub fn cache_stats_line(stats: &[(&str, u64)], slow: &[SlowTask]) -> String {
+/// in a stable greppable format. `executed_train` counts `Train` tasks
+/// across both provenances — the warm-memo acceptance signal (a warm serve
+/// answers with `executed_train=0`). `cv_fits` and `fold_reuse` come from
+/// the fold plane: how many candidate×fold model fits the search grid
+/// executed and how many fold materializations were answered by an
+/// already-built `FoldPlan` view (a warm serve, having trained nothing,
+/// reports `cv_fits=0`).
+pub fn cache_stats_line(stats: &[(&str, u64)]) -> String {
     let mut line = String::from("[cache-stats]");
     for (name, value) in stats {
         line.push_str(&format!(" {name}={value}"));
     }
-    line.push_str(&format!(" slowest={}", slowest_tasks_field(slow)));
     line
-}
-
-/// The `slowest=` field of [`cache_stats_line`]: comma-joined
-/// `kind:class:duration` entries, slowest first (`-` when the table is
-/// empty or telemetry was off).
-pub fn slowest_tasks_field(slow: &[SlowTask]) -> String {
-    if slow.is_empty() {
-        return "-".into();
-    }
-    slow.iter()
-        .map(|s| {
-            format!(
-                "{}:{}:{:.1}ms",
-                s.kind,
-                if s.class.is_empty() { "-" } else { &s.class },
-                s.dur_us as f64 / 1000.0,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 /// Fans the per-dataset jobs of grouped comparisons (Tables 17/19) out
@@ -692,35 +661,22 @@ mod tests {
             store_evictions: 5,
             cv_fits: 45,
             fold_reuse: 30,
+            slowest: Vec::new(),
         };
-        let slow = vec![
-            SlowTask {
-                label: "train eeg lr".into(),
-                kind: "Train",
-                class: "eeg".into(),
-                dur_us: 5_250,
-            },
-            SlowTask {
-                label: "clean citation".into(),
-                kind: "Clean",
-                class: String::new(),
-                dur_us: 900,
-            },
-        ];
         assert_eq!(
-            cache_stats_line(&report.stats(Some((1024, 7))), &slow),
+            cache_stats_line(&report.stats(Some((1024, 7)))),
             "[cache-stats] memory_hits=1 disk_hits=2 misses=3 disk_writes=4 \
              disk_evictions=5 store_entries=7 store_bytes=1024 executed_local=8 \
              executed_remote=9 executed_train=15 remote_workers=2 releases=1 \
-             cv_fits=45 fold_reuse=30 slowest=Train:eeg:5.2ms,Clean:-:0.9ms"
+             cv_fits=45 fold_reuse=30"
         );
         // no persistent layer / purely local run: fields read as zero,
         // line shape stable
-        let local = cache_stats_line(&RunReport::default().stats(None), &[]);
+        let local = cache_stats_line(&RunReport::default().stats(None));
         assert!(local.contains("store_entries=0 store_bytes=0"));
         assert!(local.ends_with(
             "executed_local=0 executed_remote=0 executed_train=0 remote_workers=0 releases=0 \
-             cv_fits=0 fold_reuse=0 slowest=-"
+             cv_fits=0 fold_reuse=0"
         ));
     }
 

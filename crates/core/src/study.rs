@@ -6,24 +6,16 @@ use cleanml_datagen::{
     generate, inject_mislabel_variant, specs, GeneratedDataset, MislabelStrategy,
     MISLABEL_INJECTION_DATASETS,
 };
+use cleanml_dataset::codec::fnv1a64;
 
 use crate::config::ExperimentConfig;
 use crate::database::CleanMlDb;
 use crate::runner::{evaluate_grid, Result};
 
-/// FNV-1a hash for stable per-dataset seeds.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Seed used to generate a dataset under a study base seed.
+/// Seed used to generate a dataset under a study base seed: the name's
+/// FNV-1a hash, so it is stable across runs and builds.
 pub fn dataset_seed(name: &str, base_seed: u64) -> u64 {
-    fnv1a(name) ^ base_seed.rotate_left(17)
+    fnv1a64(name.as_bytes()) ^ base_seed.rotate_left(17)
 }
 
 /// One planned dataset of a study: everything needed to *generate* it,
@@ -75,7 +67,8 @@ pub fn dataset_plan(error_type: ErrorType, base_seed: u64) -> Vec<DatasetPlan> {
             });
             for name in MISLABEL_INJECTION_DATASETS {
                 for strategy in MislabelStrategy::all() {
-                    let variant_seed = dataset_seed(name, base_seed) ^ fnv1a(strategy.suffix());
+                    let variant_seed =
+                        dataset_seed(name, base_seed) ^ fnv1a64(strategy.suffix().as_bytes());
                     out.push(DatasetPlan {
                         name: format!("{name}{}", strategy.suffix()),
                         spec_name: name,

@@ -14,8 +14,9 @@ pub type TaskId = usize;
 
 /// A task body: consumes shared handles to its dependencies' artifacts
 /// (in declaration order), produces one artifact. Handles are zero-copy:
-/// nine sibling Train tasks reading the same cleaned matrix all hold the
-/// *same* decoded allocation, never nine deep copies.
+/// the seven sibling Train tasks (one per model family) reading one
+/// cleaned matrix all hold the *same* decoded allocation, never seven deep
+/// copies, and so do the seven dirty-side Train tasks reading one split.
 pub type TaskFn<A> = Box<dyn FnOnce(Vec<Arc<A>>) -> Result<A, CoreError> + Send>;
 
 /// Execution-relevant state of one node after [`TaskGraph::resolve`].
@@ -33,8 +34,6 @@ pub struct TaskNode<A> {
     pub kind: TaskKind,
     pub label: String,
     pub key: CacheKey,
-    /// The dataset the task belongs to, named in the slowest-tasks table.
-    pub class: Option<String>,
     pub deps: Vec<TaskId>,
     pub(crate) run: Option<TaskFn<A>>,
     pub(crate) prefilled: Option<Arc<A>>,
@@ -91,7 +90,6 @@ impl<A> TaskGraph<A> {
             kind,
             label: label.into(),
             key,
-            class: None,
             deps,
             run: Some(Box::new(run)),
             prefilled: None,
@@ -99,19 +97,6 @@ impl<A> TaskGraph<A> {
         });
         self.by_key.insert(key, id);
         id
-    }
-
-    /// Assigns dataset class `class` to every node from `from`
-    /// onwards that has none yet. Builders call this once per region
-    /// (e.g. one dataset's grid) instead of threading the class through
-    /// every `task` call; nodes deduplicated into an earlier region keep
-    /// their original class.
-    pub fn class_range(&mut self, from: TaskId, class: &str) {
-        for node in &mut self.nodes[from..] {
-            if node.class.is_none() {
-                node.class = Some(class.to_string());
-            }
-        }
     }
 }
 

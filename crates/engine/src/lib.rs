@@ -76,4 +76,4 @@ pub use study::{
     build_query_graph, build_study_graph, Artifact, CellQuery, Engine, EngineConfig,
     StudySubmission,
 };
-pub use telemetry::{HistogramSummary, SlowTask, Telemetry};
+pub use telemetry::{HistogramSummary, Telemetry};

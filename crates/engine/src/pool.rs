@@ -36,6 +36,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cleanml_core::CoreError;
+use cleanml_dataset::codec::fnv1a64;
 
 use crate::cache::{CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
@@ -88,6 +89,21 @@ pub struct RunReport {
     /// Fold views those searches took from an already-built `FoldPlan`
     /// slot.
     pub fold_reuse: u64,
+    /// The run's eight slowest executed tasks, slowest first.
+    pub slowest: Vec<SlowTask>,
+}
+
+/// Entries kept in a run's slowest-tasks table.
+const SLOWEST_LEN: usize = 8;
+
+/// One row of a run's slowest-tasks table. The label names the task's
+/// dataset (`train/EEGuniform/…`); `dur_us` is the body's time for a local
+/// task and the lease's for a remote one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SlowTask {
+    pub label: String,
+    pub kind: TaskKind,
+    pub dur_us: u64,
 }
 
 impl RunReport {
@@ -124,6 +140,20 @@ impl RunReport {
             self.store_writes += 1;
             self.store_evictions += evicted;
         }
+    }
+
+    /// Offers an executed task to the slowest-tasks table; a task no
+    /// slower than a full table's fastest entry is dropped without an
+    /// allocation.
+    fn count_slow(&mut self, label: &str, kind: TaskKind, dur: Duration) {
+        let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
+        let slowest = &mut self.slowest;
+        if slowest.len() == SLOWEST_LEN && slowest.last().is_some_and(|t| t.dur_us >= dur_us) {
+            return;
+        }
+        let at = slowest.partition_point(|t| t.dur_us >= dur_us);
+        slowest.insert(at, SlowTask { label: label.to_string(), kind, dur_us });
+        slowest.truncate(SLOWEST_LEN);
     }
 
     /// Locally executed task count for one kind.
@@ -182,8 +212,6 @@ pub(crate) struct TaskEntry<A> {
     pub(crate) key: CacheKey,
     pub(crate) kind: TaskKind,
     pub(crate) label: String,
-    /// The dataset the task belongs to, for the slowest-tasks table.
-    pub(crate) class: Option<String>,
     deps: Vec<Gid>,
     dependents: Vec<Gid>,
     pending: usize,
@@ -261,12 +289,7 @@ pub(crate) struct PoolInner<A> {
 }
 
 fn spec_key_of(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h ^ bytes.len() as u64
+    fnv1a64(bytes) ^ bytes.len() as u64
 }
 
 fn counts_vec(counts: &[usize; NKINDS]) -> Vec<(TaskKind, usize)> {
@@ -413,8 +436,7 @@ where
             })
             .collect();
         crate::telemetry::global().handle_shares.add(inputs.len() as u64);
-        let class = st.tasks[gid].class.clone();
-        Some(Job { gid, kind, key: st.tasks[gid].key, label, class, run, inputs, queued_at, sub })
+        Some(Job { gid, kind, key: st.tasks[gid].key, label, run, inputs, queued_at, sub })
     }
 
     fn dec_consumer(&self, st: &mut State<A>, gid: Gid) {
@@ -434,19 +456,11 @@ where
     /// threads (the artifact has already been persisted by the caller,
     /// outside the scheduler lock — durability before progress): publish
     /// the artifact, credit the execution to the submission it is
-    /// attributed to (with `stored`, the store's answer for the artifact,
-    /// and `cv`, the body's `(fits, reuses)` tally), notify each demanding
-    /// submission, retire inputs whose last consumer this was, and queue
-    /// newly-ready dependents.
-    pub(crate) fn complete_ok(
-        &self,
-        st: &mut State<A>,
-        gid: Gid,
-        artifact: Arc<A>,
-        remote: bool,
-        stored: Option<usize>,
-        cv: (u64, u64),
-    ) {
+    /// attributed to (its site, the store's answer, the CV tally and the
+    /// duration), notify each demanding submission, retire inputs whose
+    /// last consumer this was, and queue newly-ready dependents.
+    pub(crate) fn complete_ok(&self, st: &mut State<A>, gid: Gid, done: Finished<A>) {
+        let Finished { artifact, remote, stored, cv, dur } = done;
         let kind = st.tasks[gid].kind;
         st.tasks[gid].artifact = Some(artifact);
         st.tasks[gid].phase = Phase::Done;
@@ -459,6 +473,7 @@ where
                 sub.account.count_store(stored);
                 sub.account.cv_fits += cv.0;
                 sub.account.fold_reuse += cv.1;
+                sub.account.count_slow(&st.tasks[gid].label, kind, dur);
             }
         }
         let t = crate::telemetry::global();
@@ -614,13 +629,24 @@ where
     }
 }
 
+/// What a finished task hands to [`PoolInner::complete_ok`].
+pub(crate) struct Finished<A> {
+    pub(crate) artifact: Arc<A>,
+    /// Run by a remote worker, not a local one.
+    pub(crate) remote: bool,
+    /// The store's answer for the artifact ([`DiskStore::store`]).
+    pub(crate) stored: Option<usize>,
+    /// The body's CV `(fits, reuses)` tally.
+    pub(crate) cv: (u64, u64),
+    /// The body's time for a local task, the lease's for a remote one.
+    pub(crate) dur: Duration,
+}
+
 struct Job<A> {
     gid: Gid,
     kind: TaskKind,
     key: CacheKey,
     label: String,
-    /// Dataset name for the slowest-tasks table.
-    class: Option<String>,
     run: TaskFn<A>,
     inputs: Vec<Arc<A>>,
     /// When the entry last entered the ready list, for the queue-wait
@@ -842,7 +868,6 @@ fn new_entry<A>(
         key,
         kind: nodes[idx].kind,
         label: std::mem::take(&mut nodes[idx].label),
-        class: nodes[idx].class.take(),
         deps: Vec::new(),
         dependents: Vec::new(),
         pending: 0,
@@ -1083,7 +1108,7 @@ where
             }
         };
         let Some(job) = job else { continue };
-        let Job { gid, kind, key, label, class, run, inputs, queued_at, sub } = job;
+        let Job { gid, kind, key, label, run, inputs, queued_at, sub } = job;
 
         let t = crate::telemetry::global();
         let started = Instant::now();
@@ -1123,7 +1148,6 @@ where
                 let persist_dur = persist_start.elapsed();
                 let ki = kind.index();
                 t.task_seconds[ki].observe(elapsed);
-                t.record_slow_task(&label, kind.name(), class.as_deref().unwrap_or(""), elapsed);
                 t.queue_seconds[ki].observe(queue_wait);
                 if persisted {
                     t.persist_seconds.observe(persist_dur);
@@ -1143,8 +1167,10 @@ where
                     let span_dur = elapsed + persist_dur;
                     t.span(&label, kind.name(), started, span_dur, me as u64, args);
                 }
+                let artifact = Arc::new(artifact);
+                let done = Finished { artifact, remote: false, stored, cv, dur: elapsed };
                 let mut st = inner.state.lock().expect("state lock");
-                inner.complete_ok(&mut st, gid, Arc::new(artifact), false, stored, cv);
+                inner.complete_ok(&mut st, gid, done);
             }
             Err(err) => {
                 // A failure does not stop the worker: only the
@@ -1481,7 +1507,9 @@ mod tests {
             for &(gid, _) in &claimed {
                 assert_eq!(st.tasks[gid].phase, Phase::Running);
                 assert!(st.tasks[gid].run.is_some(), "a claimed task was popped locally");
-                pool.inner.complete_ok(&mut st, gid, Arc::new(V(1)), true, None, (0, 0));
+                let (artifact, dur) = (Arc::new(V(1)), Duration::ZERO);
+                let done = Finished { artifact, remote: true, stored: None, cv: (0, 0), dur };
+                pool.inner.complete_ok(&mut st, gid, done);
             }
         }
         let (_, report) = handle.wait().expect("main submission");
@@ -1573,6 +1601,47 @@ mod tests {
             12,
             "overlapping submissions must dedupe onto the same in-flight tasks: {st1:?} {st2:?}"
         );
+    }
+
+    #[test]
+    fn each_submission_ranks_only_its_own_tasks() {
+        // Two submissions in flight at once on one pool: each report's
+        // slowest-tasks table holds its own tasks and no other's.
+        let pool: Pool<V> = Pool::new(2, None);
+        let submit = |tag: &str, n_leaves: i64| {
+            let (mut g, sum) = counting_graph(tag, n_leaves);
+            g.resolve(&mut ArtifactCache::new(None), &[sum]);
+            let n = g.len();
+            pool.submit(g, retain_only(n, &[sum]), None, None)
+        };
+        let (big, small) = (submit("rank-big", 12), submit("rank-small", 3));
+        let (_, small) = small.wait().expect("small submission");
+        let (_, big) = big.wait().expect("big submission");
+        for (report, own, len) in [(&big, "rank-big-", 8), (&small, "rank-small-", 4)] {
+            let slow = &report.slowest;
+            assert_eq!(slow.len(), len, "{slow:?}");
+            assert!(slow.iter().all(|s| s.label.starts_with(own)), "{slow:?}");
+            assert!(slow.windows(2).all(|w| w[0].dur_us >= w[1].dur_us), "{slow:?}");
+        }
+        assert!(small.slowest.iter().any(|s| s.label == "rank-small-sum"), "{:?}", small.slowest);
+    }
+
+    #[test]
+    fn slow_task_table_keeps_top_eight_descending() {
+        // offered out of order: 5 is coprime to 12, so every duration
+        // from 1 to 12 ms comes once
+        let mut report = RunReport::default();
+        for i in 0..12u64 {
+            let ms = (i * 5) % 12 + 1;
+            report.count_slow(&format!("task{ms}"), TaskKind::Train, Duration::from_millis(ms));
+        }
+        let slow = &report.slowest;
+        assert_eq!(slow.len(), SLOWEST_LEN);
+        assert_eq!((slow[0].label.as_str(), slow[0].kind), ("task12", TaskKind::Train));
+        for w in slow.windows(2) {
+            assert!(w[0].dur_us >= w[1].dur_us, "table must be descending");
+        }
+        assert_eq!(slow.last().map(|s| s.dur_us), Some(5000), "fastest four dropped");
     }
 
     #[test]

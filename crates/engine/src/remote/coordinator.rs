@@ -43,7 +43,7 @@ use cleanml_dataset::codec::FRAME_MAGIC;
 
 use crate::cache::{CacheKey, DiskCodec};
 use crate::event::EngineEvent;
-use crate::pool::PoolInner;
+use crate::pool::{Finished, PoolInner};
 use crate::remote::http;
 use crate::remote::proto::{self, poll_recv, Message, Polled, PROTOCOL_VERSION};
 use crate::study::EngineGateway;
@@ -370,16 +370,16 @@ where
                                         .persist
                                         .as_ref()
                                         .and_then(|store| store.store(key, &payload));
-                                    let mut st = inner.state.lock().expect("state lock");
-                                    t.record_slow_task(
-                                        &label,
-                                        kind.name(),
-                                        st.tasks[gid].class.as_deref().unwrap_or(""),
-                                        lease_start.elapsed(),
-                                    );
                                     // a remote body's CV work stays uncounted
-                                    let artifact = Arc::new(artifact);
-                                    inner.complete_ok(&mut st, gid, artifact, true, stored, (0, 0));
+                                    let done = Finished {
+                                        artifact: Arc::new(artifact),
+                                        remote: true,
+                                        stored,
+                                        cv: (0, 0),
+                                        dur: lease_start.elapsed(),
+                                    };
+                                    let mut st = inner.state.lock().expect("state lock");
+                                    inner.complete_ok(&mut st, gid, done);
                                     completed += 1;
                                     break LeaseOutcome::Completed;
                                 }

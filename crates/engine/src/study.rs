@@ -1005,9 +1005,6 @@ fn build_grid_tasks_scoped(
 ) -> TaskId {
     let GridScope { methods, models, n_models_full, subset } = scope;
     let (n_methods, n_models) = (methods.len(), models.len());
-    // Every node this grid adds is labelled with `plan.name`, the dataset
-    // the slowest-tasks table names.
-    let first_node = g.len();
 
     // GenerateDataset: the base spec, plus the injection step for mislabel
     // variants. Base generation is shared across variants and error types
@@ -1269,7 +1266,7 @@ fn build_grid_tasks_scoped(
     let methods_owned: Vec<CleaningMethod> = methods.iter().map(|&(_, m)| m).collect();
     let models_owned: Vec<ModelKind> = models.iter().map(|&(_, k)| k).collect();
     let n_splits = cfg.n_splits;
-    let reduce_id = g.task(
+    g.task(
         TaskKind::Reduce,
         format!("grid/{}/{}", plan.name, et.name()),
         CacheKey::of(&grid_cname),
@@ -1306,9 +1303,7 @@ fn build_grid_tasks_scoped(
                 cells,
             )?)))
         },
-    );
-    g.class_range(first_node, &plan.name);
-    reduce_id
+    )
 }
 
 #[cfg(test)]

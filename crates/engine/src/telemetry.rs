@@ -19,11 +19,13 @@
 //!
 //! The registry is a process singleton ([`global`]): instrumentation in
 //! generic code (`DiskStore`, `ArtifactCache`, the pool) reaches it without
-//! threading a handle through every constructor. Counters are cumulative
-//! (Prometheus semantics) and process-wide. A submission's own figures —
-//! the `--cache-stats` line and the `report` of `GET /studies/:id` — are
-//! not read from here: the engine credits them to the submission where
-//! they happen, in its [`crate::RunReport`].
+//! threading a handle through every constructor. It holds only
+//! process-wide counters, gauges, histograms and trace spans, cumulative
+//! since the process started (Prometheus semantics), and keeps nothing per
+//! run. A submission's own figures — the `--cache-stats` line, its slowest
+//! tasks and the `report` of `GET /studies/:id` — are not read from here:
+//! the engine credits them to the submission where they happen, in its
+//! [`crate::RunReport`].
 
 use std::fmt::Write as _;
 use std::io;
@@ -176,20 +178,6 @@ impl Histogram {
     }
 }
 
-/// Entries kept in the slowest-tasks table.
-pub const SLOW_TABLE_LEN: usize = 8;
-
-/// One row of the slowest-tasks table: enough to name the straggler
-/// (what kind of task, which scheduling class, how long) without holding
-/// a reference into the pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowTask {
-    pub label: String,
-    pub kind: &'static str,
-    pub class: String,
-    pub dur_us: u64,
-}
-
 /// One buffered Chrome trace event (`ph:"X"` complete spans only).
 struct TraceEvent {
     name: String,
@@ -253,10 +241,6 @@ pub struct Telemetry {
     // Zero-copy artifact plane (cache.rs).
     pub(crate) handle_shares: Counter,
 
-    /// Top-[`SLOW_TABLE_LEN`] slowest completed tasks, descending by
-    /// duration. Reset per run by the study CLI (`run_study_cli`).
-    slow: Mutex<Vec<SlowTask>>,
-
     // Trace-span buffer.
     epoch: Instant,
     tracing: AtomicBool,
@@ -314,7 +298,6 @@ impl Telemetry {
             http_route_requests: std::array::from_fn(|_| Counter::default()),
             http_route_seconds: std::array::from_fn(|_| Histogram::default()),
             handle_shares: Counter::default(),
-            slow: Mutex::new(Vec::new()),
             epoch: Instant::now(),
             tracing: AtomicBool::new(false),
             trace: Mutex::new(Vec::new()),
@@ -326,40 +309,6 @@ impl Telemetry {
     /// Per-kind execute-latency summary (local executions only).
     pub fn task_latency(&self, kind: TaskKind) -> HistogramSummary {
         self.task_seconds[kind.index()].summary()
-    }
-
-    // ---- slowest-tasks table ----------------------------------------
-
-    /// Offers a completed task to the top-[`SLOW_TABLE_LEN`] slowest
-    /// table. Every offer takes the table's lock; a task no slower than
-    /// the current floor of a full table is then rejected without an
-    /// allocation.
-    pub(crate) fn record_slow_task(
-        &self,
-        label: &str,
-        kind: &'static str,
-        class: &str,
-        dur: Duration,
-    ) {
-        let dur_us = u64::try_from(dur.as_micros()).unwrap_or(u64::MAX);
-        let mut slow = self.slow.lock().expect("slow lock");
-        if slow.len() == SLOW_TABLE_LEN && slow.last().is_some_and(|t| t.dur_us >= dur_us) {
-            return;
-        }
-        let row = SlowTask { label: label.to_string(), kind, class: class.to_string(), dur_us };
-        let at = slow.partition_point(|t| t.dur_us >= dur_us);
-        slow.insert(at, row);
-        slow.truncate(SLOW_TABLE_LEN);
-    }
-
-    /// The slowest completed tasks since the last reset, descending.
-    pub fn slowest_tasks(&self) -> Vec<SlowTask> {
-        self.slow.lock().expect("slow lock").clone()
-    }
-
-    /// Clears the slowest-tasks table (run boundary).
-    pub fn reset_slow_tasks(&self) {
-        self.slow.lock().expect("slow lock").clear();
     }
 
     // ---- trace spans ------------------------------------------------
@@ -871,25 +820,6 @@ mod tests {
         let opens = text.matches('{').count();
         let closes = text.matches('}').count();
         assert_eq!(opens, closes);
-    }
-
-    #[test]
-    fn slow_task_table_keeps_top_eight_descending() {
-        let t = Telemetry::new();
-        for i in 0..12u64 {
-            t.record_slow_task(&format!("task{i}"), "train", "EEG", Duration::from_millis(i + 1));
-        }
-        let slow = t.slowest_tasks();
-        assert_eq!(slow.len(), SLOW_TABLE_LEN);
-        assert_eq!(slow[0].label, "task11");
-        assert_eq!(slow[0].kind, "train");
-        assert_eq!(slow[0].class, "EEG");
-        for w in slow.windows(2) {
-            assert!(w[0].dur_us >= w[1].dur_us, "table must be descending");
-        }
-        assert_eq!(slow.last().map(|s| s.dur_us), Some(5000), "fastest four dropped");
-        t.reset_slow_tasks();
-        assert!(t.slowest_tasks().is_empty());
     }
 
     #[test]
