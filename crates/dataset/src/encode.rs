@@ -13,6 +13,7 @@
 //! (NaCL, §VII-B of the paper) can react to them.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::column::Column;
@@ -45,9 +46,11 @@ pub struct FeatureMatrix {
     /// Lazily-built *chained* argsort sidecar (see
     /// [`FeatureMatrix::sorted_cols_chained`]).
     sorted_chain: OnceLock<Arc<Vec<Vec<u32>>>>,
+    /// Lazily-built one-hot groups (see [`FeatureMatrix::one_hot_groups`]).
+    one_hot: OnceLock<Arc<OneHotGroups>>,
 }
 
-/// Equality is over the logical matrix; the sidecar is derived state.
+/// Equality is over the logical matrix; the sidecars are derived state.
 impl PartialEq for FeatureMatrix {
     fn eq(&self, other: &Self) -> bool {
         self.n_rows == other.n_rows
@@ -80,6 +83,7 @@ impl FeatureMatrix {
             feature_names,
             sorted: OnceLock::new(),
             sorted_chain: OnceLock::new(),
+            one_hot: OnceLock::new(),
         }
     }
 
@@ -185,16 +189,23 @@ impl FeatureMatrix {
     }
 
     /// The per-column sorted-index sidecar: `sidecar[j]` holds every row
-    /// index, ordered by ascending `(value, row)`. Built once per matrix on
-    /// first use (thread-safe), then shared by reference.
+    /// index, ordered by ascending `(value, row)`. A 0/1 column's list is
+    /// empty (see [`FeatureMatrix::one_hot_groups`]): its `(value, row)`
+    /// order is its zero rows, then its one rows, each ascending. Built once
+    /// per matrix on first use (thread-safe), then shared by reference.
     ///
     /// The `(value, row)` order is exactly what a stable sort by value
     /// produces over an ascending-index row list, which is how the
     /// tree/GBDT kernels keep their pre-refactor tie-breaking bit-for-bit.
     pub fn sorted_cols(&self) -> &Arc<Vec<Vec<u32>>> {
         self.sorted.get_or_init(|| {
+            let one_hot = self.one_hot_groups();
             let mut all = Vec::with_capacity(self.n_cols);
             for j in 0..self.n_cols {
+                if one_hot.is_binary(j) {
+                    all.push(Vec::new());
+                    continue;
+                }
                 let col = self.col(j);
                 let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
                 idx.sort_unstable_by(|&a, &b| {
@@ -212,6 +223,9 @@ impl FeatureMatrix {
     /// The *chained* sorted-index sidecar: `sidecar[j]` is the identity
     /// permutation stably sorted by column 0, then 1, … then `j` — i.e.
     /// ascending by `(col_j, col_{j-1}, …, col_0, row)` lexicographically.
+    /// The chain runs through every column, but a 0/1 column's stage is
+    /// stored empty: the one-hot groups give its order (see the GBDT
+    /// kernel).
     ///
     /// This reproduces the exact tie order of a split finder that keeps one
     /// scratch `order` buffer and re-sorts it stably per feature without
@@ -221,10 +235,20 @@ impl FeatureMatrix {
     /// of these lists keep GBDT's gradient sweeps bit-for-bit.
     pub fn sorted_cols_chained(&self) -> &Arc<Vec<Vec<u32>>> {
         self.sorted_chain.get_or_init(|| {
+            let one_hot = self.one_hot_groups();
             let mut all = Vec::with_capacity(self.n_cols);
             let mut ord: Vec<u32> = (0..self.n_rows as u32).collect();
             for j in 0..self.n_cols {
                 let col = self.col(j);
+                if one_hot.is_binary(j) {
+                    // a stable sort by a 0/1 column is a stable partition
+                    let (mut zeros, ones): (Vec<u32>, Vec<u32>) =
+                        ord.iter().partition(|&&r| col[r as usize] == 0.0);
+                    zeros.extend(ones);
+                    ord = zeros;
+                    all.push(Vec::new());
+                    continue;
+                }
                 // stable: ties keep the previous chain order
                 ord.sort_by(|&a, &b| {
                     col[a as usize]
@@ -235,6 +259,15 @@ impl FeatureMatrix {
             }
             Arc::new(all)
         })
+    }
+
+    /// The one-hot sidecar: the matrix's 0/1 columns cut into groups (see
+    /// [`OneHotGroups`]). Built from the values alone, once per matrix on
+    /// first use, then shared by reference. The tree, GBDT and
+    /// logistic-regression fits read a 0/1 column through its group
+    /// instead of through a sorted list or a dense multiply.
+    pub fn one_hot_groups(&self) -> &Arc<OneHotGroups> {
+        self.one_hot.get_or_init(|| Arc::new(OneHotGroups::of(self)))
     }
 
     /// New matrix containing the examples at `indices`, in order. Indices may
@@ -409,6 +442,113 @@ impl FeatureMatrix {
             feature_names.push(take_str(r)?);
         }
         Some(Self::from_columnar(data, missing, n_rows, n_cols, labels, n_classes, feature_names))
+    }
+}
+
+/// The widest one-hot group: hot positions are `u8`, and the width itself
+/// stands for "none".
+const MAX_GROUP_WIDTH: usize = u8::MAX as usize;
+
+/// A run of consecutive 0/1 columns in which every row holds at most one 1.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OneHotGroup {
+    start: usize,
+    width: usize,
+    hot: Vec<u8>,
+}
+
+impl OneHotGroup {
+    /// The group's first column.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// Number of columns in the group (at most 255).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The group's columns.
+    pub fn columns(&self) -> Range<usize> {
+        self.start..self.start + self.width
+    }
+
+    /// Per row, the position in `0..width` of the column holding the row's
+    /// 1, or `width` when the row is 0 in every column of the group.
+    pub fn hot(&self) -> &[u8] {
+        &self.hot
+    }
+}
+
+/// A matrix's one-hot groups, the sidecar of
+/// [`FeatureMatrix::one_hot_groups`].
+///
+/// A column is *0/1* when every value is bitwise `+0.0` or `1.0`; a column
+/// holding `-0.0`, `2.0` or NaN is not. The 0/1 columns are cut greedily,
+/// left to right, into groups of consecutive columns in which every row
+/// holds at most one 1: a 0/1 column joins the group just before it unless
+/// some row already has its 1 there (or the group is 255 wide). A lone 0/1
+/// column, an all-zero one included, is a group of one. The groups come
+/// from the data only: an encoder's categorical columns usually give one
+/// group each, but nothing ties the two together.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OneHotGroups {
+    groups: Vec<OneHotGroup>,
+    /// Per column: the index of its group, if it is 0/1.
+    group_of: Vec<Option<usize>>,
+}
+
+impl OneHotGroups {
+    fn of(m: &FeatureMatrix) -> OneHotGroups {
+        const ZERO: u64 = 0;
+        const ONE: u64 = 0x3FF0_0000_0000_0000; // 1.0f64.to_bits()
+        const NONE: u8 = u8::MAX; // "no 1 yet" while a group grows
+        let mut groups: Vec<OneHotGroup> = Vec::new();
+        let mut group_of = vec![None; m.n_cols];
+        for (j, slot) in group_of.iter_mut().enumerate() {
+            let col = m.col(j);
+            if !col.iter().all(|v| matches!(v.to_bits(), ZERO | ONE)) {
+                continue;
+            }
+            let joins = groups.last().is_some_and(|g| {
+                g.start + g.width == j
+                    && g.width < MAX_GROUP_WIDTH
+                    && col.iter().zip(&g.hot).all(|(v, &h)| v.to_bits() == ZERO || h == NONE)
+            });
+            if !joins {
+                groups.push(OneHotGroup { start: j, width: 0, hot: vec![NONE; m.n_rows] });
+            }
+            let g = groups.last_mut().expect("a group is open");
+            for (h, v) in g.hot.iter_mut().zip(col) {
+                if v.to_bits() == ONE {
+                    *h = g.width as u8;
+                }
+            }
+            g.width += 1;
+            *slot = Some(groups.len() - 1);
+        }
+        for g in &mut groups {
+            // the sentinel becomes the group's own "none", its width
+            let none = g.width as u8;
+            g.hot.iter_mut().filter(|h| **h == NONE).for_each(|h| *h = none);
+        }
+        OneHotGroups { groups, group_of }
+    }
+
+    /// The groups, in column order.
+    pub fn groups(&self) -> &[OneHotGroup] {
+        &self.groups
+    }
+
+    /// Whether column `j` is 0/1.
+    pub fn is_binary(&self, j: usize) -> bool {
+        self.group_of[j].is_some()
+    }
+
+    /// The group holding column `j` and `j`'s position in it, if `j` is 0/1.
+    pub fn locate(&self, j: usize) -> Option<(&OneHotGroup, usize)> {
+        let g = &self.groups[self.group_of[j]?];
+        Some((g, j - g.start))
     }
 }
 
@@ -846,7 +986,7 @@ mod tests {
     #[test]
     fn sorted_sidecar_orders_by_value_then_row() {
         let m = FeatureMatrix::from_parts(
-            vec![2.0, 0.0, 1.0, 1.0, 2.0, 0.0, 1.0, 1.0],
+            vec![2.0, 0.0, 1.0, 2.0, 2.0, 0.0, 1.0, 2.0],
             4,
             2,
             vec![0, 1, 0, 1],
@@ -855,10 +995,91 @@ mod tests {
         let sc = m.sorted_cols();
         // col 0 = [2,1,2,1]: ties broken by ascending row
         assert_eq!(sc[0], vec![1, 3, 0, 2]);
-        // col 1 = [0,1,0,1]
+        // col 1 = [0,2,0,2] (not 0/1, so it has a list)
         assert_eq!(sc[1], vec![0, 2, 1, 3]);
         // the sidecar is built once and shared
         assert!(Arc::ptr_eq(m.sorted_cols(), sc));
+    }
+
+    /// A matrix of the given columns (each `n` values) with all-zero labels.
+    fn of_cols(cols: &[&[f64]]) -> FeatureMatrix {
+        let n = cols.first().map_or(0, |c| c.len());
+        let data = (0..n).flat_map(|i| cols.iter().map(move |c| c[i])).collect();
+        FeatureMatrix::from_parts(data, n, cols.len(), vec![0; n], 2)
+    }
+
+    #[test]
+    fn only_plus_zero_and_one_columns_are_binary() {
+        let m = of_cols(&[
+            &[0.0, 1.0, 0.0],
+            &[-0.0, 1.0, 0.0],
+            &[0.0, 2.0, 0.0],
+            &[0.0, f64::NAN, 1.0],
+            &[1.0, 0.0, 0.0],
+        ]);
+        let oh = m.one_hot_groups();
+        let binary: Vec<bool> = (0..5).map(|j| oh.is_binary(j)).collect();
+        assert_eq!(binary, [true, false, false, false, true]);
+        // the two 0/1 columns are not adjacent, so each is a group of one
+        let groups: Vec<_> = oh.groups().iter().map(|g| (g.columns(), g.hot().to_vec())).collect();
+        assert_eq!(groups, [(0..1, vec![1, 0, 1]), (4..5, vec![0, 1, 1])]);
+        assert_eq!(oh.locate(4).map(|(g, s)| (g.start(), s)), Some((4, 0)));
+        assert!(oh.locate(1).is_none());
+        // the sorted sidecars keep lists for the other columns only
+        let lists = |s: &Arc<Vec<Vec<u32>>>| s.iter().map(|l| l.len()).collect::<Vec<_>>();
+        assert_eq!(lists(m.sorted_cols()), [0, 3, 3, 3, 0]);
+        assert_eq!(lists(m.sorted_cols_chained()), [0, 3, 3, 3, 0]);
+    }
+
+    #[test]
+    fn all_zero_column_is_a_group_of_one_with_no_hot_row() {
+        let m = of_cols(&[&[0.5, 1.5, 2.5], &[0.0, 0.0, 0.0]]);
+        let oh = m.one_hot_groups();
+        assert_eq!(oh.groups().len(), 1);
+        let g = &oh.groups()[0];
+        assert_eq!((g.start(), g.width(), g.hot()), (1, 1, &[1u8, 1, 1][..]));
+        assert!(Arc::ptr_eq(m.one_hot_groups(), oh), "built once and shared");
+    }
+
+    #[test]
+    fn a_row_hot_in_two_adjacent_columns_cuts_the_run() {
+        // columns 0-1 share no hot row; row 1 is hot in both 1 and 2, so
+        // column 2 opens a new group, which column 3 then joins
+        let m = of_cols(&[
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 1.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
+        let oh = m.one_hot_groups();
+        let groups: Vec<_> = oh.groups().iter().map(|g| (g.columns(), g.hot().to_vec())).collect();
+        assert_eq!(groups, [(0..2, vec![0, 1, 2, 2]), (2..4, vec![2, 0, 0, 1])]);
+        assert_eq!(oh.locate(3).map(|(g, s)| (g.start(), s)), Some((2, 1)));
+    }
+
+    #[test]
+    fn two_categorical_columns_encode_to_two_groups() {
+        let schema = Schema::new(vec![
+            FieldMeta::cat_feature("c"),
+            FieldMeta::num_feature("x"),
+            FieldMeta::cat_feature("e"),
+            FieldMeta::label("y"),
+        ]);
+        let mut t = Table::new(schema);
+        for (c, x, e) in [
+            (Some("a"), 1.0, Some("u")),
+            (Some("b"), 2.0, Some("v")),
+            (None, 3.0, Some("w")),
+            (Some("c"), 4.0, None),
+        ] {
+            t.push_row(vec![Value::from(c), Value::from(x), Value::from(e), Value::from("p")])
+                .unwrap();
+        }
+        let m = Encoder::fit(&t).unwrap().transform(&t).unwrap();
+        // x, then c=a c=b c=c, then e=u e=v e=w: missing cells are hot nowhere
+        let oh = m.one_hot_groups();
+        let groups: Vec<_> = oh.groups().iter().map(|g| (g.columns(), g.hot().to_vec())).collect();
+        assert_eq!(groups, [(1..4, vec![0, 1, 3, 2]), (4..7, vec![0, 1, 2, 3])]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod table;
 pub mod value;
 
 pub use column::{Column, ColumnData};
-pub use encode::{Encoder, FeatureMatrix};
+pub use encode::{Encoder, FeatureMatrix, OneHotGroup, OneHotGroups};
 pub use error::DatasetError;
 pub use schema::{ColumnKind, ColumnRole, FieldMeta, Schema};
 pub use table::Table;

@@ -294,8 +294,9 @@ proptest! {
 
     /// The columnar arena is an exact relayout: every cell read through the
     /// row view (`read_row`/`row_vec`), the column view (`col`), and the
-    /// strided scalar (`at`) is the same bits, missingness included — and
-    /// the sorted-index sidecars are true argsorts of the columns.
+    /// strided scalar (`at`) is the same bits, missingness included — the
+    /// one-hot groups hold exactly the 0/1 columns, and the sorted-index
+    /// sidecars are true argsorts of the other columns.
     #[test]
     fn row_and_column_views_agree(t in arb_table()) {
         let complete = t.drop_rows_with_missing();
@@ -321,12 +322,39 @@ proptest! {
                 prop_assert_eq!(m.missing_at(i, j), m.missing_col(j)[i], "missing ({},{})", i, j);
             }
         }
-        // plain sidecar: each column's permutation, ascending by (value, row)
+        // one-hot groups: exactly the columns whose every value is bitwise
+        // +0.0 or 1.0, cut into runs of consecutive columns with at most one
+        // 1 per row, each row's hot position naming its 1
+        let one_hot = m.one_hot_groups();
+        for j in 0..d {
+            let binary = m.col(j).iter().all(|v| v.to_bits() == 0 || *v == 1.0);
+            prop_assert_eq!(one_hot.is_binary(j), binary, "column {} 0/1", j);
+        }
+        let mut grouped = 0;
+        for (gi, g) in one_hot.groups().iter().enumerate() {
+            prop_assert!(g.width() >= 1);
+            grouped += g.width();
+            prop_assert_eq!(g.hot().len(), n);
+            for (s, c) in g.columns().enumerate() {
+                prop_assert_eq!(one_hot.locate(c).map(|(h, at)| (h.start(), at)), Some((g.start(), s)));
+                for (i, &v) in m.col(c).iter().enumerate() {
+                    prop_assert_eq!(v == 1.0, usize::from(g.hot()[i]) == s, "group {} row {}", gi, i);
+                }
+            }
+            prop_assert!(g.hot().iter().all(|&h| usize::from(h) <= g.width()));
+        }
+        prop_assert_eq!(grouped, (0..d).filter(|&j| one_hot.is_binary(j)).count());
+        // plain sidecar: each other column's permutation, ascending by
+        // (value, row); a 0/1 column has no list
         let sorted = m.sorted_cols();
         prop_assert_eq!(sorted.len(), d);
         for j in 0..d {
             let col = m.col(j);
             let idx = &sorted[j];
+            if one_hot.is_binary(j) {
+                prop_assert!(idx.is_empty(), "0/1 column {} has a list", j);
+                continue;
+            }
             prop_assert_eq!(idx.len(), n);
             let mut seen = vec![false; n];
             for w in idx.windows(2) {
@@ -341,22 +369,29 @@ proptest! {
             }
             prop_assert!(seen.iter().all(|&s| s), "column {} is not a permutation", j);
         }
-        // chained sidecar: each stage is a permutation, non-decreasing in
-        // its own column, with ties keeping the previous stage's order
+        // chained sidecar: each stored stage is a permutation, non-decreasing
+        // in its own column, with ties keeping the previous stage's order; a
+        // 0/1 column's stage is not stored, and is the previous stage stably
+        // partitioned into its zero rows, then its one rows
         let chained = m.sorted_cols_chained();
         prop_assert_eq!(chained.len(), d);
+        let mut prev: Vec<u32> = (0..n as u32).collect();
         for j in 0..d {
             let col = m.col(j);
+            if one_hot.is_binary(j) {
+                prop_assert!(chained[j].is_empty(), "0/1 chain stage {} stored", j);
+                let (mut zeros, ones): (Vec<u32>, Vec<u32>) =
+                    prev.iter().partition(|&&i| col[i as usize] == 0.0);
+                zeros.extend(ones);
+                prev = zeros;
+                continue;
+            }
             let idx = &chained[j];
-            let prev_pos: Vec<usize> = if j == 0 {
-                (0..n).collect()
-            } else {
-                let mut pos = vec![0; n];
-                for (p, &i) in chained[j - 1].iter().enumerate() {
-                    pos[i as usize] = p;
-                }
-                pos
-            };
+            prop_assert_eq!(idx.len(), n);
+            let mut prev_pos = vec![0; n];
+            for (p, &i) in prev.iter().enumerate() {
+                prev_pos[i as usize] = p;
+            }
             for w in idx.windows(2) {
                 let (a, b) = (w[0] as usize, w[1] as usize);
                 prop_assert!(col[a] <= col[b], "chain stage {} not sorted", j);
@@ -367,6 +402,12 @@ proptest! {
                     );
                 }
             }
+            let mut seen = vec![false; n];
+            for &i in idx.iter() {
+                seen[i as usize] = true;
+            }
+            prop_assert!(seen.iter().all(|&s| s), "chain stage {} is not a permutation", j);
+            prev = idx.clone();
         }
     }
 

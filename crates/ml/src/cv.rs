@@ -11,9 +11,10 @@
 //! `(n_rows, k, seed)` key, it owns the fold index sets and materializes
 //! each fold's train/val [`FeatureMatrix`] pair lazily, exactly once, behind
 //! an `OnceLock`. Every candidate of a [`random_search`] scores against the
-//! *same* `Arc`'d fold matrices, so their argsort sidecars
-//! ([`FeatureMatrix::sorted_cols`] / `sorted_cols_chained`) are built once
-//! per fold rather than once per candidate. The `(candidate, fold)` grid
+//! *same* `Arc`'d fold matrices, so their sidecars
+//! ([`FeatureMatrix::sorted_cols`] / `sorted_cols_chained` /
+//! `one_hot_groups`) are built once per fold rather than once per
+//! candidate. The `(candidate, fold)` grid
 //! runs candidate-major: fit seeds depend only on the fold index and
 //! candidate specs are sampled up front from the single RNG stream, so
 //! scores, tie-breaking and f64 accumulation are the naive loop's.

@@ -5,11 +5,26 @@
 //! cross-entropy, splits maximize the regularized structure gain
 //! `½·[G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ`, and leaf weights are
 //! the Newton step `−G/(H+λ)` scaled by the learning rate η — the core of
-//! Chen & Guestrin's algorithm (KDD'16), minus the systems-level features
-//! (histogram sketches, sparsity-aware splits) that don't change accuracy on
-//! CleanML-sized data.
+//! Chen & Guestrin's algorithm (KDD'16), minus the histogram sketches that
+//! don't change accuracy on CleanML-sized data.
+//!
+//! Split finding is exact enumeration over the chained sidecar
+//! ([`FeatureMatrix::sorted_cols_chained`]), with the paper's sparsity
+//! idea applied to one-hot groups ([`FeatureMatrix::one_hot_groups`]): a
+//! 0/1 column has the one threshold 0.5 and no sorted list. Take the order
+//! of the column before a group as its *base order*: that column's list,
+//! the row buffer when the group starts at column 0, or the bucketed order
+//! (below) of an adjacent previous group. The chained order of the group's
+//! column `s` is the rows hot at none or after `s`, then the rows hot at 0,
+//! 1, …, `s−1` (its zero rows), then the rows hot at `s`, each run in base
+//! order. So two passes give every column's zero-side (ΣG, ΣH) with the
+//! sweep's terms in the sweep's order: pass 1 walks the base order and adds
+//! each row to the lanes before its hot position (all lanes if none); pass 2
+//! walks the rows bucketed by hot position and adds each to the lanes after
+//! it. That bucketed order, none bucket first, is the chained order of the
+//! group's last column, the base order of an adjacent next group.
 
-use cleanml_dataset::FeatureMatrix;
+use cleanml_dataset::{FeatureMatrix, OneHotGroup};
 use rand::seq::IndexedRandom;
 use rand::Rng;
 
@@ -118,8 +133,9 @@ pub struct Gbdt {
 /// per-row gradient statistics.
 pub(crate) struct GradCtx<'a> {
     pub(crate) data: &'a FeatureMatrix,
-    pub(crate) grad: &'a [f64],
-    pub(crate) hess: &'a [f64],
+    /// `[gradient, hessian]` per row: one two-lane add advances a
+    /// (ΣG, ΣH) pair, and each lane is its own IEEE sum.
+    pub(crate) gh: &'a [[f64; 2]],
     pub(crate) params: &'a GbdtParams,
 }
 
@@ -146,8 +162,7 @@ impl Gbdt {
         let mut trees: Vec<Vec<RegTree>> = Vec::with_capacity(params.n_rounds);
 
         let mut probs = vec![0.0; k];
-        let mut grad = vec![0.0; n];
-        let mut hess = vec![0.0; n];
+        let mut gh = vec![[0.0; 2]; n];
 
         for _round in 0..params.n_rounds {
             let mut round_trees = Vec::with_capacity(k);
@@ -162,10 +177,9 @@ impl Gbdt {
                 for i in 0..n {
                     let p = all_probs[i * k + c];
                     let y = if data.labels()[i] == c { 1.0 } else { 0.0 };
-                    grad[i] = p - y;
-                    hess[i] = (p * (1.0 - p)).max(1e-6);
+                    gh[i] = [p - y, (p * (1.0 - p)).max(1e-6)];
                 }
-                let tree = grow_tree(&GradCtx { data, grad: &grad, hess: &hess, params });
+                let tree = grow_tree(&GradCtx { data, gh: &gh, params });
                 for i in 0..n {
                     scores[i * k + c] += params.eta * tree.predict_row(data, i);
                 }
@@ -222,9 +236,73 @@ pub(crate) fn score(g: f64, h: f64, lambda: f64) -> f64 {
 fn grow_reg_tree(ctx: &GradCtx<'_>) -> RegTree {
     let n = ctx.data.n_rows();
     let mut arena = Arena::all_rows(ctx.data.sorted_cols_chained(), n);
+    let mut lanes = Lanes::default();
     let mut nodes = Vec::new();
-    build_reg_node(ctx, &mut arena, &mut nodes, 0, n, 0);
+    build_reg_node(ctx, &mut arena, &mut lanes, &mut nodes, 0, n, 0);
     RegTree { nodes }
+}
+
+/// Scratch of the one-hot group passes, reused by every node of a tree.
+#[derive(Default)]
+struct Lanes {
+    /// Per column of the group: (ΣG, ΣH) of its zero rows.
+    sums: Vec<[f64; 2]>,
+    /// Rows per hot position, `none` (the width) last.
+    hot_n: Vec<usize>,
+    /// Per hot position: the next free slot of its bucket.
+    slot: Vec<usize>,
+    /// The node's rows bucketed by hot position, none bucket first: the
+    /// group being summed, and the group before it.
+    bucketed: Vec<u32>,
+    prev: Vec<u32>,
+}
+
+impl Lanes {
+    /// Sums every column of `group` over a node whose rows in the group's
+    /// base order are `base`, or the previous group's bucketed order when
+    /// `base` is `None`, and buckets the rows into `self.bucketed`.
+    fn sum(&mut self, group: &OneHotGroup, base: Option<&[u32]>, gh: &[[f64; 2]]) {
+        let (width, hot) = (group.width(), group.hot());
+        let Lanes { sums, hot_n, slot, bucketed, prev } = self;
+        std::mem::swap(prev, bucketed);
+        let base = base.unwrap_or(prev);
+        sums.clear();
+        sums.resize(width, [0.0; 2]);
+        hot_n.clear();
+        hot_n.resize(width + 1, 0);
+        // pass 1: the rows hot at none or after a lane, in base order
+        for &r in base {
+            let (at, x) = (usize::from(hot[r as usize]), gh[r as usize]);
+            hot_n[at] += 1;
+            for sum in &mut sums[..at] {
+                sum[0] += x[0];
+                sum[1] += x[1];
+            }
+        }
+        // bucket by hot position, none first, each bucket in base order
+        slot.clear();
+        let mut at = hot_n[width];
+        slot.extend(hot_n[..width].iter().map(|&c| {
+            at += c;
+            at - c
+        }));
+        slot.push(0);
+        bucketed.clear();
+        bucketed.resize(base.len(), 0);
+        for &r in base {
+            let next = &mut slot[usize::from(hot[r as usize])];
+            bucketed[*next] = r;
+            *next += 1;
+        }
+        // pass 2: the rows hot before a lane, by hot position
+        for &r in &bucketed[hot_n[width]..] {
+            let (at, x) = (usize::from(hot[r as usize]), gh[r as usize]);
+            for sum in &mut sums[at + 1..] {
+                sum[0] += x[0];
+                sum[1] += x[1];
+            }
+        }
+    }
 }
 
 /// Recursively builds the regression subtree of arena range `[lo, hi)`.
@@ -235,14 +313,15 @@ fn grow_reg_tree(ctx: &GradCtx<'_>) -> RegTree {
 fn build_reg_node(
     ctx: &GradCtx<'_>,
     arena: &mut Arena,
+    lanes: &mut Lanes,
     nodes: &mut Vec<RNode>,
     lo: usize,
     hi: usize,
     depth: usize,
 ) -> usize {
     let rows = arena.rows(lo, hi);
-    let g_total: f64 = rows.iter().map(|&r| ctx.grad[r as usize]).sum();
-    let h_total: f64 = rows.iter().map(|&r| ctx.hess[r as usize]).sum();
+    let g_total: f64 = rows.iter().map(|&r| ctx.gh[r as usize][0]).sum();
+    let h_total: f64 = rows.iter().map(|&r| ctx.gh[r as usize][1]).sum();
     let lambda = ctx.params.lambda;
 
     let leaf_weight = -g_total / (h_total + lambda);
@@ -252,53 +331,56 @@ fn build_reg_node(
         return nodes.len() - 1;
     }
 
-    // Best split by structure gain: one contiguous sweep per feature over
-    // the node's sorted arena list, features in ascending order, with a
-    // strictly-greater comparison both within and across features, so the
-    // chosen split is the first feature and first threshold to reach the
-    // maximum.
+    // Best split by structure gain: one contiguous sweep per listed feature
+    // over the node's sorted arena list, and the group passes for 0/1
+    // columns, features in ascending order, with a strictly-greater
+    // comparison both within and across features, so the chosen split is
+    // the first feature and first threshold to reach the maximum.
     let d = ctx.data.n_cols();
-    let parent_score = score(g_total, h_total, lambda);
-    let gain_floor = ctx.params.gamma.max(1e-12);
-    let sweep_feature = |f: usize| -> Option<(f64, f64)> {
-        let order = arena.list(f, lo, hi);
-        let col = ctx.data.col(f);
-        let mut fbest: Option<(f64, f64)> = None;
-        let mut fbest_gain = gain_floor;
-        let mut gl = 0.0;
-        let mut hl = 0.0;
-        for w in 0..order.len() - 1 {
-            let r = order[w] as usize;
-            gl += ctx.grad[r];
-            hl += ctx.hess[r];
-            let v_here = col[r];
-            let v_next = col[order[w + 1] as usize];
-            if v_next <= v_here {
-                continue;
-            }
-            let gr = g_total - gl;
-            let hr = h_total - hl;
-            if hl < ctx.params.min_child_weight || hr < ctx.params.min_child_weight {
-                continue;
-            }
-            let gain = 0.5 * (score(gl, hl, lambda) + score(gr, hr, lambda) - parent_score);
-            if gain > fbest_gain {
-                fbest_gain = gain;
-                fbest = Some((gain, 0.5 * (v_here + v_next)));
-            }
-        }
-        fbest
+    let parent = Parent {
+        g: g_total,
+        h: h_total,
+        lambda,
+        min_child_weight: ctx.params.min_child_weight,
+        score: score(g_total, h_total, lambda),
     };
-
+    let gain_floor = ctx.params.gamma.max(1e-12);
+    let one_hot = ctx.data.one_hot_groups();
+    let mut groups = one_hot.groups().iter().peekable();
     let mut best: Option<(usize, f64)> = None;
     let mut best_gain = gain_floor;
-    for f in 0..d {
-        if let Some((gain, split)) = sweep_feature(f) {
-            if gain > best_gain {
+    let mut f = 0;
+    while f < d {
+        let Some(group) = groups.next_if(|g| g.start() == f) else {
+            let order = arena.list(f, lo, hi);
+            let col = ctx.data.col(f);
+            if let Some((gain, split)) = sweep_list(&parent, gain_floor, order, col, ctx.gh) {
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some((f, split));
+                }
+            }
+            f += 1;
+            continue;
+        };
+        let base = match f.checked_sub(1) {
+            None => Some(arena.rows(lo, hi)),
+            Some(before) if one_hot.is_binary(before) => None,
+            Some(before) => Some(arena.list(before, lo, hi)),
+        };
+        lanes.sum(group, base, ctx.gh);
+        for s in 0..group.width() {
+            // the one threshold needs zero rows and one rows in the node
+            if lanes.hot_n[s] == 0 || lanes.hot_n[s] == hi - lo {
+                continue;
+            }
+            let [gl, hl] = lanes.sums[s];
+            if let Some(gain) = parent.gain(gl, hl).filter(|&gain| gain > best_gain) {
                 best_gain = gain;
-                best = Some((f, split));
+                best = Some((f + s, 0.5));
             }
         }
+        f += group.width();
     }
 
     let Some((feature, threshold)) = best else {
@@ -315,10 +397,64 @@ fn build_reg_node(
 
     let idx = nodes.len();
     nodes.push(RNode::Leaf(0.0)); // placeholder
-    let left = build_reg_node(ctx, arena, nodes, lo, mid, depth + 1);
-    let right = build_reg_node(ctx, arena, nodes, mid, hi, depth + 1);
+    let left = build_reg_node(ctx, arena, lanes, nodes, lo, mid, depth + 1);
+    let right = build_reg_node(ctx, arena, lanes, nodes, mid, hi, depth + 1);
     nodes[idx] = RNode::Split { feature, threshold, left, right };
     idx
+}
+
+/// What a node's candidate splits are scored against: its (ΣG, ΣH), λ,
+/// `min_child_weight` and its own structure score.
+struct Parent {
+    g: f64,
+    h: f64,
+    lambda: f64,
+    min_child_weight: f64,
+    score: f64,
+}
+
+impl Parent {
+    /// The structure gain of sending (ΣG, ΣH) = `(gl, hl)` left, or `None`
+    /// if either child's hessian sum is under `min_child_weight`.
+    #[inline(always)]
+    fn gain(&self, gl: f64, hl: f64) -> Option<f64> {
+        let gr = self.g - gl;
+        let hr = self.h - hl;
+        if hl < self.min_child_weight || hr < self.min_child_weight {
+            return None;
+        }
+        Some(0.5 * (score(gl, hl, self.lambda) + score(gr, hr, self.lambda) - self.score))
+    }
+}
+
+/// Sweeps a feature's chained `order` once and returns its first best
+/// `(gain, threshold)` above `gain_floor`, thresholds sitting between
+/// consecutive distinct values.
+fn sweep_list(
+    parent: &Parent,
+    gain_floor: f64,
+    order: &[u32],
+    col: &[f64],
+    gh: &[[f64; 2]],
+) -> Option<(f64, f64)> {
+    let mut best: Option<(f64, f64)> = None;
+    let mut best_gain = gain_floor;
+    let mut left = [0.0; 2];
+    for w in 0..order.len() - 1 {
+        let r = order[w] as usize;
+        left[0] += gh[r][0];
+        left[1] += gh[r][1];
+        let v_here = col[r];
+        let v_next = col[order[w + 1] as usize];
+        if v_next <= v_here {
+            continue;
+        }
+        if let Some(gain) = parent.gain(left[0], left[1]).filter(|&gain| gain > best_gain) {
+            best_gain = gain;
+            best = Some((gain, 0.5 * (v_here + v_next)));
+        }
+    }
+    best
 }
 
 impl RegTree {
@@ -435,6 +571,66 @@ mod tests {
             labels.push(usize::from(i % 2 == 0));
         }
         FeatureMatrix::from_parts(data, n, 2, labels, 2)
+    }
+
+    /// The group passes add each 0/1 column's zero rows in its chained
+    /// sweep order. Group A opens the matrix (base order: the row buffer)
+    /// and group B follows it (base order: A's buckets); every lane's
+    /// (ΣG, ΣH) has the bits of a plain left-to-right sum over its zero rows
+    /// in chained order, and each group's buckets are the chained order of
+    /// its last column.
+    #[test]
+    fn group_passes_follow_the_chained_order() {
+        // hot positions; 3 (A) and 2 (B) mean none. Row 1 is hot in A and
+        // in B's first column, so the two stay separate groups.
+        let hot_a = [2usize, 0, 3, 1, 0, 2, 3, 1, 0, 2];
+        let hot_b = [1usize, 0, 0, 2, 1, 1, 0, 2, 2, 0];
+        let n = hot_a.len();
+        let mut data = Vec::new();
+        for i in 0..n {
+            data.extend((0..3).map(|s| if hot_a[i] == s { 1.0 } else { 0.0 }));
+            data.extend((0..2).map(|s| if hot_b[i] == s { 1.0 } else { 0.0 }));
+        }
+        let m = FeatureMatrix::from_parts(data, n, 5, vec![0; n], 2);
+        let groups = m.one_hot_groups().groups();
+        assert_eq!(groups.iter().map(|g| g.columns()).collect::<Vec<_>>(), [0..3, 3..5]);
+        // magnitudes far apart, so a sum's bits depend on its order
+        let grad = [1e17, -3.0, 1.0, -1e17, 2.5, 7e-3, 1e16, -2.0, 0.3, 5.0];
+        let hess = [0.25, 1e-6, 3e15, 0.5, -3e15, 0.125, 1.0, 2e-3, 0.75, 1e-6];
+        let gh: Vec<[f64; 2]> = grad.iter().zip(&hess).map(|(&g, &h)| [g, h]).collect();
+
+        // the chained stages and each column's zero-row sums, plainly
+        let mut stage: Vec<u32> = (0..n as u32).collect();
+        let mut stages = Vec::new();
+        let mut want = Vec::new();
+        let mut order_matters = false;
+        for j in 0..5 {
+            let col = m.col(j);
+            stage.sort_by(|&a, &b| col[a as usize].partial_cmp(&col[b as usize]).unwrap());
+            let zeros = stage.iter().filter(|&&r| col[r as usize] == 0.0);
+            let sum = zeros
+                .clone()
+                .fold([0.0; 2], |s, &r| [s[0] + grad[r as usize], s[1] + hess[r as usize]]);
+            let mut by_row: Vec<u32> = zeros.copied().collect();
+            by_row.sort_unstable();
+            let plain = by_row.iter().fold(0.0, |s, &r| s + grad[r as usize]);
+            order_matters |= plain.to_bits() != sum[0].to_bits();
+            want.push(sum.map(f64::to_bits));
+            stages.push(stage.clone());
+        }
+        assert!(order_matters, "the fixture cannot tell orders apart");
+
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let mut lanes = Lanes::default();
+        lanes.sum(&groups[0], Some(&rows), &gh);
+        let got: Vec<_> = lanes.sums.iter().map(|s| s.map(f64::to_bits)).collect();
+        assert_eq!(got, want[0..3]);
+        assert_eq!(lanes.bucketed, stages[2]);
+        lanes.sum(&groups[1], None, &gh);
+        let got: Vec<_> = lanes.sums.iter().map(|s| s.map(f64::to_bits)).collect();
+        assert_eq!(got, want[3..5]);
+        assert_eq!(lanes.bucketed, stages[4]);
+        assert_eq!(lanes.hot_n, [4, 3, 3]);
     }
 
     #[test]

@@ -4,8 +4,20 @@
 //! regularization. Features arrive standardized from the encoder, so a fixed
 //! learning-rate schedule converges reliably; the paper's random search is
 //! mirrored by sampling the regularization strength.
+//!
+//! Both passes of the fit read a 0/1 column through the matrix's one-hot
+//! groups ([`FeatureMatrix::one_hot_groups`]) and visit only its one rows:
+//! pass 1 adds each row's hot weight to its logit, pass 2 adds each row's
+//! error to its hot column's gradient. A skipped term is `w·0.0` or
+//! `e·0.0`, which is `±0.0` while `w` and `e` are finite, and every
+//! accumulator starts at `+0.0`. In round-to-nearest a sum that starts at
+//! `+0.0` never becomes `−0.0`, so adding `±0.0` to it changes no bit, and
+//! skipping the term gives the dense loop's bits. A class whose group
+//! weights or errors are not all finite runs the dense loop.
 
-use cleanml_dataset::FeatureMatrix;
+use std::ops::Range;
+
+use cleanml_dataset::{FeatureMatrix, OneHotGroup};
 use rand::Rng;
 
 use crate::error::MlError;
@@ -96,21 +108,38 @@ impl Logistic {
         let mut errs = vec![0.0; k * n];
         let mut grad_w = vec![0.0; k * d];
         let mut grad_b = vec![0.0; k];
+        // Per group: its weights plus a `+0.0` for rows hot nowhere, or its
+        // gradient sums plus a sink for those rows.
+        let mut lanes = Vec::new();
 
         for epoch in 0..params.epochs {
             // Pass 1 — logits, one AXPY per (class, feature) over a
-            // contiguous column. Each `logits[c,i]` accumulator receives
-            // its feature terms in ascending-`j` order starting from zero
-            // (a row-major dot product term for term), with the bias added
-            // afterwards. The elements are independent, so vectorizing the
-            // AXPY changes no bit.
+            // contiguous column, or one pass per (class, group) adding each
+            // row's hot weight. Each `logits[c,i]` accumulator receives its
+            // nonzero feature terms in ascending-`j` order starting from
+            // zero (a row-major dot product term for term), with the bias
+            // added afterwards. The elements are independent, so
+            // vectorizing the AXPY changes no bit.
             logits.fill(0.0);
             for (c, zs) in logits.chunks_exact_mut(n).enumerate() {
-                for (j, &wcj) in weights[c * d..(c + 1) * d].iter().enumerate() {
-                    for (z, &xij) in zs.iter_mut().zip(data.col(j)) {
-                        *z += wcj * xij;
+                let wc = &weights[c * d..(c + 1) * d];
+                for_each_column(data, |cols, group| match group {
+                    Some(g) if wc[cols.clone()].iter().all(|w: &f64| w.is_finite()) => {
+                        lanes.clear();
+                        lanes.extend_from_slice(&wc[cols]);
+                        lanes.push(0.0);
+                        for (z, &h) in zs.iter_mut().zip(g.hot()) {
+                            *z += lanes[usize::from(h)];
+                        }
                     }
-                }
+                    _ => {
+                        for (j, &wcj) in cols.clone().zip(&wc[cols]) {
+                            for (z, &xij) in zs.iter_mut().zip(data.col(j)) {
+                                *z += wcj * xij;
+                            }
+                        }
+                    }
+                });
             }
             // Softmax + error per example.
             for (i, &y) in labels.iter().enumerate() {
@@ -123,16 +152,31 @@ impl Logistic {
                 }
             }
             // Pass 2 — gradients, each a sweep of one class's contiguous
-            // errors; every `grad_w[c,j]` and `grad_b[c]` sums its examples
-            // in ascending-`i` order starting from zero.
+            // errors, or one pass per group adding each row's error to its
+            // hot column; every `grad_w[c,j]` and `grad_b[c]` sums its
+            // nonzero terms in ascending-`i` order starting from zero.
             for (c, es) in errs.chunks_exact(n).enumerate() {
-                for (j, g) in grad_w[c * d..(c + 1) * d].iter_mut().enumerate() {
-                    let mut sum = 0.0;
-                    for (&e, &xij) in es.iter().zip(data.col(j)) {
-                        sum += e * xij;
+                let mut finite = None; // checked at the class's first group
+                let gc = &mut grad_w[c * d..(c + 1) * d];
+                for_each_column(data, |cols, group| match group {
+                    Some(g) if *finite.get_or_insert_with(|| es.iter().all(|e| e.is_finite())) => {
+                        lanes.clear();
+                        lanes.resize(cols.len() + 1, 0.0);
+                        for (&e, &h) in es.iter().zip(g.hot()) {
+                            lanes[usize::from(h)] += e;
+                        }
+                        gc[cols.clone()].copy_from_slice(&lanes[..cols.len()]);
                     }
-                    *g = sum;
-                }
+                    _ => {
+                        for (j, g) in cols.clone().zip(&mut gc[cols]) {
+                            let mut sum = 0.0;
+                            for (&e, &xij) in es.iter().zip(data.col(j)) {
+                                sum += e * xij;
+                            }
+                            *g = sum;
+                        }
+                    }
+                });
                 let mut sum = 0.0;
                 for &e in es {
                     sum += e;
@@ -186,6 +230,22 @@ impl Logistic {
     /// Weight vector for `class` (exposed for NaCL and tests).
     pub fn class_weights(&self, class: usize) -> &[f64] {
         &self.weights[class * self.n_features..(class + 1) * self.n_features]
+    }
+}
+
+/// Calls `visit` on the matrix's columns in ascending order: once per
+/// one-hot group, with the group's columns, and once per other column.
+fn for_each_column(
+    data: &FeatureMatrix,
+    mut visit: impl FnMut(Range<usize>, Option<&OneHotGroup>),
+) {
+    let mut groups = data.one_hot_groups().groups().iter().peekable();
+    let mut j = 0;
+    while j < data.n_cols() {
+        let group = groups.next_if(|g| g.start() == j);
+        let cols = group.map_or(j..j + 1, OneHotGroup::columns);
+        j = cols.end;
+        visit(cols, group);
     }
 }
 

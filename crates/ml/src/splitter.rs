@@ -7,10 +7,16 @@
 //!
 //! * the **row buffer**: `rows[lo..hi]` is the node's membership in
 //!   ascending row order, the order every per-node total is summed in;
-//! * the **feature-major index buffer**: feature `f`'s stripe holds the
-//!   same membership in the sorted sidecar's order at
-//!   `lists[f*m + lo .. f*m + hi]`, where `m` is the number of rows in the
-//!   tree — the order every threshold sweep walks.
+//! * the **stripe-major index buffer**: each column that is not 0/1 has a
+//!   stripe `s` holding the same membership in the sorted sidecar's order
+//!   at `lists[s*m + lo .. s*m + hi]`, where `m` is the number of rows in
+//!   the tree — the order every threshold sweep walks.
+//!
+//! A 0/1 column has no stripe: its sidecar list is empty, and the kernels
+//! read it through the matrix's one-hot groups and the row buffer instead
+//! (its `(value, row)` order is the node's zero rows in row order, then its
+//! one rows). On a one-hot-encoded matrix that leaves a few stripes, not
+//! one per encoded column, to filter and partition.
 //!
 //! Splitting a node partitions its ranges stably in place: a goes-left
 //! mask, indexed by row, marks the left child; left members are compacted
@@ -31,8 +37,10 @@
 pub(crate) struct Arena {
     /// Node memberships in ascending row order.
     rows: Vec<u32>,
-    /// Feature-major node memberships in sidecar order, `m` per feature.
+    /// Stripe-major node memberships in sidecar order, `m` per stripe.
     lists: Vec<u32>,
+    /// Per column: its stripe, or `None` for a column without a list.
+    stripe: Vec<Option<usize>>,
     /// Rows in the tree: the stripe length.
     m: usize,
     /// Goes-left flag per matrix row, set by the last row partition.
@@ -42,32 +50,36 @@ pub(crate) struct Arena {
 }
 
 impl Arena {
-    /// An arena over every row of a matrix whose sorted sidecar is `sorted`.
+    /// An arena over every row of a matrix whose sorted sidecar is `sorted`;
+    /// a column with an empty list gets no stripe.
     pub(crate) fn all_rows(sorted: &[Vec<u32>], n_rows: usize) -> Self {
+        let (stripe, kept) = stripes(sorted);
         Arena {
             rows: (0..n_rows as u32).collect(),
-            lists: sorted.concat(),
+            lists: kept.concat(),
+            stripe,
             m: n_rows,
             goes_left: vec![false; n_rows],
             scratch: vec![0; n_rows],
         }
     }
 
-    /// An arena over the rows with a nonzero count, each list being the
-    /// sidecar column filtered to those rows. Filtering keeps the sidecar's
+    /// An arena over the rows with a nonzero count, each stripe being the
+    /// sidecar list filtered to those rows. Filtering keeps the sidecar's
     /// order, so a bootstrap tree needs no sort of its own.
     pub(crate) fn drawn(sorted: &[Vec<u32>], counts: &[u32]) -> Self {
         let n = counts.len();
         let mut rows = Vec::with_capacity(n);
         push_drawn(&mut rows, 0..n as u32, counts);
         let m = rows.len();
-        // `push_drawn` grows by a whole column before cutting back, so the
-        // last column needs n slots, not m.
-        let mut lists = Vec::with_capacity(sorted.len() * m + (n - m));
-        for col in sorted {
+        let (stripe, kept) = stripes(sorted);
+        // `push_drawn` grows by a whole list before cutting back, so the
+        // last list needs n slots, not m.
+        let mut lists = Vec::with_capacity(kept.len() * m + (n - m));
+        for col in kept {
             push_drawn(&mut lists, col.iter().copied(), counts);
         }
-        Arena { rows, lists, m, goes_left: vec![false; n], scratch: vec![0; m] }
+        Arena { rows, lists, stripe, m, goes_left: vec![false; n], scratch: vec![0; m] }
     }
 
     /// Rows in the tree; the root node is `[0, n_rows())`.
@@ -80,9 +92,13 @@ impl Arena {
         &self.rows[lo..hi]
     }
 
-    /// The node's rows in feature `f`'s sidecar order.
+    /// The node's rows in column `f`'s sidecar order.
+    ///
+    /// # Panics
+    /// Panics if `f` has no stripe (an empty sidecar list).
     pub(crate) fn list(&self, f: usize, lo: usize, hi: usize) -> &[u32] {
-        &self.lists[f * self.m + lo..f * self.m + hi]
+        let s = self.stripe[f].expect("the column has a sorted list");
+        &self.lists[s * self.m + lo..s * self.m + hi]
     }
 
     /// Stably partitions the node's rows by `left(row)`, records the
@@ -100,13 +116,29 @@ impl Arena {
         lo + stable_partition(&mut self.rows[lo..hi], &self.goes_left, &mut self.scratch)
     }
 
-    /// Partitions every feature list of node `[lo, hi)` by the mask of the
+    /// Partitions every stripe of node `[lo, hi)` by the mask of the
     /// preceding [`Arena::partition_rows`], at the same split point.
     pub(crate) fn partition_lists(&mut self, lo: usize, hi: usize) {
         for stripe in self.lists.chunks_exact_mut(self.m) {
             stable_partition(&mut stripe[lo..hi], &self.goes_left, &mut self.scratch);
         }
     }
+}
+
+/// Numbers the non-empty lists of `sorted` as stripes: each column's stripe
+/// (if any) and the kept lists in stripe order.
+fn stripes(sorted: &[Vec<u32>]) -> (Vec<Option<usize>>, Vec<&[u32]>) {
+    let mut kept = Vec::new();
+    let stripe = sorted
+        .iter()
+        .map(|list| {
+            (!list.is_empty()).then(|| {
+                kept.push(list.as_slice());
+                kept.len() - 1
+            })
+        })
+        .collect();
+    (stripe, kept)
 }
 
 /// Moves the members of `seg` flagged in `goes_left` to its front and the
@@ -187,8 +219,32 @@ mod tests {
         assert_eq!(arena.list(0, 0, 3), &[3, 0, 2]);
     }
 
+    #[test]
+    fn columns_without_a_list_get_no_stripe() {
+        // columns 0 and 2 are 0/1: the sidecar holds no list for them
+        let sorted = vec![vec![], vec![3u32, 0, 4, 1, 2], vec![], vec![1, 2, 0, 4, 3]];
+        let mut arena = Arena::all_rows(&sorted, 5);
+        assert_eq!(arena.lists.len(), 2 * 5);
+        let left = [true, false, true, false, true];
+        check_split(&mut arena, 0, 5, &left);
+        for f in [1, 3] {
+            let (l, r) = split_vec(&sorted[f], &left);
+            assert_eq!((arena.list(f, 0, 3), arena.list(f, 3, 5)), (&l[..], &r[..]));
+        }
+        let drawn = Arena::drawn(&sorted, &[1, 0, 2, 1, 0]);
+        assert_eq!(drawn.lists.len(), 2 * 3);
+        assert_eq!(drawn.list(1, 0, 3), &[3, 0, 2]);
+        assert_eq!(drawn.list(3, 0, 3), &[2, 0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the column has a sorted list")]
+    fn a_column_without_a_list_has_no_stripe_to_read() {
+        Arena::all_rows(&[vec![], vec![1, 0]], 2).list(0, 0, 2);
+    }
+
     /// Splits node `[lo, hi)` of `arena` by `left` and checks its rows and
-    /// every list against per-node `Vec` partitions of the node's members,
+    /// every stripe against per-node `Vec` partitions of the node's members,
     /// and that the rest of every buffer is untouched.
     fn check_split(arena: &mut Arena, lo: usize, hi: usize, left: &[bool]) {
         let before_rows = arena.rows.clone();
@@ -199,9 +255,10 @@ mod tests {
         assert_eq!(mid - lo, l.len());
         assert_eq!((arena.rows(lo, mid), arena.rows(mid, hi)), (&l[..], &r[..]));
         let m = arena.m;
-        for f in 0..before_lists.len() / m.max(1) {
-            let (l, r) = split_vec(&before_lists[f * m + lo..f * m + hi], left);
-            assert_eq!((arena.list(f, lo, mid), arena.list(f, mid, hi)), (&l[..], &r[..]));
+        for s in 0..before_lists.len() / m.max(1) {
+            let (l, r) = split_vec(&before_lists[s * m + lo..s * m + hi], left);
+            let stripe = &arena.lists[s * m..(s + 1) * m];
+            assert_eq!((&stripe[lo..mid], &stripe[mid..hi]), (&l[..], &r[..]));
         }
         for (i, (&a, &b)) in arena.rows.iter().zip(&before_rows).enumerate() {
             assert!((lo..hi).contains(&i) || a == b, "row slot {i} moved");

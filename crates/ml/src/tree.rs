@@ -11,8 +11,19 @@
 //! per-child lists. A random forest's bootstrap tree grows on the parent
 //! matrix with per-row draw counts as integer weights and sample counts
 //! (`DecisionTree::fit_bootstrap`).
+//!
+//! A 0/1 column has one threshold, 0.5, and no sorted list: its left side
+//! is the node's zero rows in the row buffer's ascending order, which is
+//! its `(value, row)` order. A node that searches every column (a decision
+//! tree, an AdaBoost learner) sums them in one pass over its rows per
+//! one-hot group, adding each row to every lane of the group but its own
+//! hot lane, whose weight is masked to `+0.0`. A forest node, which samples
+//! ⌈√d⌉ columns, scans its rows once per sampled 0/1 column. Every lane
+//! starts at `+0.0`, and in round-to-nearest a sum that starts at `+0.0`
+//! never becomes `−0.0`, so a masked `+0.0` term changes no bit: each lane
+//! adds the same weights in the same order as the column's sorted sweep.
 
-use cleanml_dataset::FeatureMatrix;
+use cleanml_dataset::{FeatureMatrix, OneHotGroups};
 use rand::rngs::StdRng;
 use rand::seq::{IndexedRandom, SliceRandom};
 use rand::{Rng, SeedableRng};
@@ -102,6 +113,7 @@ pub(crate) fn gini(counts: &[f64], total: f64) -> f64 {
 
 struct BuildCtx<'a> {
     data: &'a FeatureMatrix,
+    one_hot: &'a OneHotGroups,
     /// Sample weight per matrix row.
     weights: &'a [f64],
     /// Sample count per matrix row: the bootstrap multiplicity, else 1.
@@ -114,6 +126,12 @@ struct BuildCtx<'a> {
     features: Vec<usize>,
     left_counts: Vec<f64>,
     right_counts: Vec<f64>,
+    /// Each 0/1 column's zero rows: class weights (class-major, `k × d`),
+    /// total weight and samples, filled by [`sum_zero_rows`]; sized on a
+    /// matrix's first every-column search.
+    zero_counts: Vec<f64>,
+    zero_total: Vec<f64>,
+    zero_n: Vec<usize>,
 }
 
 /// What a node knows about its members before it splits: the class-weight
@@ -238,18 +256,22 @@ fn grow<'a>(
     arena: Arena,
     seed: u64,
 ) -> DecisionTree {
-    let k = data.n_classes();
+    let (k, d) = (data.n_classes(), data.n_cols());
     let mut ctx = BuildCtx {
         data,
+        one_hot: data.one_hot_groups(),
         weights,
         samples,
         params,
         rng: StdRng::seed_from_u64(seed),
         n_classes: k,
         arena,
-        features: Vec::with_capacity(data.n_cols()),
+        features: Vec::with_capacity(d),
         left_counts: vec![0.0; k],
         right_counts: vec![0.0; k],
+        zero_counts: Vec::new(),
+        zero_total: Vec::new(),
+        zero_n: Vec::new(),
     };
     let m = ctx.arena.n_rows();
     let root = node_stats(&ctx, ctx.arena.rows(0, m));
@@ -329,19 +351,20 @@ fn build_node(
 }
 
 /// Finds the `(feature, threshold)` with the largest weighted Gini decrease
-/// for node `[lo, hi)`, or `None` if no valid split exists. Each feature is
-/// one contiguous sweep of its arena list; thresholds sit between
-/// consecutive distinct values.
+/// for node `[lo, hi)`, or `None` if no valid split exists. A column with a
+/// list is one contiguous sweep of it, with thresholds between consecutive
+/// distinct values; a 0/1 column has the one threshold 0.5, scored from its
+/// zero rows. Columns are scored in `features` order.
 fn find_best_split(
     ctx: &mut BuildCtx<'_>,
     lo: usize,
     hi: usize,
     node: &NodeStats,
 ) -> Option<(usize, f64)> {
-    let d = ctx.data.n_cols();
-    let node_gini = gini(&node.counts, node.total);
+    let (d, k) = (ctx.data.n_cols(), ctx.n_classes);
     let BuildCtx {
         data,
+        one_hot,
         weights,
         samples,
         params,
@@ -350,9 +373,13 @@ fn find_best_split(
         features,
         left_counts,
         right_counts,
+        zero_counts,
+        zero_total,
+        zero_n,
         ..
     } = ctx;
     let labels = data.labels();
+    let rows = arena.rows(lo, hi);
 
     features.clear();
     features.extend(0..d);
@@ -360,48 +387,203 @@ fn find_best_split(
         features.shuffle(rng);
         features.truncate(m);
     }
-
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_gain = 1e-12; // require a strictly positive gain
-
-    for &f in features.iter() {
-        let order = arena.list(f, lo, hi);
-        let col = data.col(f);
-
-        left_counts.fill(0.0);
-        let mut left_total = 0.0;
-        let mut left_n = 0usize;
-
-        for w in 0..order.len() - 1 {
-            let r = order[w] as usize;
-            left_counts[labels[r]] += weights[r];
-            left_total += weights[r];
-            left_n += samples[r] as usize;
-
-            let v_here = col[r];
-            let v_next = col[order[w + 1] as usize];
-            if v_next <= v_here {
-                continue; // can't split between equal values
-            }
-            let right_n = node.n - left_n;
-            if left_n < params.min_samples_leaf || right_n < params.min_samples_leaf {
-                continue;
-            }
-            let right_total = node.total - left_total;
-            for ((rc, c), l) in right_counts.iter_mut().zip(&node.counts).zip(left_counts.iter()) {
-                *rc = c - l;
-            }
-            let weighted = (left_total * gini(left_counts, left_total)
-                + right_total * gini(right_counts, right_total))
-                / node.total;
-            let gain = node_gini - weighted;
-            if gain > best_gain {
-                best_gain = gain;
-                best = Some((f, 0.5 * (v_here + v_next)));
-            }
+    let every_column = features.len() == d;
+    if every_column && !one_hot.groups().is_empty() {
+        zero_counts.resize(k * d, 0.0);
+        zero_total.resize(d, 0.0);
+        zero_n.resize(d, 0);
+        for group in one_hot.groups() {
+            sum_zero_rows(
+                group,
+                rows,
+                labels,
+                weights,
+                samples,
+                d,
+                zero_counts,
+                zero_total,
+                zero_n,
+            );
         }
     }
-    best
+
+    let mut search = Search {
+        node,
+        node_gini: gini(&node.counts, node.total),
+        min_leaf: params.min_samples_leaf,
+        right_counts,
+        best: None,
+        best_gain: 1e-12, // require a strictly positive gain
+    };
+    for &f in features.iter() {
+        let Some((group, s)) = one_hot.locate(f) else {
+            let order = arena.list(f, lo, hi);
+            sweep_list(&mut search, f, order, data.col(f), labels, weights, samples, left_counts);
+            continue;
+        };
+        let (left_total, left_n) = if every_column {
+            for (lab, l) in left_counts.iter_mut().enumerate() {
+                *l = zero_counts[lab * d + f];
+            }
+            (zero_total[f], zero_n[f])
+        } else {
+            sum_zero_rows_of(group.hot(), s, rows, labels, weights, samples, left_counts)
+        };
+        // Every arena row counts at least one sample, so the column has a
+        // threshold exactly when the node holds zero and one rows.
+        if left_n > 0 && left_n < node.n {
+            search.consider(f, 0.5, left_counts, left_total, left_n);
+        }
+    }
+    search.best
+}
+
+/// One node's split search: the node, and the best split scored so far.
+struct Search<'a> {
+    node: &'a NodeStats,
+    node_gini: f64,
+    min_leaf: usize,
+    /// Scratch for the right child's class weights.
+    right_counts: &'a mut [f64],
+    best: Option<(usize, f64)>,
+    best_gain: f64,
+}
+
+impl Search<'_> {
+    /// Scores sending `left_counts` / `left_total` / `left_n` left at
+    /// `threshold` of feature `f`, and keeps it if its Gini decrease beats
+    /// the best so far.
+    #[inline(always)]
+    fn consider(
+        &mut self,
+        f: usize,
+        threshold: f64,
+        left_counts: &[f64],
+        left_total: f64,
+        left_n: usize,
+    ) {
+        let node = self.node;
+        let right_n = node.n - left_n;
+        if left_n < self.min_leaf || right_n < self.min_leaf {
+            return;
+        }
+        let right_total = node.total - left_total;
+        for ((rc, c), l) in self.right_counts.iter_mut().zip(&node.counts).zip(left_counts) {
+            *rc = c - l;
+        }
+        let weighted = (left_total * gini(left_counts, left_total)
+            + right_total * gini(self.right_counts, right_total))
+            / node.total;
+        let gain = self.node_gini - weighted;
+        if gain > self.best_gain {
+            self.best_gain = gain;
+            self.best = Some((f, threshold));
+        }
+    }
+}
+
+/// Sweeps feature `f`'s sorted `order` once, scoring a threshold between
+/// each pair of consecutive distinct values.
+#[allow(clippy::too_many_arguments)]
+fn sweep_list(
+    search: &mut Search<'_>,
+    f: usize,
+    order: &[u32],
+    col: &[f64],
+    labels: &[usize],
+    weights: &[f64],
+    samples: &[u32],
+    left_counts: &mut [f64],
+) {
+    left_counts.fill(0.0);
+    let mut left_total = 0.0;
+    let mut left_n = 0usize;
+    for w in 0..order.len() - 1 {
+        let r = order[w] as usize;
+        left_counts[labels[r]] += weights[r];
+        left_total += weights[r];
+        left_n += samples[r] as usize;
+
+        let v_here = col[r];
+        let v_next = col[order[w + 1] as usize];
+        if v_next <= v_here {
+            continue; // can't split between equal values
+        }
+        search.consider(f, 0.5 * (v_here + v_next), left_counts, left_total, left_n);
+    }
+}
+
+/// All-ones unless `hot`: the bit mask that keeps a term on every lane but
+/// the row's own hot lane.
+#[inline(always)]
+fn keep_unless(hot: bool) -> u64 {
+    u64::from(!hot).wrapping_neg()
+}
+
+/// Sums the zero rows of each column of `group` over the node's `rows`, in
+/// their ascending order, into the class-major `zero_counts` (`k × d`),
+/// `zero_total` and `zero_n`: one pass over the rows, each added to every
+/// lane but its own hot lane, where the weight is masked to `+0.0`.
+#[allow(clippy::too_many_arguments)]
+fn sum_zero_rows(
+    group: &cleanml_dataset::OneHotGroup,
+    rows: &[u32],
+    labels: &[usize],
+    weights: &[f64],
+    samples: &[u32],
+    d: usize,
+    zero_counts: &mut [f64],
+    zero_total: &mut [f64],
+    zero_n: &mut [usize],
+) {
+    let (cols, width) = (group.columns(), group.width());
+    for lane in zero_counts.chunks_exact_mut(d) {
+        lane[cols.clone()].fill(0.0);
+    }
+    let (total, n) = (&mut zero_total[cols.clone()], &mut zero_n[cols.clone()]);
+    total.fill(0.0);
+    n.fill(0);
+    let hot = group.hot();
+    for &r in rows {
+        let r = r as usize;
+        let h = usize::from(hot[r]);
+        let (w, smp) = (weights[r].to_bits(), samples[r] as usize);
+        let at = labels[r] * d + cols.start;
+        let lanes = zero_counts[at..at + width].iter_mut().zip(total.iter_mut()).zip(n.iter_mut());
+        for (s, ((c, t), ns)) in lanes.enumerate() {
+            let keep = keep_unless(s == h);
+            let wm = f64::from_bits(w & keep);
+            *c += wm;
+            *t += wm;
+            *ns += smp & keep as usize;
+        }
+    }
+}
+
+/// Sums the zero rows of the column at position `s` of a group with hot
+/// positions `hot` over the node's `rows`, in their ascending order: class
+/// weights into `left_counts`, and returns the total weight and samples.
+fn sum_zero_rows_of(
+    hot: &[u8],
+    s: usize,
+    rows: &[u32],
+    labels: &[usize],
+    weights: &[f64],
+    samples: &[u32],
+    left_counts: &mut [f64],
+) -> (f64, usize) {
+    left_counts.fill(0.0);
+    let mut total = 0.0;
+    let mut n = 0usize;
+    for &r in rows {
+        let r = r as usize;
+        let keep = keep_unless(usize::from(hot[r]) == s);
+        let wm = f64::from_bits(weights[r].to_bits() & keep);
+        left_counts[labels[r]] += wm;
+        total += wm;
+        n += samples[r] as usize & keep as usize;
+    }
+    (total, n)
 }
 
 impl DecisionTree {
