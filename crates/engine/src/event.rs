@@ -75,9 +75,11 @@ impl TaskKind {
 /// One progress event. Sent best-effort: a dropped receiver never fails the
 /// run.
 ///
-/// An event's `id` is the task's resident id in the engine's task table:
-/// the same in every event about that task, whether it ran locally or on a
-/// remote worker, and in every submission that demands it.
+/// An event's `id` names one entry of the engine's task table: it is the
+/// same in every event about that entry, whether the task ran locally or
+/// on a remote worker, and in every submission merged into the entry. Ids
+/// are never reused: a task demanded again after its entry was removed
+/// gets a fresh entry, and a fresh id.
 #[derive(Debug, Clone)]
 pub enum EngineEvent {
     /// The DAG is built and resolved against the cache.

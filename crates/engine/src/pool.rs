@@ -8,18 +8,21 @@
 //! * every submission's graph is **merged** into one resident task table
 //!   keyed by content address — two concurrent submissions demanding the
 //!   same `Train` task share a single in-flight entry rather than
-//!   computing it twice, and a later submission reuses a finished entry's
-//!   artifact straight from memory;
+//!   computing it twice, and a submission reuses a finished entry's
+//!   artifact straight from memory while the entry still holds it;
 //! * scheduling state is **per task**, completion bookkeeping is **per
 //!   submission**: each submission tracks its own remaining count, event
 //!   sink and execution counters, so progress, results, failures and
 //!   cancellation are isolated — a task body error fails exactly the
 //!   submissions demanding that task, and a [`SubmissionHandle::cancel`]
 //!   releases its subgraph without disturbing anything shared;
-//! * artifact lifetimes are refcounted across submissions: an entry holds
-//!   its artifact while a runnable consumer or an uncollected retaining
-//!   submission still needs it, then drops it. A later submission that
-//!   demands it again finds it in the memo or on disk, or re-runs it.
+//! * a task entry has **one lifetime**: it lives while a live submission
+//!   lists it, an unfinished consumer still needs its artifact, or it
+//!   runs, and is then removed. It holds its artifact while a runnable
+//!   consumer or an uncollected retaining submission needs it. The table
+//!   is bounded by live work: once every submission is collected it is
+//!   empty, and a later demand gets a fresh entry that finds its
+//!   artifact in the memo or on disk, or re-runs it.
 //!
 //! Ready tasks wait in one list under the one scheduler lock. A local
 //! worker pops the newest; a remote lease thread
@@ -40,15 +43,17 @@ use cleanml_dataset::codec::fnv1a64;
 
 use crate::cache::{CacheKey, DiskCodec, DiskStore};
 use crate::event::{emit, EngineEvent, EventSink, TaskKind};
-use crate::graph::{NodeState, TaskFn, TaskGraph};
+use crate::graph::{NodeState, TaskFn, TaskGraph, TaskNode};
 use crate::remote::coordinator::spawn_hub_service;
 use crate::remote::RemoteHub;
 use crate::study::EngineGateway;
 use crate::telemetry::NKINDS;
 
-/// Index of a task in the resident table (distinct from a submission
-/// graph's [`crate::graph::TaskId`]: entries persist across submissions).
-/// It is the `id` of every [`EngineEvent`] about the task.
+/// A task's id in the resident table (distinct from a submission graph's
+/// [`crate::graph::TaskId`]), taken from a counter and never reused: an id
+/// left behind in the ready list or a `dependents` list after its entry
+/// is removed names no entry and is skipped. It is the `id` of every
+/// [`EngineEvent`] about the task.
 pub(crate) type Gid = usize;
 
 /// Submission identifier, unique per pool.
@@ -202,10 +207,6 @@ pub(crate) enum Phase {
     Running,
     /// Finished; `artifact` holds the result until retirement.
     Done,
-    /// The task body errored; demanding submissions were failed.
-    Failed,
-    /// No live submission demands it any more (cancelled out from under).
-    Orphaned,
 }
 
 pub(crate) struct TaskEntry<A> {
@@ -218,16 +219,16 @@ pub(crate) struct TaskEntry<A> {
     pub(crate) phase: Phase,
     run: Option<TaskFn<A>>,
     pub(crate) artifact: Option<Arc<A>>,
-    /// Runnable, not-yet-finished consumer entries across *all* live
-    /// submissions. At zero (with no retains) the artifact is dropped.
+    /// Unfinished consumer entries across *all* live submissions. At zero
+    /// (with no retains) the artifact is dropped.
     consumers_left: usize,
     /// Live submissions that need the artifact to survive until they
     /// collect (their sinks).
     retain_refs: usize,
-    /// Live submissions whose subgraph includes this entry.
+    /// The live submissions whose task lists hold this entry.
     subs: Vec<SubId>,
-    /// Submission that first demanded the entry's current execution;
-    /// execution counters are attributed here.
+    /// Submission that created the entry; execution counters are
+    /// attributed here while it is live.
     origin: SubId,
     /// Keys of the study specs whose submissions contain this task: a
     /// remote worker bound to one of them may lease it.
@@ -239,11 +240,11 @@ pub(crate) struct TaskEntry<A> {
 }
 
 struct SubEntry {
-    /// Every resident entry in this submission's subgraph.
-    tasks: Vec<Gid>,
-    /// Submission graph index → resident entry (None for pruned nodes).
+    /// Submission graph index → resident entry (None for pruned nodes):
+    /// the submission's task list, taken when it is abandoned.
     node_of: Vec<Option<Gid>>,
-    /// Entries whose artifact must survive until collection.
+    /// Entries whose artifact must survive until collection (taken when
+    /// the submission is abandoned).
     retained: Vec<Gid>,
     /// The study spec advertised to remote workers, `(key, encoded
     /// bytes)`; cleared when the submission is abandoned.
@@ -260,25 +261,41 @@ struct SubEntry {
     events: Option<EventSink>,
     error: Option<CoreError>,
     done: bool,
-    /// Refs on tasks already released (cancel or failure path).
-    abandoned: bool,
 }
 
 pub(crate) struct State<A> {
-    pub(crate) tasks: Vec<TaskEntry<A>>,
+    /// The live entries; see the module docs for an entry's lifetime.
+    pub(crate) tasks: HashMap<Gid, TaskEntry<A>>,
+    /// Content address → the entry a new demand merges into: an
+    /// unfinished one, or a finished one that still holds its artifact.
     pub(crate) by_key: HashMap<CacheKey, Gid>,
+    next_gid: Gid,
     /// Ids of `Queued` entries, newest last. An id whose entry was
-    /// orphaned while listed goes stale and is dropped when popped.
+    /// removed while listed names no entry and is dropped when popped.
     ready: Vec<Gid>,
     subs: HashMap<SubId, SubEntry>,
     next_sub: SubId,
+}
+
+impl<A> State<A> {
+    fn task(&mut self, gid: Gid) -> &mut TaskEntry<A> {
+        self.tasks.get_mut(&gid).expect("a live task entry")
+    }
+
+    /// Stops `key` naming entry `gid`, unless it already names a newer one.
+    fn unmap(&mut self, key: CacheKey, gid: Gid) {
+        if self.by_key.get(&key) == Some(&gid) {
+            self.by_key.remove(&key);
+        }
+    }
 }
 
 pub(crate) struct PoolInner<A> {
     pub(crate) state: Mutex<State<A>>,
     /// Wakes workers and lease threads when the frontier grows.
     pub(crate) work: Condvar,
-    /// Wakes submission waiters on completion/cancellation/failure.
+    /// Wakes submission waiters when a submission completes, fails or is
+    /// cancelled.
     pub(crate) client: Condvar,
     pub(crate) shutdown: AtomicBool,
     pub(crate) persist: Option<Arc<DiskStore>>,
@@ -313,29 +330,31 @@ where
     /// Queues `Waiting` entries so that the heaviest kind pops first, the
     /// lowest id first among equals (callers notify).
     fn enqueue(&self, st: &mut State<A>, mut gids: Vec<Gid>) {
-        gids.sort_by_key(|&g| (st.tasks[g].kind.cost_weight(), Reverse(g)));
+        gids.sort_by_key(|g| (st.tasks[g].kind.cost_weight(), Reverse(*g)));
         for gid in gids {
-            debug_assert_eq!(st.tasks[gid].phase, Phase::Waiting);
-            st.tasks[gid].phase = Phase::Queued;
-            st.tasks[gid].queued_at = Some(Instant::now());
+            let entry = st.task(gid);
+            debug_assert_eq!(entry.phase, Phase::Waiting);
+            entry.phase = Phase::Queued;
+            entry.queued_at = Some(Instant::now());
             st.ready.push(gid);
         }
     }
 
-    /// Pops the newest claimable task for a local worker, dropping stale
-    /// ids on the way. Under a [`LeasableHold`], takes the newest task of
-    /// a kind that never leaves the coordinator instead; stale ids stay
-    /// for a later pop to drop.
+    /// Pops the newest queued task for a local worker, dropping stale ids
+    /// on the way. Under a [`LeasableHold`], takes the newest task of a
+    /// kind that never leaves the coordinator instead; stale ids stay for
+    /// a later pop to drop.
     fn pop_ready(&self, st: &mut State<A>) -> Option<Gid> {
         if self.leasable_holds.load(Ordering::Acquire) > 0 {
             let tasks = &st.tasks;
-            let pos = st.ready.iter().rposition(|&g| {
-                tasks[g].phase == Phase::Queued && !crate::remote::leasable(tasks[g].kind)
-            })?;
+            let pos = st
+                .ready
+                .iter()
+                .rposition(|g| tasks.get(g).is_some_and(|t| !crate::remote::leasable(t.kind)))?;
             return Some(st.ready.remove(pos));
         }
         while let Some(gid) = st.ready.pop() {
-            if st.tasks[gid].phase == Phase::Queued {
+            if st.tasks.contains_key(&gid) {
                 return Some(gid);
             }
         }
@@ -351,19 +370,17 @@ where
             .ready
             .iter()
             .enumerate()
-            .filter(|&(_, &gid)| {
-                let t = &tasks[gid];
-                t.phase == Phase::Queued
-                    && crate::remote::leasable(t.kind)
-                    && t.specs.contains(&spec_key)
+            .filter_map(|(pos, g)| {
+                let t = tasks.get(g)?;
+                let claimable = crate::remote::leasable(t.kind) && t.specs.contains(&spec_key);
+                claimable.then_some((t.kind.cost_weight(), pos))
             })
-            .map(|(pos, &gid)| (tasks[gid].kind.cost_weight(), pos))
             .max()?;
         let gid = st.ready.remove(pos);
-        st.tasks[gid].phase = Phase::Running;
-        if let Some(queued) = st.tasks[gid].queued_at.take() {
-            crate::telemetry::global().queue_seconds[st.tasks[gid].kind.index()]
-                .observe(queued.elapsed());
+        let entry = st.task(gid);
+        entry.phase = Phase::Running;
+        if let Some(queued) = entry.queued_at.take() {
+            crate::telemetry::global().queue_seconds[entry.kind.index()].observe(queued.elapsed());
         }
         Some(gid)
     }
@@ -372,13 +389,14 @@ where
     /// breach of protocol) to the frontier: emits `LeaseExpired` to the
     /// submissions demanding it, counts one release, and wakes claimants.
     /// The release lands on the task's origin submission (or the first
-    /// live one still demanding it).
+    /// live one still demanding it). A task nothing live needs any more is
+    /// removed instead, and its id goes stale.
     pub(crate) fn reinject(&self, st: &mut State<A>, gid: Gid, worker: &str) {
-        debug_assert_eq!(st.tasks[gid].phase, Phase::Running);
-        let kind = st.tasks[gid].kind;
+        debug_assert_eq!(st.tasks[&gid].phase, Phase::Running);
+        let kind = st.tasks[&gid].kind;
         let expired = EngineEvent::LeaseExpired { worker: worker.to_string(), id: gid, kind };
         self.emit_to_subs(st, gid, expired);
-        st.tasks[gid].phase = Phase::Waiting;
+        st.task(gid).phase = Phase::Waiting;
         self.enqueue(st, vec![gid]);
         crate::telemetry::global().leases_reinjected.inc();
         if let Some(sid) = self.attribution(st, gid) {
@@ -386,13 +404,14 @@ where
                 sub.account.releases += 1;
             }
         }
+        self.settle(st, gid);
         self.work.notify_all();
     }
 
     // -- completion bookkeeping -------------------------------------------
 
     fn attribution(&self, st: &State<A>, gid: Gid) -> Option<SubId> {
-        let entry = &st.tasks[gid];
+        let entry = &st.tasks[&gid];
         entry
             .subs
             .iter()
@@ -402,7 +421,7 @@ where
     }
 
     pub(crate) fn emit_to_subs(&self, st: &State<A>, gid: Gid, event: EngineEvent) {
-        for sid in &st.tasks[gid].subs {
+        for sid in &st.tasks[&gid].subs {
             if let Some(sub) = st.subs.get(sid) {
                 emit(&sub.events, event.clone());
             }
@@ -412,43 +431,61 @@ where
     /// Marks `gid` started and prepares its execution: takes the body,
     /// shares handles to the input artifacts (a refcount bump each, never
     /// a deep copy) and emits `TaskStarted` to every demanding submission.
-    /// Returns `None` if the body was already consumed (defensive; should
-    /// not happen).
-    fn prepare(&self, st: &mut State<A>, gid: Gid) -> Option<Job<A>> {
-        st.tasks[gid].phase = Phase::Running;
-        let kind = st.tasks[gid].kind;
-        let label = st.tasks[gid].label.clone();
-        let queued_at = st.tasks[gid].queued_at.take().expect("a claimed task was queued");
+    fn prepare(&self, st: &mut State<A>, gid: Gid) -> Job<A> {
         let sub = self.attribution(st, gid);
-        // the body first: TaskStarted is only emitted for tasks that will
-        // also emit TaskFinished
-        let run = st.tasks[gid].run.take()?;
+        let entry = st.task(gid);
+        entry.phase = Phase::Running;
+        let queued_at = entry.queued_at.take().expect("a claimed task was queued");
+        let run = entry.run.take().expect("a queued task holds its body");
+        let (kind, key, label) = (entry.kind, entry.key, entry.label.clone());
         let started = EngineEvent::TaskStarted { id: gid, kind, label: label.clone() };
         self.emit_to_subs(st, gid, started);
-        let inputs: Vec<Arc<A>> = st.tasks[gid]
+        let inputs: Vec<Arc<A>> = st.tasks[&gid]
             .deps
-            .clone()
             .iter()
-            .map(|&d| {
+            .map(|d| {
                 Arc::clone(
                     st.tasks[d].artifact.as_ref().expect("dependency finished before consumer"),
                 )
             })
             .collect();
         crate::telemetry::global().handle_shares.add(inputs.len() as u64);
-        Some(Job { gid, kind, key: st.tasks[gid].key, label, run, inputs, queued_at, sub })
+        Job { gid, kind, key, label, run, inputs, queued_at, sub }
     }
 
+    /// Releases one consumer's hold on `gid`, if the entry is still live.
     fn dec_consumer(&self, st: &mut State<A>, gid: Gid) {
-        st.tasks[gid].consumers_left -= 1;
-        self.maybe_retire(st, gid);
+        if let Some(entry) = st.tasks.get_mut(&gid) {
+            entry.consumers_left -= 1;
+            self.settle(st, gid);
+        }
     }
 
-    /// Drops the pool's handle once nothing live references the artifact.
-    fn maybe_retire(&self, st: &mut State<A>, gid: Gid) {
-        let entry = &mut st.tasks[gid];
-        if entry.phase == Phase::Done && entry.consumers_left == 0 && entry.retain_refs == 0 {
-            entry.artifact = None;
+    /// Ends what nothing live needs any more. A finished entry that no
+    /// unfinished consumer and no retaining submission needs drops its
+    /// artifact. An entry that no live submission lists, that no
+    /// unfinished consumer needs and that is not running is removed; one
+    /// that never finished first releases its hold on its inputs. Either
+    /// way the key stops naming the entry, so a later demand gets a fresh
+    /// one.
+    fn settle(&self, st: &mut State<A>, gid: Gid) {
+        let Some(entry) = st.tasks.get_mut(&gid) else { return };
+        let unneeded = entry.consumers_left == 0 && entry.retain_refs == 0;
+        let retired = unneeded && entry.phase == Phase::Done;
+        let dead = unneeded && entry.subs.is_empty() && entry.phase != Phase::Running;
+        if !retired && !dead {
+            return;
+        }
+        entry.artifact = None;
+        let key = entry.key;
+        st.unmap(key, gid);
+        if dead {
+            let entry = st.tasks.remove(&gid).expect("looked up above");
+            if entry.phase != Phase::Done {
+                for d in entry.deps {
+                    self.dec_consumer(st, d);
+                }
+            }
         }
     }
 
@@ -457,14 +494,16 @@ where
     /// outside the scheduler lock — durability before progress): publish
     /// the artifact, credit the execution to the submission it is
     /// attributed to (its site, the store's answer, the CV tally and the
-    /// duration), notify each demanding submission, retire inputs whose
-    /// last consumer this was, and queue newly-ready dependents.
+    /// duration), notify each demanding submission, release the inputs'
+    /// holds, queue newly-ready dependents, and wake the waiters of the
+    /// submissions this task finished.
     pub(crate) fn complete_ok(&self, st: &mut State<A>, gid: Gid, done: Finished<A>) {
         let Finished { artifact, remote, stored, cv, dur } = done;
-        let kind = st.tasks[gid].kind;
-        st.tasks[gid].artifact = Some(artifact);
-        st.tasks[gid].phase = Phase::Done;
-        st.tasks[gid].run = None;
+        let entry = st.task(gid);
+        entry.artifact = Some(artifact);
+        entry.phase = Phase::Done;
+        entry.run = None;
+        let kind = entry.kind;
 
         if let Some(sid) = self.attribution(st, gid) {
             if let Some(sub) = st.subs.get_mut(&sid) {
@@ -473,33 +512,37 @@ where
                 sub.account.count_store(stored);
                 sub.account.cv_fits += cv.0;
                 sub.account.fold_reuse += cv.1;
-                sub.account.count_slow(&st.tasks[gid].label, kind, dur);
+                sub.account.count_slow(&st.tasks[&gid].label, kind, dur);
             }
         }
         let t = crate::telemetry::global();
         let site = if remote { &t.tasks_remote } else { &t.tasks_local };
         site[kind.index()].inc();
-        let demanding = st.tasks[gid].subs.clone();
-        for sid in demanding {
-            if let Some(sub) = st.subs.get_mut(&sid) {
+        let mut finished = false;
+        for sid in &st.tasks[&gid].subs {
+            if let Some(sub) = st.subs.get_mut(sid) {
                 emit(&sub.events, EngineEvent::TaskFinished { id: gid, kind, ok: true });
                 sub.remaining -= 1;
                 if sub.remaining == 0 && !sub.done {
                     sub.done = true;
+                    finished = true;
                     emit(&sub.events, EngineEvent::RunFinished);
                 }
             }
         }
 
-        for d in st.tasks[gid].deps.clone() {
+        let entry = st.task(gid);
+        let dependents = std::mem::take(&mut entry.dependents);
+        for d in std::mem::take(&mut entry.deps) {
             self.dec_consumer(st, d);
         }
-
         let mut released: Vec<Gid> = Vec::new();
-        for dep in st.tasks[gid].dependents.clone() {
-            if st.tasks[dep].phase == Phase::Waiting {
-                st.tasks[dep].pending -= 1;
-                if st.tasks[dep].pending == 0 {
+        for dep in dependents {
+            // a dependent removed while it waited left its id behind
+            if let Some(waiting) = st.tasks.get_mut(&dep) {
+                debug_assert_eq!(waiting.phase, Phase::Waiting);
+                waiting.pending -= 1;
+                if waiting.pending == 0 {
                     released.push(dep);
                 }
             }
@@ -507,76 +550,69 @@ where
         let notify = !released.is_empty();
         self.enqueue(st, released);
 
-        self.maybe_retire(st, gid);
+        self.settle(st, gid);
         if notify {
             self.work.notify_all();
         }
-        self.client.notify_all();
+        if finished {
+            self.client.notify_all();
+        }
     }
 
-    /// Records a task failure: the entry is poisoned and every submission
+    /// Records a task failure: the entry is removed and every submission
     /// demanding it fails (and releases the rest of its subgraph); other
-    /// submissions are untouched.
+    /// submissions are untouched, and a later demand runs the task afresh.
     pub(crate) fn complete_err(&self, st: &mut State<A>, gid: Gid, err: CoreError) {
-        let kind = st.tasks[gid].kind;
-        st.tasks[gid].phase = Phase::Failed;
-        st.tasks[gid].run = None;
+        let kind = st.tasks[&gid].kind;
         crate::telemetry::global().tasks_failed.inc();
         self.emit_to_subs(st, gid, EngineEvent::TaskFinished { id: gid, kind, ok: false });
-        for d in st.tasks[gid].deps.clone() {
+        let entry = st.tasks.remove(&gid).expect("a failed task was running");
+        st.unmap(entry.key, gid);
+        for d in entry.deps {
             self.dec_consumer(st, d);
         }
-        for sid in st.tasks[gid].subs.clone() {
+        for sid in entry.subs {
             self.abandon_sub(st, sid, Some(err.clone()));
         }
-        self.client.notify_all();
     }
 
-    /// Fails or cancels a submission: releases its holds on every task
-    /// and orphans the parts of its subgraph nothing else demands.
+    /// Fails or cancels a submission: releases its holds on every task,
+    /// which removes the parts of its subgraph nothing else needs.
     fn abandon_sub(&self, st: &mut State<A>, sid: SubId, err: Option<CoreError>) {
         let Some(sub) = st.subs.get_mut(&sid) else { return };
         if sub.done {
             return; // completed (or already abandoned): results are final
         }
         sub.done = true;
-        sub.abandoned = true;
         sub.error = Some(err.unwrap_or_else(|| CoreError::Unsupported(CANCELLED.into())));
         sub.spec = None;
-        let retained = std::mem::take(&mut sub.retained);
-        let tasks = sub.tasks.clone();
-        for gid in retained {
-            st.tasks[gid].retain_refs -= 1;
-        }
-        for gid in tasks {
-            st.tasks[gid].subs.retain(|s| *s != sid);
-            if st.tasks[gid].subs.is_empty()
-                && matches!(st.tasks[gid].phase, Phase::Waiting | Phase::Queued)
-            {
-                // nothing live demands it: release its holds on its
-                // inputs; a queued id goes stale and is skipped at pop
-                st.tasks[gid].phase = Phase::Orphaned;
-                for d in st.tasks[gid].deps.clone() {
-                    self.dec_consumer(st, d);
-                }
-            }
-            self.maybe_retire(st, gid);
-        }
+        let (retained, tasks) =
+            (std::mem::take(&mut sub.retained), std::mem::take(&mut sub.node_of));
+        self.release(st, sid, retained, tasks);
         self.client.notify_all();
     }
 
-    /// Drops a collected (or abandoned-and-reaped) submission.
+    /// Drops a collected (or abandoned-and-reaped) submission and releases
+    /// what it still holds.
     fn cleanup_sub(&self, st: &mut State<A>, sid: SubId) {
-        let Some(sub) = st.subs.remove(&sid) else { return };
-        if sub.abandoned {
-            return; // refs already released on the abandon path
+        if let Some(sub) = st.subs.remove(&sid) {
+            self.release(st, sid, sub.retained, sub.node_of);
         }
-        for gid in sub.retained {
-            st.tasks[gid].retain_refs -= 1;
+    }
+
+    /// Drops submission `sid`'s retains and its place in every entry it
+    /// listed, then settles each of those entries.
+    fn release(&self, st: &mut State<A>, sid: SubId, retained: Vec<Gid>, tasks: Vec<Option<Gid>>) {
+        for gid in retained {
+            if let Some(entry) = st.tasks.get_mut(&gid) {
+                entry.retain_refs -= 1;
+            }
         }
-        for gid in sub.tasks {
-            st.tasks[gid].subs.retain(|s| *s != sid);
-            self.maybe_retire(st, gid);
+        for gid in tasks.into_iter().flatten() {
+            if let Some(entry) = st.tasks.get_mut(&gid) {
+                entry.subs.retain(|&s| s != sid);
+                self.settle(st, gid);
+            }
         }
     }
 
@@ -624,7 +660,7 @@ where
     /// falls back to the disk store outside the lock.
     pub(crate) fn fetch_artifact(&self, key: CacheKey) -> Option<Arc<A>> {
         let st = self.state.lock().expect("state lock");
-        let gid = *st.by_key.get(&key)?;
+        let gid = st.by_key.get(&key)?;
         st.tasks[gid].artifact.clone()
     }
 }
@@ -681,8 +717,9 @@ where
         let workers = workers.max(1);
         let inner = Arc::new(PoolInner {
             state: Mutex::new(State {
-                tasks: Vec::new(),
+                tasks: HashMap::new(),
                 by_key: HashMap::new(),
+                next_gid: 0,
                 ready: Vec::new(),
                 subs: HashMap::new(),
                 next_sub: 0,
@@ -752,7 +789,6 @@ where
         let spec_key = spec.as_ref().map(|&(key, _)| key);
 
         let mut sub = SubEntry {
-            tasks: Vec::with_capacity(n),
             node_of: vec![None; n],
             retained: Vec::new(),
             spec,
@@ -764,55 +800,20 @@ where
             events,
             error: None,
             done: false,
-            abandoned: false,
         };
         let mut seeds: Vec<Gid> = Vec::new();
 
-        for idx in 0..n {
-            let node = &mut nodes[idx];
-            let key = node.key;
-            let gid = match node.state {
-                NodeState::Pruned => continue,
-                NodeState::Cached => {
-                    let art = node.prefilled.take().expect("cached node prefilled");
-                    match st.by_key.get(&key).copied() {
-                        None => new_entry(st, idx, &mut nodes, sid, Some(art)),
-                        Some(gid) => {
-                            let entry = &mut st.tasks[gid];
-                            if entry.artifact.is_none()
-                                && matches!(
-                                    entry.phase,
-                                    Phase::Done | Phase::Orphaned | Phase::Failed
-                                )
-                            {
-                                // restore a retired/abandoned entry from
-                                // this submission's cache hit
-                                entry.artifact = Some(art);
-                                entry.phase = Phase::Done;
-                            }
-                            gid
-                        }
-                    }
-                }
-                NodeState::Run => match st.by_key.get(&key).copied() {
-                    None => new_entry(st, idx, &mut nodes, sid, None),
-                    Some(gid) => match st.tasks[gid].phase {
-                        Phase::Done if st.tasks[gid].artifact.is_some() => gid,
-                        Phase::Waiting | Phase::Queued | Phase::Running => gid,
-                        Phase::Done | Phase::Orphaned | Phase::Failed => {
-                            // retired or dead: re-arm with this
-                            // submission's task body
-                            reset_entry(st, gid, idx, &mut nodes, sid);
-                            gid
-                        }
-                    },
-                },
+        for (idx, node) in nodes.iter_mut().enumerate() {
+            if node.state == NodeState::Pruned {
+                continue;
+            }
+            let gid = match st.by_key.get(&node.key).copied() {
+                Some(gid) => gid,
+                None => new_entry(st, node, &sub.node_of, sid),
             };
 
-            let entry = &mut st.tasks[gid];
-            if !entry.subs.contains(&sid) {
-                entry.subs.push(sid);
-            }
+            let entry = st.task(gid);
+            entry.subs.push(sid);
             if let Some(sk) = spec_key {
                 if !entry.specs.contains(&sk) {
                     entry.specs.push(sk);
@@ -829,7 +830,6 @@ where
                 seeds.push(gid);
             }
             sub.node_of[idx] = Some(gid);
-            sub.tasks.push(gid);
         }
 
         sub.to_run = sub.remaining;
@@ -846,104 +846,61 @@ where
         self.inner.enqueue(st, seeds);
 
         self.inner.work.notify_all();
-        self.inner.client.notify_all();
         SubmissionHandle { inner: Arc::clone(&self.inner), id: sid, collected: false }
     }
 }
 
-/// Creates a fresh resident entry from submission node `idx`. With
-/// `prefilled`, the entry is born `Done` (a cache hit feeding runnable
-/// consumers); otherwise it registers with its dependencies and waits.
+/// Creates a fresh resident entry for a submission node whose key names
+/// no entry. With a prefilled artifact (a cache hit) the entry is born
+/// `Done`; otherwise it registers with its dependencies, which precede it
+/// in graph order and so are merged already (`node_of`), and waits.
 fn new_entry<A>(
     st: &mut State<A>,
-    idx: usize,
-    nodes: &mut [crate::graph::TaskNode<A>],
+    node: &mut TaskNode<A>,
+    node_of: &[Option<Gid>],
     sid: SubId,
-    prefilled: Option<Arc<A>>,
 ) -> Gid {
-    let gid = st.tasks.len();
-    let key = nodes[idx].key;
-    let done = prefilled.is_some();
-    st.tasks.push(TaskEntry {
-        key,
-        kind: nodes[idx].kind,
-        label: std::mem::take(&mut nodes[idx].label),
-        deps: Vec::new(),
-        dependents: Vec::new(),
-        pending: 0,
-        phase: if done { Phase::Done } else { Phase::Waiting },
-        run: if done { None } else { nodes[idx].run.take() },
-        artifact: prefilled,
-        consumers_left: 0,
-        retain_refs: 0,
-        subs: Vec::new(),
-        origin: sid,
-        specs: Vec::new(),
-        queued_at: None,
-    });
-    st.by_key.insert(key, gid);
-    if !done {
-        arm_entry(st, gid, idx, nodes, sid);
-    }
-    gid
-}
-
-/// Re-arms a retired/orphaned/failed entry with submission node `idx`'s
-/// task body: recomputes its dependency edges and pending count against
-/// the current phases of its inputs.
-fn reset_entry<A>(
-    st: &mut State<A>,
-    gid: Gid,
-    idx: usize,
-    nodes: &mut [crate::graph::TaskNode<A>],
-    sid: SubId,
-) {
-    st.tasks[gid].artifact = None;
-    st.tasks[gid].phase = Phase::Waiting;
-    // Any submission still listed here witnessed the entry's *previous*
-    // completion (reset happens only from Done/Orphaned/Failed, and the
-    // latter two guarantee an empty list): its `remaining` was already
-    // decremented, so it must NOT be decremented again when the re-armed
-    // entry re-completes. The stale sid stays in that submission's own
-    // task list, where cleanup handles it as a no-op.
-    st.tasks[gid].subs.clear();
-    arm_entry(st, gid, idx, nodes, sid);
-}
-
-fn arm_entry<A>(
-    st: &mut State<A>,
-    gid: Gid,
-    idx: usize,
-    nodes: &mut [crate::graph::TaskNode<A>],
-    sid: SubId,
-) {
-    // deps precede consumers in graph order, so every dep already has a
-    // resident entry (merged earlier in this same submission pass)
-    let sub_node_of = |st: &State<A>, d: usize| -> Gid {
-        *st.by_key.get(&nodes[d].key).expect("dependency merged before consumer")
+    let gid = st.next_gid;
+    st.next_gid += 1;
+    let artifact = node.prefilled.take();
+    let (phase, run, deps) = match artifact {
+        Some(_) => (Phase::Done, None, Vec::new()),
+        None => {
+            let deps = node.deps.iter().map(|&d| node_of[d].expect("dependency merged first"));
+            (Phase::Waiting, node.run.take(), deps.collect())
+        }
     };
-    let dep_gids: Vec<Gid> = nodes[idx].deps.clone().iter().map(|&d| sub_node_of(st, d)).collect();
     let mut pending = 0;
-    for &d in &dep_gids {
-        st.tasks[d].consumers_left += 1;
-        if st.tasks[d].phase != Phase::Done {
-            debug_assert!(matches!(
-                st.tasks[d].phase,
-                Phase::Waiting | Phase::Queued | Phase::Running
-            ));
+    for &d in &deps {
+        let dep = st.task(d);
+        dep.consumers_left += 1;
+        if dep.phase != Phase::Done {
             pending += 1;
-            if !st.tasks[d].dependents.contains(&gid) {
-                st.tasks[d].dependents.push(gid);
-            }
+            dep.dependents.push(gid);
         }
     }
-    st.tasks[gid].deps = dep_gids;
-    st.tasks[gid].pending = pending;
-    st.tasks[gid].origin = sid;
-    if st.tasks[gid].run.is_none() {
-        st.tasks[gid].run = nodes[idx].run.take();
-    }
-    debug_assert!(st.tasks[gid].run.is_some(), "re-armed entry has a body");
+    st.tasks.insert(
+        gid,
+        TaskEntry {
+            key: node.key,
+            kind: node.kind,
+            label: std::mem::take(&mut node.label),
+            deps,
+            dependents: Vec::new(),
+            pending,
+            phase,
+            run,
+            artifact,
+            consumers_left: 0,
+            retain_refs: 0,
+            subs: Vec::new(),
+            origin: sid,
+            specs: Vec::new(),
+            queued_at: None,
+        },
+    );
+    st.by_key.insert(node.key, gid);
+    gid
 }
 
 /// Guard of [`Pool::hold_leasable`]; dropping it hands leasable tasks
@@ -1023,10 +980,10 @@ where
         st.subs.get(&self.id).map_or((0, 0), |s| (s.to_run - s.remaining, s.to_run))
     }
 
-    /// Cancels the submission: its exclusive subgraph is released (queued
-    /// tasks go stale, holds on shared artifacts drop) and
-    /// [`SubmissionHandle::wait`] returns an error. Tasks shared with
-    /// other live submissions are untouched.
+    /// Cancels the submission: the entries of its exclusive subgraph that
+    /// are not running are removed (queued ids go stale), its holds on
+    /// shared artifacts drop, and [`SubmissionHandle::wait`] returns an
+    /// error. Tasks shared with other live submissions are untouched.
     pub fn cancel(&self) {
         let mut st = self.inner.state.lock().expect("state lock");
         self.inner.abandon_sub(&mut st, self.id, None);
@@ -1057,15 +1014,17 @@ where
         }
         let sub = st.subs.get(&self.id).expect("checked above");
         let error = sub.error.clone();
-        let node_of = sub.node_of.clone();
         let report = RunReport {
             executed: counts_vec(&sub.executed),
             remote_executed: counts_vec(&sub.remote_executed),
             workers: inner.n_workers,
             ..sub.account.clone()
         };
-        let artifacts: Vec<Option<Arc<A>>> =
-            node_of.iter().map(|g| g.and_then(|gid| st.tasks[gid].artifact.clone())).collect();
+        let artifacts: Vec<Option<Arc<A>>> = sub
+            .node_of
+            .iter()
+            .map(|g| g.and_then(|gid| st.tasks.get(&gid)?.artifact.clone()))
+            .collect();
         inner.cleanup_sub(&mut st, self.id);
         drop(st);
         match error {
@@ -1107,7 +1066,6 @@ where
                 st = guard;
             }
         };
-        let Some(job) = job else { continue };
         let Job { gid, kind, key, label, run, inputs, queued_at, sub } = job;
 
         let t = crate::telemetry::global();
@@ -1425,8 +1383,23 @@ mod tests {
         }
     }
 
+    /// The sizes of the resident table and of its key map.
+    fn table_len(pool: &Pool<V>) -> (usize, usize) {
+        let st = pool.inner.state.lock().unwrap();
+        (st.tasks.len(), st.by_key.len())
+    }
+
+    fn started_ids(rx: &std::sync::mpsc::Receiver<EngineEvent>) -> Vec<Gid> {
+        rx.try_iter()
+            .filter_map(|e| match e {
+                EngineEvent::TaskStarted { id, .. } => Some(id),
+                _ => None,
+            })
+            .collect()
+    }
+
     fn phase_of(st: &State<V>, label: &str) -> Phase {
-        st.tasks.iter().find(|t| t.label == label).expect("task submitted").phase
+        st.tasks.values().find(|t| t.label == label).expect("task submitted").phase
     }
 
     #[test]
@@ -1445,8 +1418,8 @@ mod tests {
                 pool.submit(g, vec![true; n], events, Some(spec.to_vec()))
             };
 
-        // a heavy task of the same spec whose submission is cancelled:
-        // its id stays in the list, stale
+        // a heavy task of the same spec whose submission is cancelled: its
+        // entry is removed, and its id stays in the list, stale
         let mut g = TaskGraph::new();
         let orphan = root(&mut g, TaskKind::Train, "orphan", vec![]);
         let cancelled = submit(g, &[orphan], &spec_a, None);
@@ -1490,7 +1463,7 @@ mod tests {
         {
             let mut st = pool.inner.state.lock().unwrap();
             while let Some(gid) = pool.inner.claim_leasable(&mut st, key_a) {
-                claimed.push((gid, st.tasks[gid].label.clone()));
+                claimed.push((gid, st.tasks[&gid].label.clone()));
             }
         }
         let labels: Vec<&str> = claimed.iter().map(|(_, l)| l.as_str()).collect();
@@ -1503,10 +1476,10 @@ mod tests {
         wait_until(&pool, "an empty ready list", |st| st.ready.is_empty());
         {
             let mut st = pool.inner.state.lock().unwrap();
-            assert_eq!(phase_of(&st, "orphan"), Phase::Orphaned, "a stale id was run");
+            assert!(st.tasks.values().all(|t| t.label != "orphan"), "the orphan's entry is live");
             for &(gid, _) in &claimed {
-                assert_eq!(st.tasks[gid].phase, Phase::Running);
-                assert!(st.tasks[gid].run.is_some(), "a claimed task was popped locally");
+                assert_eq!(st.tasks[&gid].phase, Phase::Running);
+                assert!(st.tasks[&gid].run.is_some(), "a claimed task was popped locally");
                 let (artifact, dur) = (Arc::new(V(1)), Duration::ZERO);
                 let done = Finished { artifact, remote: true, stored: None, cv: (0, 0), dur };
                 pool.inner.complete_ok(&mut st, gid, done);
@@ -1601,6 +1574,7 @@ mod tests {
             12,
             "overlapping submissions must dedupe onto the same in-flight tasks: {st1:?} {st2:?}"
         );
+        assert_eq!(table_len(&pool), (0, 0), "a shared entry outlived both submissions");
     }
 
     #[test]
@@ -1690,12 +1664,13 @@ mod tests {
     }
 
     #[test]
-    fn rearmed_evicted_entry_does_not_double_count_a_live_submission() {
+    fn retired_entry_demanded_again_does_not_double_count_a_live_submission() {
         // Regression: S1 finishes but stays uncollected; its unretained
         // leaf retires (the pool drops it) once S1's sink has run. S2
-        // re-demands the leaf, which must be re-armed and re-executed —
+        // re-demands the leaf, which must get a fresh entry and re-execute
         // WITHOUT decrementing S1's completed bookkeeping a second time
-        // (previously a usize underflow in `complete_ok`).
+        // (once a usize underflow in `complete_ok`, when the retired entry
+        // was re-armed in place).
         let pool: Pool<V> = Pool::new(1, None);
 
         let mut g1: TaskGraph<V> = TaskGraph::new();
@@ -1712,7 +1687,7 @@ mod tests {
         }
         // h1 deliberately NOT collected yet: S1 stays live in the table.
 
-        // S2 re-demands the leaf under a new sink: re-armed, re-executed.
+        // S2 re-demands the leaf under a new sink: a fresh entry, re-executed.
         let mut g2: TaskGraph<V> = TaskGraph::new();
         let l2 = g2
             .task(TaskKind::Train, "evict-leaf", CacheKey::of("evict-leaf"), vec![], |_| Ok(V(5)));
@@ -1728,9 +1703,10 @@ mod tests {
         assert_eq!(trains, 1, "retired leaf must re-execute for S2");
 
         // And S1 is still collectable, with its own accounting intact.
-        let (a1, st1) = h1.wait().expect("S1 collects after the re-arm");
+        let (a1, st1) = h1.wait().expect("S1 collects after S2");
         assert_eq!(a1[s1].as_deref(), Some(V(6)).as_ref());
         assert_eq!(st1.executed.iter().map(|(_, n)| n).sum::<usize>(), 2);
+        assert_eq!(table_len(&pool), (0, 0), "both submissions are collected");
     }
 
     #[test]
@@ -1863,5 +1839,101 @@ mod tests {
         assert!(h1.wait().is_err(), "failing submission must error");
         let (a2, _) = h2.wait().expect("independent submission must survive a failure");
         assert_eq!(a2[s2].as_deref(), Some(V(28)).as_ref());
+    }
+
+    #[test]
+    fn a_collected_submission_leaves_the_table_empty() {
+        // Every entry of a collected submission goes, its retained sink
+        // included. The same graph submitted again gets fresh entries with
+        // fresh ids, and runs again: the pool keeps nothing warm.
+        let pool: Pool<V> = Pool::new(2, None);
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let (mut g, sink) = diamond();
+            g.resolve(&mut ArtifactCache::new(None), &[sink]);
+            let retain = retain_only(g.len(), &[sink]);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (arts, report) = pool.submit(g, retain, Some(tx), None).wait().unwrap();
+            assert_eq!(arts[sink].as_deref(), Some(V(5)).as_ref());
+            assert_eq!(report.local_total(), 4);
+            assert_eq!(table_len(&pool), (0, 0), "a collected submission left entries behind");
+            ids.extend(started_ids(&rx));
+        }
+        let mut unique = ids.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!((ids.len(), unique.len()), (8, 8), "an entry id was reused: {ids:?}");
+    }
+
+    #[test]
+    fn a_cancelled_submissions_never_run_entries_are_removed() {
+        // One worker claims `gate`, the heaviest seed, and parks in it; the
+        // cancel then finds `queued` in the ready list and `after` waiting
+        // on the gate.
+        let pool: Pool<V> = Pool::new(1, None);
+        let (go, parked) = std::sync::mpsc::channel::<()>();
+        let ran = Arc::new(AtomicBool::new(false));
+        let ran_in_body = Arc::clone(&ran);
+        let mut g: TaskGraph<V> = TaskGraph::new();
+        let gate =
+            g.task(TaskKind::Train, "gate", CacheKey::of("cancel-gate"), vec![], move |_| {
+                parked.recv().expect("the test releases the gate");
+                Ok(V(1))
+            });
+        let queued =
+            g.task(TaskKind::Split, "queued", CacheKey::of("cancel-queued"), vec![], move |_| {
+                ran_in_body.store(true, Ordering::SeqCst);
+                Ok(V(2))
+            });
+        let after =
+            g.task(TaskKind::Evaluate, "after", CacheKey::of("cancel-after"), vec![gate], |_| {
+                Ok(V(3))
+            });
+        g.resolve(&mut ArtifactCache::new(None), &[queued, after]);
+        let handle = pool.submit(g, vec![true; 3], None, None);
+        wait_until(&pool, "the gate to run", |st| phase_of(st, "gate") == Phase::Running);
+
+        handle.cancel();
+        let (live, mapped, ready) = {
+            let st = pool.inner.state.lock().unwrap();
+            let live: Vec<String> = st.tasks.values().map(|t| t.label.clone()).collect();
+            (live, st.by_key.len(), st.ready.len())
+        };
+        assert_eq!(live, ["gate"], "only the running task outlives the cancel");
+        assert_eq!(mapped, 1);
+        assert_eq!(ready, 1, "the queued task's id stays behind, stale");
+        assert!(handle.wait().is_err(), "a cancelled submission errors");
+
+        // released, the gate finishes for nobody and goes too, and the
+        // worker drops the stale id without running it
+        go.send(()).unwrap();
+        wait_until(&pool, "an empty table", |st| {
+            st.tasks.is_empty() && st.by_key.is_empty() && st.ready.is_empty()
+        });
+        assert!(!ran.load(Ordering::SeqCst), "a stale ready id ran");
+    }
+
+    #[test]
+    fn a_failed_task_runs_afresh_for_a_later_submission() {
+        let pool: Pool<V> = Pool::new(1, None);
+        let run = |body: TaskFn<V>| {
+            let mut g: TaskGraph<V> = TaskGraph::new();
+            let sink = g.task(TaskKind::Train, "flaky", CacheKey::of("flaky"), vec![], body);
+            g.resolve(&mut ArtifactCache::new(None), &[sink]);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let outcome = pool.submit(g, vec![true], Some(tx), None).wait();
+            (outcome, started_ids(&rx))
+        };
+        let (failed, first) = run(Box::new(|_| Err(CoreError::Unsupported("flaky".into()))));
+        assert!(failed.is_err());
+        assert_eq!(table_len(&pool), (0, 0), "the failed entry outlived its submission");
+
+        let (ok, second) = run(Box::new(|_| Ok(V(7))));
+        let (arts, report) = ok.expect("a later demand runs the task afresh");
+        assert_eq!(arts[0].as_deref(), Some(&V(7)));
+        assert_eq!(report.local_total(), 1);
+        assert_eq!((first.len(), second.len()), (1, 1));
+        assert_ne!(first, second, "the rerun went to the failed task's entry");
+        assert_eq!(table_len(&pool), (0, 0));
     }
 }

@@ -18,7 +18,7 @@
 //!   disk store, and on a `Done` for that key applies the exact completion
 //!   bookkeeping a local worker would — the shipped payload lands in the
 //!   [`crate::cache::DiskStore`] *before* any dependent can observe the
-//!   artifact. Events about a leased task carry its resident id, as they
+//!   artifact. Events about a leased task carry its entry's id, as they
 //!   would had it run locally.
 //! * **an HTTP `GET `/`POST` preamble** — a client of the results gateway
 //!   ([`http`]), the only client protocol. Every other first message,
@@ -28,9 +28,10 @@
 //! deadline (no `Done`, no `Heartbeat`, no `Fetch`), whose connection
 //! drops, or that answers for a key it was not leased is declared dead,
 //! its connection is severed so a late `Done` can never double-complete,
-//! and the orphaned task re-enters the ready frontier for whoever claims
-//! it next (`PoolInner::reinject`). A `kill -9`'d worker therefore costs
-//! exactly its in-flight lease and nothing else.
+//! and the task re-enters the ready frontier for whoever claims it next,
+//! or is removed if no live submission needs it any more
+//! (`PoolInner::reinject`). A `kill -9`'d worker therefore costs exactly
+//! its in-flight lease and nothing else.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -307,7 +308,7 @@ where
         let claimed = {
             let mut st = inner.state.lock().expect("state lock");
             inner.claim_leasable(&mut st, spec_key).map(|gid| {
-                let t = &st.tasks[gid];
+                let t = &st.tasks[&gid];
                 let (kind, key, label) = (t.kind, t.key, t.label.clone());
                 let started = EngineEvent::TaskStarted { id: gid, kind, label: label.clone() };
                 inner.emit_to_subs(&st, gid, started);

@@ -259,8 +259,9 @@ pub(crate) fn serve_http<A>(inner: &PoolInner<A>, gateway: &EngineGateway, mut s
 
 fn serve_metrics<A>(inner: &PoolInner<A>, stream: &mut TcpStream) {
     let t = telemetry::global();
-    // Store occupancy is an instantaneous property of the disk index,
-    // not an event stream — refresh the gauges at scrape time.
+    // Store occupancy and the pool's table size are instantaneous
+    // properties, not event streams — refresh the gauges at scrape time.
+    t.pool_entries.set(inner.state.lock().expect("state lock").tasks.len() as i64);
     if let Some(store) = &inner.persist {
         t.store_bytes.set(store.total_bytes() as i64);
         t.store_entries.set(store.len() as i64);

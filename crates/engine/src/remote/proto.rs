@@ -94,25 +94,14 @@ pub struct StudySpec {
     pub cfg: ExperimentConfig,
 }
 
+/// An error type travels as its position in [`ErrorType::all`].
 fn error_type_tag(et: ErrorType) -> u8 {
-    match et {
-        ErrorType::MissingValues => 0,
-        ErrorType::Outliers => 1,
-        ErrorType::Duplicates => 2,
-        ErrorType::Inconsistencies => 3,
-        ErrorType::Mislabels => 4,
-    }
+    let pos = ErrorType::all().iter().position(|&e| e == et);
+    pos.expect("every error type is in ErrorType::all") as u8
 }
 
 fn error_type_of(tag: u8) -> Option<ErrorType> {
-    Some(match tag {
-        0 => ErrorType::MissingValues,
-        1 => ErrorType::Outliers,
-        2 => ErrorType::Duplicates,
-        3 => ErrorType::Inconsistencies,
-        4 => ErrorType::Mislabels,
-        _ => return None,
-    })
+    ErrorType::all().get(usize::from(tag)).copied()
 }
 
 impl StudySpec {
@@ -414,6 +403,23 @@ mod tests {
             let got = recv(&mut wire.as_slice()).unwrap();
             assert_eq!(got, msg);
         }
+    }
+
+    #[test]
+    fn error_type_tags_stay_pinned() {
+        // the tags are part of every encoded StudySpec a worker decodes
+        let pinned = [
+            (ErrorType::MissingValues, 0),
+            (ErrorType::Outliers, 1),
+            (ErrorType::Duplicates, 2),
+            (ErrorType::Inconsistencies, 3),
+            (ErrorType::Mislabels, 4),
+        ];
+        for (et, tag) in pinned {
+            assert_eq!(error_type_tag(et), tag, "{et:?}");
+            assert_eq!(error_type_of(tag), Some(et), "{tag}");
+        }
+        assert_eq!(error_type_of(5), None);
     }
 
     #[test]

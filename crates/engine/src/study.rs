@@ -547,8 +547,8 @@ impl EngineInner {
         emit(&events, EngineEvent::GraphReady { total, cache_hits, pruned, to_run });
 
         // Snapshot addressing info before the graph is consumed.
-        let index: Vec<(CacheKey, TaskKind, NodeState)> =
-            graph.nodes.iter().map(|n| (n.key, n.kind, n.state)).collect();
+        let index: Vec<(CacheKey, NodeState)> =
+            graph.nodes.iter().map(|n| (n.key, n.state)).collect();
         let retain: Vec<bool> = graph
             .nodes
             .iter()
@@ -779,7 +779,7 @@ impl EngineGateway {
 pub struct StudySubmission {
     inner: Arc<EngineInner>,
     handle: SubmissionHandle<Artifact>,
-    index: Vec<(CacheKey, TaskKind, NodeState)>,
+    index: Vec<(CacheKey, NodeState)>,
     grids: Vec<TaskId>,
     /// What graph resolution counted: cache and disk hits, prunes, total.
     resolved: RunReport,
@@ -822,7 +822,7 @@ impl StudySubmission {
         {
             let mut cache = inner.cache.lock().expect("cache lock");
             for (id, artifact) in artifacts.iter().enumerate() {
-                if index[id].2 == NodeState::Run {
+                if index[id].1 == NodeState::Run {
                     if let Some(a) = artifact {
                         cache.remember(index[id].0, Arc::clone(a));
                         if let Artifact::Cells(batch) = &**a {
@@ -877,18 +877,7 @@ pub fn build_study_graph(
     (graph, grids)
 }
 
-/// Canonical content-address strings. Seeds and float parameters are
-/// rendered as exact bit patterns, so a key never aliases across configs.
-fn data_cname(plan: &DatasetPlan) -> String {
-    let base = format!("gen/{}/{:016x}", plan.spec_name, plan.seed);
-    match plan.variant {
-        None => base,
-        Some((strategy, vseed)) => {
-            format!("var/{base}/{}/{vseed:016x}", strategy.suffix())
-        }
-    }
-}
-
+/// The search-budget part of a Train task's content address.
 fn budget_tag(cfg: &ExperimentConfig) -> String {
     format!("bud{}x{}", cfg.search.n_candidates, cfg.search.cv_folds)
 }
@@ -1006,6 +995,9 @@ fn build_grid_tasks_scoped(
     let GridScope { methods, models, n_models_full, subset } = scope;
     let (n_methods, n_models) = (methods.len(), models.len());
 
+    // Canonical content-address strings: seeds and float parameters are
+    // rendered as exact bit patterns, so a key never aliases across configs.
+    //
     // GenerateDataset: the base spec, plus the injection step for mislabel
     // variants. Base generation is shared across variants and error types
     // through content-addressed dedup.
@@ -1021,29 +1013,32 @@ fn build_grid_tasks_scoped(
             Ok(Artifact::Dataset(Arc::new(generate(spec, seed))))
         },
     );
-    let dname = data_cname(plan);
-    let data_id = match plan.variant {
-        None => base_id,
-        Some((strategy, vseed)) => g.task(
-            TaskKind::GenerateDataset,
-            dname.clone(),
-            CacheKey::of(&dname),
-            vec![base_id],
-            move |d| {
-                Ok(Artifact::Dataset(Arc::new(inject_mislabel_variant(
-                    d[0].dataset(),
-                    strategy,
-                    vseed,
-                ))))
-            },
-        ),
+    let (data_id, dname) = match plan.variant {
+        None => (base_id, base_cname),
+        Some((strategy, vseed)) => {
+            let dname = format!("var/{base_cname}/{}/{vseed:016x}", strategy.suffix());
+            let id = g.task(
+                TaskKind::GenerateDataset,
+                dname.clone(),
+                CacheKey::of(&dname),
+                vec![base_id],
+                move |d| {
+                    Ok(Artifact::Dataset(Arc::new(inject_mislabel_variant(
+                        d[0].dataset(),
+                        strategy,
+                        vseed,
+                    ))))
+                },
+            );
+            (id, dname)
+        }
     };
 
     let ctx_cname = format!("ctx/{dname}");
     let ctx_id = g.task(
         TaskKind::Context,
-        ctx_cname,
-        CacheKey::of(&format!("ctx/{dname}")),
+        ctx_cname.clone(),
+        CacheKey::of(&ctx_cname),
         vec![data_id],
         |d| Ok(Artifact::Context(Arc::new(tasks::dataset_context(d[0].dataset())?))),
     );

@@ -49,23 +49,19 @@ pub const NKINDS: usize = TaskKind::ALL.len();
 pub const HTTP_ROUTES: [&str; 5] = ["metrics", "studies", "submit", "status", "rows"];
 pub const NROUTES: usize = HTTP_ROUTES.len();
 
-/// Histogram bucket upper bounds, in seconds. Fixed at compile time so
+/// Histogram bucket upper bounds, in microseconds; `/metrics` renders
+/// each as its `le` label in seconds. Fixed at compile time so
 /// observation is a branch-free-ish scan; chosen to straddle the repo's
 /// task-cost spread — the 100 µs / 250 µs / 500 µs buckets separate the
 /// sub-millisecond kinds (Evaluate, Reduce) that a 1 ms floor would put
 /// in one bucket, and the 150 ms – 750 ms ladder separates the
 /// Clean/Train tail that a bare 0.1 → 0.5 → 1.0 jump would lump together.
-pub const BUCKET_BOUNDS_SECS: [f64; 17] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.15, 0.25, 0.35, 0.5, 0.75, 1.0, 5.0,
-    10.0, 60.0,
-];
-
-const BOUNDS_US: [u64; 17] = [
+const BUCKET_BOUNDS_US: [u64; 17] = [
     100, 250, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 150_000, 250_000, 350_000, 500_000,
     750_000, 1_000_000, 5_000_000, 10_000_000, 60_000_000,
 ];
 
-const NBUCKETS: usize = BUCKET_BOUNDS_SECS.len();
+const NBUCKETS: usize = BUCKET_BOUNDS_US.len();
 
 /// Cap on buffered trace events so a pathological run cannot eat the
 /// heap; overflow is counted, not silently dropped.
@@ -141,7 +137,7 @@ pub struct HistogramSummary {
 impl Histogram {
     pub fn observe(&self, d: Duration) {
         let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        for (i, &bound) in BOUNDS_US.iter().enumerate() {
+        for (i, &bound) in BUCKET_BOUNDS_US.iter().enumerate() {
             if us <= bound {
                 self.buckets[i].fetch_add(1, Ordering::Relaxed);
                 break;
@@ -198,6 +194,8 @@ pub struct Telemetry {
     pub(crate) task_seconds: [Histogram; NKINDS],
     pub(crate) queue_seconds: [Histogram; NKINDS],
     pub(crate) persist_seconds: Histogram,
+    /// Entries in the pool's task table, refreshed at scrape time.
+    pub(crate) pool_entries: Gauge,
 
     // Cache plane (cache.rs).
     pub(crate) cache_memory_hits: Counter,
@@ -264,6 +262,7 @@ impl Telemetry {
             task_seconds: std::array::from_fn(|_| Histogram::default()),
             queue_seconds: std::array::from_fn(|_| Histogram::default()),
             persist_seconds: Histogram::default(),
+            pool_entries: Gauge::default(),
             cache_memory_hits: Counter::default(),
             cache_disk_hits: Counter::default(),
             cache_misses: Counter::default(),
@@ -418,6 +417,7 @@ impl Telemetry {
         histogram_family(&mut o, "cleanml_task_seconds", "kind", &self.task_seconds);
         histogram_family(&mut o, "cleanml_task_queue_seconds", "kind", &self.queue_seconds);
         plain_histogram(&mut o, "cleanml_task_persist_seconds", &self.persist_seconds);
+        gauge(&mut o, "cleanml_pool_entries", &self.pool_entries);
 
         o.push_str("# TYPE cleanml_cache_hits_total counter\n");
         sample(
@@ -611,7 +611,7 @@ fn histogram_samples(out: &mut String, name: &str, label: Option<(&str, &str)>, 
     let cum = h.cumulative();
     let bucket_name = format!("{name}_bucket");
     for (i, &c) in cum.iter().enumerate() {
-        let le = format_bound(BUCKET_BOUNDS_SECS[i]);
+        let le = le_label(BUCKET_BOUNDS_US[i]);
         match label {
             Some((k, v)) => {
                 sample(out, &bucket_name, &[(k, v), ("le", &le)], Value::U64(c));
@@ -639,14 +639,15 @@ fn plain_histogram(out: &mut String, name: &str, h: &Histogram) {
     histogram_samples(out, name, None, h);
 }
 
-/// Bucket bounds print without trailing zeros ("0.001", "5"), matching
-/// conventional Prometheus client output.
-fn format_bound(b: f64) -> String {
-    if b == b.trunc() {
-        format!("{}", b as u64)
-    } else {
-        format!("{b}")
+/// A bucket bound's `le` label: the bound in seconds, without trailing
+/// zeros ("0.001", "5"), matching conventional Prometheus client output.
+fn le_label(us: u64) -> String {
+    let (secs, frac) = (us / 1_000_000, us % 1_000_000);
+    if frac == 0 {
+        return secs.to_string();
     }
+    let digits = format!("{frac:06}");
+    format!("{secs}.{}", digits.trim_end_matches('0'))
 }
 
 #[cfg(test)]
@@ -675,16 +676,16 @@ mod tests {
     fn histogram_buckets_are_cumulative_and_inf_matches_count() {
         let h = Histogram::default();
         // one per bucket boundary, one past the last bound
-        for &b in &BUCKET_BOUNDS_SECS {
-            h.observe(Duration::from_secs_f64(b));
+        for &b in &BUCKET_BOUNDS_US {
+            h.observe(Duration::from_micros(b));
         }
         h.observe(Duration::from_secs(120));
         let cum = h.cumulative();
         for w in cum.windows(2) {
             assert!(w[0] <= w[1], "cumulative counts must be nondecreasing");
         }
-        assert_eq!(cum[NBUCKETS - 1], BUCKET_BOUNDS_SECS.len() as u64);
-        assert_eq!(h.count(), BUCKET_BOUNDS_SECS.len() as u64 + 1);
+        assert_eq!(cum, std::array::from_fn(|i| i as u64 + 1), "one observation per bucket");
+        assert_eq!(h.count(), NBUCKETS as u64 + 1);
 
         // rendered form repeats the invariant, with +Inf == count
         let mut out = String::new();
@@ -711,13 +712,13 @@ mod tests {
         // A bare 0.1 -> 0.5 -> 1.0 ladder would put 120-400 ms in one
         // bucket and 600-900 ms in another; the 150/250/350/500/750 ms
         // bounds give each of these observations its own bucket.
-        for (obs_ms, le_secs) in
-            [(120, 0.15), (180, 0.25), (300, 0.35), (400, 0.5), (600, 0.75), (900, 1.0)]
+        for (obs_ms, le) in
+            [(120, "0.15"), (180, "0.25"), (300, "0.35"), (400, "0.5"), (600, "0.75"), (900, "1")]
         {
             let h = Histogram::default();
             h.observe(ms(obs_ms));
             let bucket = h.cumulative().iter().position(|&c| c == 1).expect("observation bucketed");
-            assert_eq!(BUCKET_BOUNDS_SECS[bucket], le_secs, "{obs_ms} ms observation");
+            assert_eq!(le_label(BUCKET_BOUNDS_US[bucket]), le, "{obs_ms} ms observation");
         }
     }
 
@@ -753,6 +754,7 @@ mod tests {
             "# TYPE cleanml_cache_hits_total counter",
             "# TYPE cleanml_cache_misses_total counter",
             "# TYPE cleanml_leases_active gauge",
+            "# TYPE cleanml_pool_entries gauge",
             "# TYPE cleanml_submissions_total counter",
             "# TYPE cleanml_events_dropped_total counter",
         ] {
@@ -823,10 +825,24 @@ mod tests {
     }
 
     #[test]
-    fn bound_formatting_drops_trailing_zeros() {
-        assert_eq!(format_bound(0.001), "0.001");
-        assert_eq!(format_bound(0.05), "0.05");
-        assert_eq!(format_bound(1.0), "1");
-        assert_eq!(format_bound(60.0), "60");
+    fn le_labels_are_the_bounds_in_seconds_without_trailing_zeros() {
+        // the `le` strings every `/metrics` histogram has always carried
+        let labels: Vec<String> = BUCKET_BOUNDS_US.iter().map(|&us| le_label(us)).collect();
+        assert_eq!(
+            labels,
+            [
+                "0.0001", "0.00025", "0.0005", "0.001", "0.005", "0.01", "0.05", "0.1", "0.15",
+                "0.25", "0.35", "0.5", "0.75", "1", "5", "10", "60"
+            ]
+        );
+        let mut out = String::new();
+        histogram_samples(&mut out, "x_seconds", None, &Histogram::default());
+        let rendered: Vec<&str> = out
+            .lines()
+            .filter_map(|l| l.strip_prefix("x_seconds_bucket{le=\""))
+            .filter_map(|l| l.split_once('"').map(|(le, _)| le))
+            .collect();
+        assert_eq!(rendered[..NBUCKETS], labels[..]);
+        assert_eq!(rendered[NBUCKETS..], ["+Inf"]);
     }
 }
