@@ -1,8 +1,11 @@
 //! Content-addressed artifact store.
 //!
-//! Every task's inputs (dataset spec, seeds, method, model, budget, …) are
-//! folded into a canonical string; its 128-bit FNV-1a digest is the task's
-//! **content address**. Two layers sit behind one interface:
+//! Every task's own parameters (dataset spec, seeds, method, model,
+//! budget, …) and the content addresses of its input tasks are folded
+//! into a flat canonical string; its 128-bit FNV-1a digest is the task's
+//! **content address**. An input appears as its 32-hex-digit key, never as
+//! its own description, so each description is rendered and hashed once
+//! however deep the chain above it. Two layers sit behind one interface:
 //!
 //! * the memo — an entry-capped LRU map of the small artifacts a
 //!   submission retains (contexts, cells, cell batches, datasets, grids),
@@ -57,27 +60,25 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-/// 128-bit content address (two independent FNV-1a passes).
+/// 128-bit content address (two independent FNV-1a lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey(pub u64, pub u64);
 
-fn fnv1a(s: &str, mut h: u64, prime: u64) -> u64 {
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(prime);
-    }
-    h
-}
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 impl CacheKey {
-    /// Hashes a canonical task-input description.
+    /// Hashes a canonical task description: its own parameters plus the
+    /// keys of its inputs. Both FNV-1a lanes advance in one pass over the
+    /// bytes; the second starts from a different offset basis, which
+    /// decorrelates the halves, and is finished with a rotation and the
+    /// length.
     pub fn of(canonical: &str) -> CacheKey {
-        CacheKey(
-            fnv1a(canonical, 0xcbf2_9ce4_8422_2325, 0x100_0000_01b3),
-            // second pass: different offset basis decorrelates the halves
-            fnv1a(canonical, 0x6c62_272e_07bb_0142, 0x100_0000_01b3).rotate_left(1)
-                ^ canonical.len() as u64,
-        )
+        let (mut h0, mut h1) = (0xcbf2_9ce4_8422_2325_u64, 0x6c62_272e_07bb_0142_u64);
+        for b in canonical.bytes() {
+            h0 = (h0 ^ b as u64).wrapping_mul(FNV_PRIME);
+            h1 = (h1 ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+        CacheKey(h0, h1.rotate_left(1) ^ canonical.len() as u64)
     }
 
     /// Parses the 32-hex-digit form produced by `Display` (artifact file
@@ -533,6 +534,21 @@ mod tests {
         let k = CacheKey::of("round-trip");
         assert_eq!(CacheKey::parse(&k.to_string()), Some(k));
         assert_eq!(CacheKey::parse("xyz"), None);
+    }
+
+    /// Every persisted artifact is named by these values: a change to the
+    /// hash makes every existing store cold, so it must fail here first.
+    #[test]
+    fn key_values_are_pinned() {
+        assert_eq!(
+            CacheKey::of("gen/EEG/0000000000000001"),
+            CacheKey(0x81ce_cbb4_3dd9_8add, 0x61f7_1a43_8aae_b4ac)
+        );
+        assert_eq!(
+            CacheKey::of("cell/0123456789abcdef0123456789abcdef|fedcba9876543210fedcba9876543210"),
+            CacheKey(0xe7f8_d8d6_32ac_d156, 0x6cd0_fe56_7ae8_6f25)
+        );
+        assert_eq!(CacheKey::of(""), CacheKey(0xcbf2_9ce4_8422_2325, 0xd8c4_4e5c_0f76_0284));
     }
 
     #[test]

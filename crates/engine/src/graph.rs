@@ -126,9 +126,7 @@ impl<A: DiskCodec> TaskGraph<A> {
                 self.nodes[id].state = NodeState::Cached;
                 continue; // dependencies not demanded
             }
-            for &d in &self.nodes[id].deps.clone() {
-                stack.push(d);
-            }
+            stack.extend_from_slice(&self.nodes[id].deps);
         }
         let mut hits = 0;
         let mut pruned = 0;

@@ -927,8 +927,10 @@ where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     fn drop(&mut self) {
-        {
-            let mut st = self.inner.state.lock().expect("state lock");
+        // A poisoned lock means a thread panicked mid-update: the table is
+        // not trusted, so nothing is abandoned, but the threads still stop.
+        // Panicking here instead could abort a process already unwinding.
+        if let Ok(mut st) = self.inner.state.lock() {
             let sids: Vec<SubId> = st.subs.keys().copied().collect();
             for sid in sids {
                 self.inner.abandon_sub(
@@ -1039,8 +1041,13 @@ where
     A: Clone + Send + Sync + DiskCodec + 'static,
 {
     fn drop(&mut self) {
-        if !self.collected {
-            let mut st = self.inner.state.lock().expect("state lock");
+        if self.collected {
+            return;
+        }
+        // Skipped on a poisoned lock, as in `Pool`'s drop: a handle dropped
+        // while unwinding from the panic that poisoned it must not panic
+        // again and abort the process.
+        if let Ok(mut st) = self.inner.state.lock() {
             self.inner.abandon_sub(&mut st, self.id, None);
             self.inner.cleanup_sub(&mut st, self.id);
         }
@@ -1935,5 +1942,24 @@ mod tests {
         assert_eq!((first.len(), second.len()), (1, 1));
         assert_ne!(first, second, "the rerun went to the failed task's entry");
         assert_eq!(table_len(&pool), (0, 0));
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_does_not_panic_in_drop() {
+        let pool: Pool<V> = Pool::new(1, None);
+        let (mut g, sink) = diamond();
+        g.resolve(&mut ArtifactCache::new(None), &[sink]);
+        let retain = retain_only(g.len(), &[sink]);
+        let handle = pool.submit(g, retain, None, None);
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _st = pool.inner.state.lock().unwrap();
+            panic!("a panic while holding the state lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(pool.inner.state.is_poisoned());
+        // neither drop may panic: the handle is uncollected, and the pool
+        // must still stop and join its worker
+        drop(handle);
+        drop(pool);
     }
 }

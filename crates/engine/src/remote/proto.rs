@@ -59,8 +59,11 @@ use crate::event::TaskKind;
 /// trailing `parallel` tag (the experiment configuration no longer has one);
 /// 5 — `Lease`, `Done` and `Failed` name the task by its content key:
 /// `Lease` lost its graph-local `id` and its `kind`, `Done` and `Failed`
-/// carry the key where they carried the id.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// carry the key where they carried the id; 6 — content addresses name
+/// inputs by key: every task key changed, so a worker of an earlier
+/// build, which cannot find a leased key in its graph, is refused at
+/// `Hello`.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Upper bound on a single message payload. The largest legitimate payload
 /// is one artifact (a split's tables for the biggest dataset — a few MiB);

@@ -20,6 +20,7 @@
 //! the serial path bit for bit.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -858,6 +859,14 @@ impl StudySubmission {
 /// Builds the complete study DAG for `error_types` under `cfg` and returns
 /// it with the grid (reduce) sink of every dataset × error-type pair.
 ///
+/// Every content address is flat: a task's canonical string holds its own
+/// parameters and names each input task by that task's key, in the chain
+/// `gen`/`var` → `ctx` and `split/{dataset}` → `traind/{split}` and
+/// `clean/{split}` → `trainc/{clean}` → `cell/{traind}|{trainc}` →
+/// `cells/{member cells}` → `grid/{dataset}`. So each description is
+/// rendered and hashed once, and a key still changes whenever anything
+/// upstream of it does.
+///
 /// This is deliberately a pure function of its arguments: the coordinator
 /// and every remote worker call it with the same [`StudySpec`]-shipped
 /// inputs and obtain graphs whose content addresses agree bit for bit —
@@ -875,11 +884,6 @@ pub fn build_study_graph(
         }
     }
     (graph, grids)
-}
-
-/// The search-budget part of a Train task's content address.
-fn budget_tag(cfg: &ExperimentConfig) -> String {
-    format!("bud{}x{}", cfg.search.n_candidates, cfg.search.cv_folds)
 }
 
 /// One `(dataset, error type, cleaning method, model)` cell of the study
@@ -983,8 +987,22 @@ fn build_grid_tasks(
     build_grid_tasks_scoped(g, plan, et, cfg, GridScope::full(et))
 }
 
+/// Renders a flat canonical description into `buf`, which one grid's
+/// tasks share, and hashes it.
+fn key_of(buf: &mut String, description: std::fmt::Arguments<'_>) -> CacheKey {
+    buf.clear();
+    let _ = buf.write_fmt(description);
+    CacheKey::of(buf)
+}
+
 /// Emits the tasks of one dataset × error-type grid restricted to
 /// `scope`'s methods × models; returns the reduce node.
+///
+/// Each content address hashes a flat canonical string: the task's own
+/// parameters (seeds and float parameters as exact bit patterns, so a key
+/// never aliases across configs) plus the 32-hex-digit keys of the tasks
+/// it reads, never their descriptions. Labels name tasks for people and
+/// traces and play no part in any address.
 fn build_grid_tasks_scoped(
     g: &mut TaskGraph<Artifact>,
     plan: &DatasetPlan,
@@ -994,67 +1012,67 @@ fn build_grid_tasks_scoped(
 ) -> TaskId {
     let GridScope { methods, models, n_models_full, subset } = scope;
     let (n_methods, n_models) = (methods.len(), models.len());
+    let mut buf = String::with_capacity(128);
+    let budget = format!("bud{}x{}", cfg.search.n_candidates, cfg.search.cv_folds);
+    let method_names: Vec<String> = methods
+        .iter()
+        .map(|(_, m)| format!("{}-{}", m.detection.name(), m.repair.name()))
+        .collect();
 
-    // Canonical content-address strings: seeds and float parameters are
-    // rendered as exact bit patterns, so a key never aliases across configs.
-    //
     // GenerateDataset: the base spec, plus the injection step for mislabel
     // variants. Base generation is shared across variants and error types
     // through content-addressed dedup.
     let base_cname = format!("gen/{}/{:016x}", plan.spec_name, plan.seed);
+    let base_key = CacheKey::of(&base_cname);
     let (spec_name, seed) = (plan.spec_name, plan.seed);
-    let base_id = g.task(
-        TaskKind::GenerateDataset,
-        base_cname.clone(),
-        CacheKey::of(&base_cname),
-        vec![],
-        move |_| {
+    let base_id =
+        g.task(TaskKind::GenerateDataset, base_cname.clone(), base_key, vec![], move |_| {
             let spec = spec_by_name(spec_name).expect("known dataset spec");
             Ok(Artifact::Dataset(Arc::new(generate(spec, seed))))
-        },
-    );
-    let (data_id, dname) = match plan.variant {
-        None => (base_id, base_cname),
+        });
+    let (data_id, data_key, dname) = match plan.variant {
+        None => (base_id, base_key, base_cname),
         Some((strategy, vseed)) => {
-            let dname = format!("var/{base_cname}/{}/{vseed:016x}", strategy.suffix());
-            let id = g.task(
-                TaskKind::GenerateDataset,
-                dname.clone(),
-                CacheKey::of(&dname),
-                vec![base_id],
-                move |d| {
+            let suffix = strategy.suffix();
+            let key = key_of(&mut buf, format_args!("var/{base_key}/{suffix}/{vseed:016x}"));
+            let dname = format!("var/{base_cname}/{suffix}/{vseed:016x}");
+            let id =
+                g.task(TaskKind::GenerateDataset, dname.clone(), key, vec![base_id], move |d| {
                     Ok(Artifact::Dataset(Arc::new(inject_mislabel_variant(
                         d[0].dataset(),
                         strategy,
                         vseed,
                     ))))
-                },
-            );
-            (id, dname)
+                });
+            (id, key, dname)
         }
     };
 
-    let ctx_cname = format!("ctx/{dname}");
     let ctx_id = g.task(
         TaskKind::Context,
-        ctx_cname.clone(),
-        CacheKey::of(&ctx_cname),
+        format!("ctx/{dname}"),
+        key_of(&mut buf, format_args!("ctx/{data_key}")),
         vec![data_id],
         |d| Ok(Artifact::Context(Arc::new(tasks::dataset_context(d[0].dataset())?))),
     );
 
     let mut cell_ids: Vec<TaskId> = Vec::with_capacity(cfg.n_splits * n_methods * n_models);
     for s in 0..cfg.n_splits {
-        let split_cname = format!(
-            "split/{dname}/{}/s{s}/frac{:016x}/seed{:016x}",
-            et.name(),
-            cfg.test_fraction.to_bits(),
-            cfg.split_seed(s),
+        // every label of this split reads `{kind}/{at}…`
+        let at = format!("{}/{}/s{s}", plan.name, et.name());
+        let split_key = key_of(
+            &mut buf,
+            format_args!(
+                "split/{data_key}/{}/s{s}/frac{:016x}/seed{:016x}",
+                et.name(),
+                cfg.test_fraction.to_bits(),
+                cfg.split_seed(s),
+            ),
         );
         let split_id = g.task(
             TaskKind::Split,
-            format!("split/{}/{}/s{s}", plan.name, et.name()),
-            CacheKey::of(&split_cname),
+            format!("split/{at}"),
+            split_key,
             vec![data_id, ctx_id],
             move |d| {
                 Ok(Artifact::Split(Arc::new(tasks::make_split(
@@ -1068,19 +1086,21 @@ fn build_grid_tasks_scoped(
         );
         let fit_seed = cfg.fit_seed(s);
 
-        let dirty_ids: Vec<(TaskId, String)> = models
+        let dirty: Vec<(TaskId, CacheKey)> = models
             .iter()
             .map(|&(ki, kind)| {
-                let cname = format!(
-                    "traind/{split_cname}/{}/seed{:016x}/{}",
-                    kind.name(),
-                    fit_seed.wrapping_add(ki as u64),
-                    budget_tag(&cfg),
+                let key = key_of(
+                    &mut buf,
+                    format_args!(
+                        "traind/{split_key}/{}/seed{:016x}/{budget}",
+                        kind.name(),
+                        fit_seed.wrapping_add(ki as u64),
+                    ),
                 );
                 let id = g.task(
                     TaskKind::Train,
-                    format!("train/{}/{}/s{s}/dirty/{}", plan.name, et.name(), kind.name()),
-                    CacheKey::of(&cname),
+                    format!("train/{at}/dirty/{}", kind.name()),
+                    key,
                     vec![split_id, ctx_id],
                     move |d| {
                         Ok(Artifact::Trained(Arc::new(tasks::train_dirty(
@@ -1093,27 +1113,22 @@ fn build_grid_tasks_scoped(
                         )?)))
                     },
                 );
-                (id, cname)
+                (id, key)
             })
             .collect();
 
-        for &(mi, method) in &methods {
-            let clean_cname = format!(
-                "clean/{split_cname}/{}-{}/seed{:016x}",
-                method.detection.name(),
-                method.repair.name(),
-                fit_seed.wrapping_add(1000 + mi as u64),
+        for (&(mi, method), mname) in methods.iter().zip(&method_names) {
+            let clean_key = key_of(
+                &mut buf,
+                format_args!(
+                    "clean/{split_key}/{mname}/seed{:016x}",
+                    fit_seed.wrapping_add(1000 + mi as u64),
+                ),
             );
             let clean_id = g.task(
                 TaskKind::Clean,
-                format!(
-                    "clean/{}/{}/s{s}/{}-{}",
-                    plan.name,
-                    et.name(),
-                    method.detection.name(),
-                    method.repair.name()
-                ),
-                CacheKey::of(&clean_cname),
+                format!("clean/{at}/{mname}"),
+                clean_key,
                 vec![split_id, ctx_id],
                 move |d| {
                     Ok(Artifact::Clean(Arc::new(tasks::make_clean(
@@ -1127,27 +1142,22 @@ fn build_grid_tasks_scoped(
                 },
             );
 
-            // (dirty id, tclean id, singleton cell content name) per model —
-            // full grids fuse these into one batched Evaluate below.
-            let mut members: Vec<(TaskId, TaskId, String)> = Vec::with_capacity(n_models);
-            for (pos_k, &(ki, kind)) in models.iter().enumerate() {
-                let tclean_cname = format!(
-                    "trainc/{clean_cname}/{}/seed{:016x}/{}",
-                    kind.name(),
-                    fit_seed.wrapping_add(2000 + (mi * n_models_full + ki) as u64),
-                    budget_tag(&cfg),
+            // (dirty id, tclean id, singleton cell key) per model — full
+            // grids fuse these into one batched Evaluate below.
+            let mut members: Vec<(TaskId, TaskId, CacheKey)> = Vec::with_capacity(n_models);
+            for (&(ki, kind), &(dirty_id, dirty_key)) in models.iter().zip(&dirty) {
+                let tclean_key = key_of(
+                    &mut buf,
+                    format_args!(
+                        "trainc/{clean_key}/{}/seed{:016x}/{budget}",
+                        kind.name(),
+                        fit_seed.wrapping_add(2000 + (mi * n_models_full + ki) as u64),
+                    ),
                 );
                 let tclean_id = g.task(
                     TaskKind::Train,
-                    format!(
-                        "train/{}/{}/s{s}/{}-{}/{}",
-                        plan.name,
-                        et.name(),
-                        method.detection.name(),
-                        method.repair.name(),
-                        kind.name()
-                    ),
-                    CacheKey::of(&tclean_cname),
+                    format!("train/{at}/{mname}/{}", kind.name()),
+                    tclean_key,
                     vec![clean_id, ctx_id],
                     move |d| {
                         Ok(Artifact::Trained(Arc::new(tasks::train_clean(
@@ -1163,16 +1173,16 @@ fn build_grid_tasks_scoped(
                     },
                 );
 
-                let cell_cname = format!("cell/{}|{tclean_cname}", dirty_ids[pos_k].1);
+                let cell_key = key_of(&mut buf, format_args!("cell/{dirty_key}|{tclean_key}"));
                 if subset {
                     // Query-granular grids keep singleton Evaluate tasks at
                     // the same content addresses as always, so a warm memo
                     // (fanned out from a full study's batches) answers them.
                     let cell_id = g.task(
                         TaskKind::Evaluate,
-                        format!("cell/{}/{}/s{s}/m{mi}/{}", plan.name, et.name(), kind.name()),
-                        CacheKey::of(&cell_cname),
-                        vec![dirty_ids[pos_k].0, tclean_id, clean_id, ctx_id],
+                        format!("cell/{at}/m{mi}/{}", kind.name()),
+                        cell_key,
+                        vec![dirty_id, tclean_id, clean_id, ctx_id],
                         move |d| {
                             Ok(Artifact::Cell(tasks::evaluate_cell(
                                 d[0].trained(),
@@ -1184,30 +1194,28 @@ fn build_grid_tasks_scoped(
                     );
                     cell_ids.push(cell_id);
                 } else {
-                    members.push((dirty_ids[pos_k].0, tclean_id, cell_cname));
+                    members.push((dirty_id, tclean_id, cell_key));
                 }
             }
 
             if !subset {
                 // One fused Evaluate per (dataset, split, cleaning method):
-                // its content address derives from the member set, and the
+                // its content address names the member cells' keys, and the
                 // artifact carries each member's singleton address so the
                 // results fan back into the cache at collection time.
-                let batch_cname = format!(
-                    "cells/{}",
-                    members.iter().map(|(_, _, c)| c.as_str()).collect::<Vec<_>>().join("|")
-                );
-                let member_keys: Vec<CacheKey> =
-                    members.iter().map(|(_, _, c)| CacheKey::of(c)).collect();
-                let mut deps = vec![clean_id, ctx_id];
-                for &(dirty_id, tclean_id, _) in &members {
-                    deps.push(dirty_id);
-                    deps.push(tclean_id);
+                buf.clear();
+                buf.push_str("cells");
+                let mut deps = Vec::with_capacity(2 + 2 * members.len());
+                deps.extend([clean_id, ctx_id]);
+                for &(dirty_id, tclean_id, key) in &members {
+                    let _ = write!(buf, "/{key}");
+                    deps.extend([dirty_id, tclean_id]);
                 }
+                let member_keys: Vec<CacheKey> = members.iter().map(|m| m.2).collect();
                 let batch_id = g.task(
                     TaskKind::Evaluate,
-                    format!("cells/{}/{}/s{s}/m{mi}", plan.name, et.name()),
-                    CacheKey::of(&batch_cname),
+                    format!("cells/{at}/m{mi}"),
+                    CacheKey::of(&buf),
                     deps,
                     move |d| {
                         let mut out = Vec::with_capacity(member_keys.len());
@@ -1234,23 +1242,21 @@ fn build_grid_tasks_scoped(
         let mi_list: Vec<String> = methods.iter().map(|(mi, _)| mi.to_string()).collect();
         let ki_list: Vec<String> = models.iter().map(|(ki, _)| ki.to_string()).collect();
         format!(
-            "gridsub/{dname}/{}/splits{}/frac{:016x}/base{:016x}/{}/m{}/k{}",
+            "gridsub/{data_key}/{}/splits{}/frac{:016x}/base{:016x}/{budget}/m{}/k{}",
             et.name(),
             cfg.n_splits,
             cfg.test_fraction.to_bits(),
             cfg.base_seed,
-            budget_tag(&cfg),
             mi_list.join("-"),
             ki_list.join("-"),
         )
     } else {
         format!(
-            "grid/{dname}/{}/splits{}/frac{:016x}/base{:016x}/{}/methods{}/models{}",
+            "grid/{data_key}/{}/splits{}/frac{:016x}/base{:016x}/{budget}/methods{}/models{}",
             et.name(),
             cfg.n_splits,
             cfg.test_fraction.to_bits(),
             cfg.base_seed,
-            budget_tag(&cfg),
             n_methods,
             n_models,
         )
@@ -1303,6 +1309,8 @@ fn build_grid_tasks_scoped(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     #[test]
@@ -1478,5 +1486,99 @@ mod tests {
             .count();
         assert_eq!(gen_nodes, 1, "base generation emitted once");
         assert!(g.len() > before, "variant still adds its own tasks");
+    }
+
+    /// The quick profile's whole study (five error types, two splits), as
+    /// CI and the benchmark run it.
+    fn quick_study_graph() -> TaskGraph<Artifact> {
+        let cfg = ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() };
+        build_study_graph(&ErrorType::all(), &cfg).0
+    }
+
+    /// An order-independent digest: the items sorted, then hashed as one
+    /// newline-separated string.
+    fn digest(mut items: Vec<String>) -> CacheKey {
+        items.sort_unstable();
+        CacheKey::of(&items.join("\n"))
+    }
+
+    /// Every store is named by these keys. A change to any of them leaves
+    /// every existing store cold and remote workers of other builds unable
+    /// to find a leased task: it has to be declared, with a new
+    /// `PROTOCOL_VERSION`, when this pin is updated.
+    #[test]
+    fn quick_study_keys_are_pinned() {
+        let g = quick_study_graph();
+        assert_eq!(g.len(), 2505);
+        let keys = g.nodes.iter().map(|n| n.key.to_string()).collect();
+        assert_eq!(digest(keys), CacheKey(0xf304_b9e5_66fd_d920, 0xdc3e_68fc_8acc_694e));
+    }
+
+    /// Labels name tasks in progress events, traces and the slowest-tasks
+    /// table, independently of the keys.
+    #[test]
+    fn quick_study_labels_are_pinned() {
+        let g = quick_study_graph();
+        let labels = g.nodes.iter().map(|n| n.label.clone()).collect();
+        assert_eq!(digest(labels), CacheKey(0x0434_cd5c_1057_84d5, 0x9683_eceb_159e_2266));
+    }
+
+    /// A cell query's tasks are the study's own: every input of its cell
+    /// has a key in the study's graph, and the cell's key is a member of
+    /// the study's fused batch, so a warm engine answers the query from the
+    /// batch fanned out into the memo.
+    #[test]
+    fn every_cell_query_reuses_the_study_keys() {
+        let cfg = ExperimentConfig { n_splits: 2, ..ExperimentConfig::quick() };
+        let ets = [ErrorType::Inconsistencies, ErrorType::Duplicates];
+        let (study, _) = build_study_graph(&ets, &cfg);
+        // a batch's deps are its clean and context, then one (dirty,
+        // trained-on-clean) pair per member, whose keys name the member
+        let mut members = HashSet::new();
+        for batch in study.nodes.iter().filter(|n| n.kind == TaskKind::Evaluate) {
+            let mut cname = String::from("cells");
+            for pair in batch.deps[2..].chunks(2) {
+                let (dirty, tclean) = (study.nodes[pair[0]].key, study.nodes[pair[1]].key);
+                let member = CacheKey::of(&format!("cell/{dirty}|{tclean}"));
+                cname.push_str(&format!("/{member}"));
+                members.insert(member);
+            }
+            assert_eq!(batch.key, CacheKey::of(&cname), "{} names its members", batch.label);
+        }
+
+        let (mut queries, mut cells) = (0, 0);
+        for et in ets {
+            for plan in dataset_plan(et, cfg.base_seed) {
+                for method in CleaningMethod::catalogue(et) {
+                    for kind in PAPER_MODELS {
+                        let q = CellQuery {
+                            error_type: et,
+                            dataset: plan.name.clone(),
+                            detection: method.detection.name().into(),
+                            repair: method.repair.name().into(),
+                            model: kind.name().into(),
+                        };
+                        let (g, _) = build_query_graph(&q, &cfg).expect("a study cell");
+                        queries += 1;
+                        for n in &g.nodes {
+                            match n.kind {
+                                TaskKind::Reduce => {}
+                                TaskKind::Evaluate => {
+                                    assert!(members.contains(&n.key), "{} is in no batch", n.label);
+                                    cells += 1;
+                                }
+                                _ => assert!(
+                                    study.by_key.contains_key(&n.key),
+                                    "{} is not a study task",
+                                    n.label
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cells, queries * cfg.n_splits);
+        assert_eq!(members.len(), cells, "each cell is one batch member");
     }
 }

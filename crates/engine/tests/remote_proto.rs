@@ -163,5 +163,5 @@ fn push_varint(out: &mut Vec<u8>, mut x: u64) {
 #[test]
 fn hello_version_is_current() {
     // a reminder to bump PROTOCOL_VERSION on any wire-visible change
-    assert_eq!(PROTOCOL_VERSION, 5);
+    assert_eq!(PROTOCOL_VERSION, 6);
 }
